@@ -2,7 +2,8 @@
 # bench with tracing + audit trail enabled and asserts that
 #   * the BENCH JSON carries the rolling-window quantile and the
 #     two-phase overhead measurement, with overhead <= 10%;
-#   * the trace validates through trace_summary (flow events present);
+#   * the trace validates through trace_summary and its summary lists the
+#     serve/request span;
 #   * the audit JSONL validates through taamr_report --audit.
 #
 # Invoked as:
@@ -64,8 +65,8 @@ if(CMAKE_MATCH_1 GREATER 10)
 endif()
 message(STATUS "telemetry overhead: ${CMAKE_MATCH_1}% (budget 10%)")
 
-# The trace is valid Chrome trace JSON; the bench's phase-B traffic must
-# have produced serving spans (and flow events when batches coalesced).
+# The trace is valid Chrome trace JSON, and the bench's telemetry-on
+# traffic must have produced serving spans.
 execute_process(
   COMMAND "${TRACE_SUMMARY}" "${trace_file}" 15
   RESULT_VARIABLE summary_rc
@@ -75,9 +76,9 @@ execute_process(
 if(NOT summary_rc EQUAL 0)
   message(FATAL_ERROR "trace_summary rejected ${trace_file} (rc=${summary_rc}):\n${summary_err}")
 endif()
-string(FIND "${summary_out}" "flow event" found)
+string(FIND "${summary_out}" "serve/request" found)
 if(found EQUAL -1)
-  message(FATAL_ERROR "trace_summary did not report flow events:\n${summary_out}")
+  message(FATAL_ERROR "trace_summary did not list the serve/request span:\n${summary_out}")
 endif()
 message(STATUS "trace summary:\n${summary_out}")
 

@@ -2,10 +2,9 @@
 #   cmake -DBENCH_BIN=<serve_load> -DWORK_DIR=<dir> -P ServeShardGate.cmake
 # Optional: -DMIN_SPEEDUP_X10=<n> (default 18, i.e. 1.8x).
 #
-# Runs serve_load with a 1-vs-4 shard sweep in a deliberately miss-heavy,
-# coalescing-free configuration (tiny cache, zero batch window, one worker
-# per shard) so each leg's throughput tracks how many cores the shard
-# layout can actually use. Asserts
+# Runs serve_load with a 1-vs-4 shard sweep in a deliberately miss-heavy
+# configuration (tiny cache, one worker per shard) so each leg's throughput
+# tracks how many cores the shard layout can actually use. Asserts
 #   serve_qps{shards=4} >= (MIN_SPEEDUP_X10 / 10) * serve_qps{shards=1}
 # with one retry (single-run bench noise must not fail CI). Hosts with
 # fewer than 4 hardware threads pass trivially — the artifact's
@@ -53,7 +52,6 @@ function(run_sweep tag prefix)
             "TAAMR_SERVE_SHARD_SWEEP=1,4"
             "TAAMR_SERVE_WORKERS=1"
             "TAAMR_SERVE_CACHE_CAP=64"
-            "TAAMR_SERVE_BATCH_WINDOW_US=0"
             ${BENCH_BIN}
     WORKING_DIRECTORY "${dir}"
     RESULT_VARIABLE rc

@@ -1,15 +1,12 @@
 // Request-scoped tracing context for the serving path: a 64-bit request id
 // plus a monotonic stage clock. The front-end (serve/protocol driver)
 // constructs one per request line; the service marks stage boundaries as
-// the request flows through parse / cache-lookup / coalesce-wait / score /
-// serialize. publish() books every recorded stage into the labeled
+// the request flows through parse / cache-lookup / score / serialize. publish() books every recorded stage into the labeled
 // histogram serve_stage_seconds{stage=...}; debug_json() renders the same
 // attribution for the optional "debug":true echo in recommend responses.
 //
 // Ids embed the pid in the high bits (pid << 32 | counter) so traces and
-// audit records from concurrently running processes never collide; the same
-// id seeds the Chrome trace flow id that links coalesced followers to their
-// leader's scoring span (see serve/recommend_service.cpp).
+// audit records from concurrently running processes never collide.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +30,7 @@ class RequestContext {
   // construction) is recorded under `stage`. Stage names must be string
   // literals (stored by pointer).
   void mark(const char* stage);
-  // Books an externally measured duration (e.g. the exact time a follower
-  // spent blocked on its batch leader) without touching the stage clock.
+  // Books an externally measured duration without touching the stage clock.
   void add_stage(const char* stage, std::uint64_t dur_us);
 
   std::uint64_t total_us() const;

@@ -81,15 +81,7 @@ void Trace::record(std::string name, std::uint64_t ts_us, std::uint64_t dur_us) 
   if (!enabled()) return;
   ThreadBuf& buf = local_buf();
   std::lock_guard<std::mutex> lock(buf.mutex);
-  buf.events.push_back(Event{std::move(name), ts_us, dur_us, 'X', 0});
-}
-
-void Trace::record_flow(std::string name, std::uint64_t id, bool start) {
-  if (!enabled()) return;
-  ThreadBuf& buf = local_buf();
-  std::lock_guard<std::mutex> lock(buf.mutex);
-  buf.events.push_back(
-      Event{std::move(name), monotonic_us(), 0, start ? 's' : 'f', id});
+  buf.events.push_back(Event{std::move(name), ts_us, dur_us});
 }
 
 std::string Trace::to_json() const {
@@ -117,16 +109,8 @@ std::string Trace::to_json() const {
       if (!first) os << ',';
       first = false;
       os << "\n{\"name\":\"" << json::escape(e.name)
-         << "\",\"cat\":\"taamr\",\"ph\":\"" << e.ph << "\",\"ts\":" << e.ts_us;
-      if (e.ph == 'X') {
-        os << ",\"dur\":" << e.dur_us;
-      } else {
-        // Flow events carry the linking id; "bp":"e" binds the finish to
-        // the enclosing span so viewers attach the arrowhead correctly.
-        os << ",\"id\":" << e.flow_id;
-        if (e.ph == 'f') os << ",\"bp\":\"e\"";
-      }
-      os << ",\"pid\":1,\"tid\":" << buf->tid << '}';
+         << "\",\"cat\":\"taamr\",\"ph\":\"X\",\"ts\":" << e.ts_us
+         << ",\"dur\":" << e.dur_us << ",\"pid\":1,\"tid\":" << buf->tid << '}';
     }
   }
   os << "\n]}\n";

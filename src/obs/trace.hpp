@@ -13,13 +13,6 @@
 //
 // Nesting falls out of scoping: spans on the same thread whose lifetimes
 // nest render as a flame graph.
-//
-// Flow events ("ph":"s" start / "ph":"f" finish, matched by "id") draw
-// arrows across threads. The serving path uses them to link each coalesced
-// follower request to its batch leader's scoring span: the follower emits a
-// flow start where it parks, the leader emits the matching finish inside
-// serve/score_batch, and tools/trace_summary walks those arrows to
-// attribute critical-path time per request.
 #pragma once
 
 #include <atomic>
@@ -61,9 +54,6 @@ class Trace {
 
   // Records one complete event on the calling thread's buffer.
   void record(std::string name, std::uint64_t ts_us, std::uint64_t dur_us);
-  // Records a flow start (`start` = true) or finish event; events with the
-  // same id are drawn as one arrow. Instantaneous, so no duration.
-  void record_flow(std::string name, std::uint64_t id, bool start);
 
   // Merges every thread's buffer into one trace_event JSON document.
   std::string to_json() const;
@@ -74,9 +64,7 @@ class Trace {
   struct Event {
     std::string name;
     std::uint64_t ts_us = 0;
-    std::uint64_t dur_us = 0;   // complete events only
-    char ph = 'X';              // 'X' complete, 's'/'f' flow start/finish
-    std::uint64_t flow_id = 0;  // flow events only
+    std::uint64_t dur_us = 0;
   };
   struct ThreadBuf {
     mutable std::mutex mutex;  // appends race with to_json() merges

@@ -59,18 +59,9 @@ TraceDocument parse_trace_document(const std::string& text) {
       out.by_tid[static_cast<int>(tid->num)].push_back(
           TraceSpanEvent{name->str, static_cast<std::uint64_t>(ts->num),
                          static_cast<std::uint64_t>(dur->num)});
-    } else if (ph->str == "s" || ph->str == "f") {
-      const json::Value* id = e.find("id");
-      if (id == nullptr || !id->is_number() || id->num < 0.0) {
-        throw std::runtime_error(
-            where + ": flow event needs a non-negative numeric 'id'");
-      }
-      out.flows.push_back(TraceFlowEvent{
-          name->str, static_cast<std::uint64_t>(id->num),
-          static_cast<std::uint64_t>(ts->num), static_cast<int>(tid->num),
-          ph->str == "s"});
     }
-    // Other phases (metadata, counters, ...) carry no span time; skip.
+    // Other phases (metadata, flow arrows, counters, ...) carry no span
+    // time; skip.
   }
   return out;
 }
@@ -119,63 +110,6 @@ std::vector<std::pair<std::string, TraceNameStats>> trace_top_spans(
   });
   if (ranked.size() > top_k) ranked.resize(top_k);
   return ranked;
-}
-
-std::vector<TraceRequestPath> trace_request_paths(const TraceDocument& doc) {
-  struct Group {
-    std::uint64_t starts = 0;
-    std::uint64_t earliest_start = UINT64_MAX;
-    bool finished = false;
-    std::uint64_t finish_ts = 0;
-    int finish_tid = 0;
-  };
-  std::map<std::uint64_t, Group> groups;
-  for (const TraceFlowEvent& f : doc.flows) {
-    Group& g = groups[f.id];
-    if (f.start) {
-      g.starts += 1;
-      g.earliest_start = std::min(g.earliest_start, f.ts);
-    } else {
-      g.finished = true;
-      g.finish_ts = f.ts;
-      g.finish_tid = f.tid;
-    }
-  }
-  // Innermost complete span on `tid` enclosing `ts` — the leader's scoring
-  // span, since the finish is emitted from inside it.
-  auto enclosing_span = [&doc](int tid, std::uint64_t ts) {
-    const TraceSpanEvent* best = nullptr;
-    auto it = doc.by_tid.find(tid);
-    if (it == doc.by_tid.end()) return best;
-    for (const TraceSpanEvent& span : it->second) {
-      if (span.ts > ts || span.end() < ts) continue;
-      if (best == nullptr || span.dur < best->dur) best = &span;
-    }
-    return best;
-  };
-  std::vector<TraceRequestPath> out;
-  for (const auto& [id, g] : groups) {
-    if (!g.finished) continue;  // request still in flight at write time
-    TraceRequestPath path;
-    path.id = id;
-    path.followers = g.starts;
-    std::uint64_t span_start = g.finish_ts;
-    std::uint64_t span_end = g.finish_ts;
-    if (const TraceSpanEvent* leader = enclosing_span(g.finish_tid, g.finish_ts)) {
-      path.leader_span_us = leader->dur;
-      span_start = leader->ts;
-      span_end = leader->end();
-    }
-    const std::uint64_t origin =
-        g.starts > 0 ? std::min(g.earliest_start, span_start) : span_start;
-    path.critical_us = span_end - origin;
-    out.push_back(path);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceRequestPath& a, const TraceRequestPath& b) {
-              return a.critical_us > b.critical_us;
-            });
-  return out;
 }
 
 }  // namespace taamr::obs

@@ -26,19 +26,9 @@ struct TraceNameStats {
   std::uint64_t count = 0;
 };
 
-struct TraceFlowEvent {
-  std::string name;
-  std::uint64_t id = 0;
-  std::uint64_t ts = 0;  // microseconds
-  int tid = 0;
-  bool start = false;  // "ph":"s"; false = finish ("ph":"f")
-};
-
 struct TraceDocument {
   // Complete ("ph":"X") events grouped by thread id.
   std::map<int, std::vector<TraceSpanEvent>> by_tid;
-  // Flow start/finish events ("ph":"s"/"f") in document order.
-  std::vector<TraceFlowEvent> flows;
   std::size_t total_events() const {
     std::size_t n = 0;
     for (const auto& [tid, spans] : by_tid) n += spans.size();
@@ -52,8 +42,8 @@ struct TraceDocument {
 // cut off mid-array), a missing/ill-typed traceEvents array, and events
 // whose required keys are absent or of the wrong type (previously those
 // were silently read as 0 and produced a wrong summary). name/ph/ts/tid are
-// required for every event; 'dur' additionally for complete ("X") events
-// and 'id' for flow ("s"/"f") events. Other phases are skipped.
+// required for every event and 'dur' additionally for complete ("X")
+// events. Other phases (metadata, flow arrows, ...) are skipped.
 TraceDocument parse_trace_document(const std::string& text);
 
 // Self-time per span name on one thread: events sorted by (ts asc, dur
@@ -65,23 +55,5 @@ void accumulate_trace_thread(std::vector<TraceSpanEvent>& spans,
 // Rollup over every thread, ranked by self-time descending.
 std::vector<std::pair<std::string, TraceNameStats>> trace_top_spans(
     const TraceDocument& doc, std::size_t top_k);
-
-// One coalesced request group, reconstructed from flow events: followers
-// emit flow starts where they park, the batch leader emits the matching
-// finish inside its scoring span.
-struct TraceRequestPath {
-  std::uint64_t id = 0;
-  std::uint64_t followers = 0;       // flow-start count
-  std::uint64_t leader_span_us = 0;  // innermost span enclosing the finish
-  // Critical-path time: from the earliest follower park (or the leader span
-  // start when there are no followers) to the leader span's end.
-  std::uint64_t critical_us = 0;
-};
-
-// Groups the document's flow events by id and attributes each group to the
-// leader span enclosing its finish event. Groups without a finish event are
-// dropped (the request was in flight when the trace was written). Ranked by
-// critical_us descending.
-std::vector<TraceRequestPath> trace_request_paths(const TraceDocument& doc);
 
 }  // namespace taamr::obs

@@ -33,9 +33,9 @@ class Recommender {
 
   // Scores for an arbitrary (not necessarily contiguous) set of users into
   // out, row-major [users.size(), num_items()]. This is the serving tile:
-  // the request coalescer batches whatever users arrived concurrently, and
-  // models with matrix structure gather their rows and run the same GEMMs
-  // as score_block. The default forwards to score_all per user.
+  // the service scores a request's cache misses through it, and models with
+  // matrix structure gather their rows and run the same GEMMs as
+  // score_block. The default forwards to score_all per user.
   virtual void score_users(std::span<const std::int64_t> users,
                            std::span<float> out) const;
 

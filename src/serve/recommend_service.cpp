@@ -19,8 +19,18 @@ namespace taamr::serve {
 
 namespace {
 
-// Users per gathered GEMM tile when scoring a coalesced batch.
+// Users per gathered GEMM tile when scoring a batch of misses.
 constexpr std::int64_t kScoreTile = 64;
+
+Recommendation cached_recommendation(std::int64_t user, CacheEntry entry) {
+  Recommendation rec;
+  rec.user = user;
+  rec.items = std::move(entry.items);
+  rec.cached = true;
+  rec.model_version = entry.model_version;
+  rec.feature_epoch = entry.feature_epoch;
+  return rec;
+}
 
 std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min_value) {
   const char* raw = std::getenv(name);
@@ -40,9 +50,6 @@ std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min
 ServeConfig ServeConfig::from_env() {
   ServeConfig c;
   c.cache_capacity = env_int64("TAAMR_SERVE_CACHE_CAP", c.cache_capacity, 1);
-  c.cache_shards = env_int64("TAAMR_SERVE_CACHE_SHARDS", c.cache_shards, 1);
-  c.batch_max = env_int64("TAAMR_SERVE_BATCH_MAX", c.batch_max, 1);
-  c.batch_window_us = env_int64("TAAMR_SERVE_BATCH_WINDOW_US", c.batch_window_us, 0);
   c.update_log_window = env_int64("TAAMR_SERVE_UPDATE_LOG", c.update_log_window, 1);
   c.slo_ms = env_int64("TAAMR_SERVE_SLO_MS", c.slo_ms, 0);
   c.window_s = env_int64("TAAMR_SERVE_WINDOW_S", c.window_s, 1);
@@ -67,7 +74,7 @@ RecommendService::RecommendService(const data::ImplicitDataset& dataset,
       registry_(registry),
       store_(std::move(store)),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards),
+      cache_(config.cache_capacity),
       update_mutex_(std::move(update_mutex)),
       // One-second slots, same bucket layout as serve_request_seconds so
       // rolling and lifetime quantiles interpolate over identical edges.
@@ -84,16 +91,15 @@ RecommendService::RecommendService(const data::ImplicitDataset& dataset,
 }
 
 std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
-                                                   const ModelRegistry::Snapshot& snap,
-                                                   bool count_miss) {
+                                                   const ModelRegistry::Snapshot& snap) {
   std::optional<CacheEntry> entry = cache_.get(key);
   if (!entry.has_value()) {
-    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   if (entry->model_version != snap.version) {
     // New checkpoint: everything computed against the old one is stale.
-    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   if (entry->feature_epoch == snap.feature_epoch) {
@@ -108,7 +114,7 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
       store_->changed_since(entry->feature_epoch);
   if (!changed.has_value()) {
     // Changelog window exceeded; cannot prove validity.
-    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   const bool list_full = static_cast<std::int64_t>(entry->items.size()) >= key.n;
@@ -120,7 +126,7 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
         std::any_of(entry->items.begin(), entry->items.end(),
                     [c](const recsys::ScoredItem& s) { return s.item == c; });
     if (in_list) {
-      if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     if (!list_full) {
@@ -133,7 +139,7 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
     const float s = snap.model->score(key.user, c);
     const recsys::ScoredItem& tail = entry->items.back();
     if (s > tail.score || (s == tail.score && c < tail.item)) {
-      if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
   }
@@ -150,20 +156,10 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
 void RecommendService::score_misses(const ModelRegistry::Snapshot& snap,
                                     const std::string& model,
                                     std::span<const std::int64_t> users, std::int64_t n,
-                                    std::span<Recommendation*> out,
-                                    std::span<const std::uint64_t> flow_ids) {
+                                    std::span<Recommendation*> out) {
   TAAMR_TRACE_SPAN("serve/score_batch");
-  // Close the flow arrows from every traced follower parked on this batch:
-  // emitted inside the span so viewers (and trace_request_paths) attach the
-  // arrowhead to the leader's scoring span.
-  for (const std::uint64_t id : flow_ids) {
-    obs::Trace::global().record_flow("serve/coalesce", id, /*start=*/false);
-  }
   const std::int64_t num_items = dataset_.num_items;
   const std::int64_t count = static_cast<std::int64_t>(users.size());
-  obs::MetricsRegistry::global()
-      .histogram("serve_batch_users", {}, {1, 2, 4, 8, 16, 32, 64, 128, 256})
-      .observe(static_cast<double>(count));
   std::vector<float> scores(static_cast<std::size_t>(count * num_items));
   const std::int64_t num_tiles = (count + kScoreTile - 1) / kScoreTile;
   taamr::parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t t) {
@@ -197,12 +193,6 @@ void RecommendService::score_misses(const ModelRegistry::Snapshot& snap,
 
 std::vector<Recommendation> RecommendService::recommend_batch(
     const std::string& model, std::span<const std::int64_t> users, std::int64_t n) {
-  return recommend_batch_impl(model, users, n, {});
-}
-
-std::vector<Recommendation> RecommendService::recommend_batch_impl(
-    const std::string& model, std::span<const std::int64_t> users, std::int64_t n,
-    std::span<const std::uint64_t> flow_ids) {
   if (n <= 0) throw std::invalid_argument("recommend_batch: n must be positive");
   for (const std::int64_t u : users) {
     if (u < 0 || u >= dataset_.num_users) {
@@ -210,31 +200,23 @@ std::vector<Recommendation> RecommendService::recommend_batch_impl(
     }
   }
   const ModelRegistry::Snapshot snap = registry_.get(model);
-  requests_.fetch_add(users.size(), std::memory_order_relaxed);
-  obs::MetricsRegistry::global()
-      .counter("serve_requests_total", {{"model", model}})
-      .add(static_cast<double>(users.size()));
+  count_requests(model, users.size());
 
   std::vector<Recommendation> results(users.size());
   std::vector<std::int64_t> miss_users;
   std::vector<Recommendation*> miss_out;
   for (std::size_t i = 0; i < users.size(); ++i) {
-    const CacheKey key{model, users[i], n};
-    if (std::optional<CacheEntry> entry = lookup(key, snap, /*count_miss=*/true);
-        entry.has_value()) {
-      results[i].user = users[i];
-      results[i].items = std::move(entry->items);
-      results[i].cached = true;
-      results[i].model_version = entry->model_version;
-      results[i].feature_epoch = entry->feature_epoch;
+    if (std::optional<CacheEntry> entry = lookup(CacheKey{model, users[i], n}, snap)) {
+      results[i] = cached_recommendation(users[i], std::move(*entry));
     } else {
       miss_users.push_back(users[i]);
       miss_out.push_back(&results[i]);
     }
   }
-  if (!miss_users.empty()) {
-    score_misses(snap, model, miss_users, n, miss_out, flow_ids);
+  if (miss_users.size() > 1) {
+    coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (!miss_users.empty()) score_misses(snap, model, miss_users, n, miss_out);
   return results;
 }
 
@@ -261,126 +243,37 @@ void RecommendService::observe_request(double seconds) {
   }
 }
 
+void RecommendService::count_requests(const std::string& model, std::size_t count) {
+  requests_.fetch_add(count, std::memory_order_relaxed);
+  obs::MetricsRegistry::global()
+      .counter("serve_requests_total", {{"model", model}})
+      .add(static_cast<double>(count));
+}
+
 Recommendation RecommendService::recommend(const std::string& model, std::int64_t user,
                                            std::int64_t n, obs::RequestContext* ctx) {
   TAAMR_TRACE_SPAN("serve/request");
   const auto t0 = std::chrono::steady_clock::now();
-  auto observe_latency = [&t0, this]() {
-    observe_request(std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-  };
-
   if (n <= 0) throw std::invalid_argument("recommend: n must be positive");
   if (user < 0 || user >= dataset_.num_users) {
     throw std::invalid_argument("recommend: user out of range");
   }
   const ModelRegistry::Snapshot snap = registry_.get(model);
-  {
-    const CacheKey key{model, user, n};
-    std::optional<CacheEntry> entry = lookup(key, snap, /*count_miss=*/false);
-    if (ctx != nullptr) ctx->mark("cache_lookup");
-    if (entry.has_value()) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global()
-          .counter("serve_requests_total", {{"model", model}})
-          .increment();
-      Recommendation rec;
-      rec.user = user;
-      rec.items = std::move(entry->items);
-      rec.cached = true;
-      rec.model_version = entry->model_version;
-      rec.feature_epoch = entry->feature_epoch;
-      observe_latency();
-      return rec;
-    }
-  }
-
-  // Cache miss: join or lead a coalesced batch for this (model, n).
-  std::shared_ptr<PendingBatch> batch;
-  std::size_t index = 0;
-  bool leader = false;
-  {
-    std::unique_lock<std::mutex> lock(batch_mutex_);
-    if (pending_ != nullptr && !pending_->closed && pending_->model == model &&
-        pending_->n == n &&
-        static_cast<std::int64_t>(pending_->users.size()) < config_.batch_max) {
-      batch = pending_;
-      index = batch->users.size();
-      batch->users.push_back(user);
-      if (ctx != nullptr && obs::Trace::global().enabled()) {
-        // Follower: open a flow arrow here; the leader closes it inside its
-        // scoring span, linking this request to the batch that served it.
-        batch->flow_ids.push_back(ctx->id());
-        obs::Trace::global().record_flow("serve/coalesce", ctx->id(),
-                                         /*start=*/true);
-      }
-      if (static_cast<std::int64_t>(batch->users.size()) >= config_.batch_max) {
-        // Full: wake the leader early instead of letting it linger.
-        batch->closed = true;
-        pending_.reset();
-        batch->cv.notify_all();
-      }
-      batch->cv.wait(lock, [&batch] { return batch->done; });
-      if (ctx != nullptr) ctx->mark("coalesce_wait");
-    } else {
-      leader = true;
-      batch = std::make_shared<PendingBatch>();
-      batch->model = model;
-      batch->n = n;
-      batch->users.push_back(user);
-      pending_ = batch;
-    }
-  }
-
-  if (leader) {
-    if (config_.batch_window_us > 0) {
-      std::unique_lock<std::mutex> lock(batch_mutex_);
-      batch->cv.wait_for(lock,
-                         std::chrono::microseconds(config_.batch_window_us),
-                         [&batch] { return batch->closed; });
-    }
-    std::vector<std::int64_t> users;
-    std::vector<std::uint64_t> flow_ids;
-    {
-      std::lock_guard<std::mutex> lock(batch_mutex_);
-      batch->closed = true;
-      if (pending_ == batch) pending_.reset();
-      users = batch->users;
-      flow_ids = batch->flow_ids;
-    }
-    if (ctx != nullptr) ctx->mark("coalesce_wait");  // the linger window
-    if (users.size() > 1) {
-      coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<Recommendation> results;
-    try {
-      results = recommend_batch_impl(model, users, n, flow_ids);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(batch_mutex_);
-      batch->error = std::current_exception();
-      batch->done = true;
-      batch->cv.notify_all();
-      throw;
-    }
-    if (ctx != nullptr) ctx->mark("score");
-    {
-      std::lock_guard<std::mutex> lock(batch_mutex_);
-      batch->results = std::move(results);
-      batch->done = true;
-      batch->cv.notify_all();
-    }
-  }
+  count_requests(model, 1);
 
   Recommendation rec;
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    if (batch->error != nullptr && !leader) {
-      std::rethrow_exception(batch->error);
-    }
-    rec = batch->results[index];
+  std::optional<CacheEntry> entry = lookup(CacheKey{model, user, n}, snap);
+  if (ctx != nullptr) ctx->mark("cache_lookup");
+  if (entry.has_value()) {
+    rec = cached_recommendation(user, std::move(*entry));
+  } else {
+    const std::int64_t users[1] = {user};
+    Recommendation* out[1] = {&rec};
+    score_misses(snap, model, users, n, out);
+    if (ctx != nullptr) ctx->mark("score");
   }
-  observe_latency();
+  observe_request(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   return rec;
 }
 

@@ -5,11 +5,10 @@
 //   1. snapshot the model entry (lock-free scoring against an immutable
 //      model — hot swaps never tear an in-flight request);
 //   2. cache lookup with revalidation (below);
-//   3. on miss, join the request coalescer: concurrent misses for the same
-//      (model, n) are batched — the first caller becomes the leader,
-//      lingers up to batch_window_us for followers, then scores the whole
-//      batch through Recommender::score_users (one gathered GEMM tile per
-//      kScoreTile users, tiles spread over the shared ThreadPool).
+//   3. on miss, score the user through Recommender::score_users and cache
+//      the list. recommend_batch takes the same path for many users at once:
+//      its misses are scored together, one gathered GEMM tile per
+//      kScoreTile users, tiles spread over the shared ThreadPool.
 //
 // Cache validity (the epoch-invalidation contract):
 //   * entry.model_version != current  -> recompute (new checkpoint);
@@ -32,7 +31,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,9 +49,6 @@ namespace taamr::serve {
 
 struct ServeConfig {
   std::int64_t cache_capacity = 4096;    // TAAMR_SERVE_CACHE_CAP
-  std::int64_t cache_shards = 8;         // TAAMR_SERVE_CACHE_SHARDS
-  std::int64_t batch_max = 64;           // TAAMR_SERVE_BATCH_MAX
-  std::int64_t batch_window_us = 200;    // TAAMR_SERVE_BATCH_WINDOW_US
   std::int64_t update_log_window = 256;  // TAAMR_SERVE_UPDATE_LOG
   // SLO threshold in milliseconds: a request slower than slo_ms counts as
   // slow, slower than 2*slo_ms as a deadline breach. 0 disables both.
@@ -94,16 +89,14 @@ class RecommendService {
                    std::shared_ptr<FeatureStore> store,
                    std::shared_ptr<std::mutex> update_mutex, ServeConfig config);
 
-  // Top-n for one user; blocks briefly while coalescing with concurrent
-  // callers. Throws std::runtime_error for unknown models,
+  // Top-n for one user. Throws std::runtime_error for unknown models,
   // std::invalid_argument for bad user/n. When `ctx` is non-null the
-  // request's per-stage latency (cache_lookup / coalesce_wait / score) is
-  // attributed to it, and coalesced followers are flow-linked to their
-  // leader's scoring span in the trace.
+  // request's per-stage latency (cache_lookup / score) is attributed to it.
   Recommendation recommend(const std::string& model, std::int64_t user,
                            std::int64_t n, obs::RequestContext* ctx = nullptr);
 
-  // Batched entry point (the coalescer leader and bulk clients land here).
+  // Batched entry point for bulk callers (ShardRouter scatter/gather):
+  // every miss in the batch is scored in one score_misses call.
   std::vector<Recommendation> recommend_batch(const std::string& model,
                                               std::span<const std::int64_t> users,
                                               std::int64_t n);
@@ -137,6 +130,7 @@ class RecommendService {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_revalidated = 0;  // subset of cache_hits
+    // recommend_batch calls that scored more than one miss together.
     std::uint64_t coalesced_batches = 0;
     std::uint64_t feature_swaps = 0;
     std::uint64_t slow_requests = 0;      // latency > slo_ms
@@ -166,38 +160,15 @@ class RecommendService {
   ModelRegistry& registry() { return registry_; }
 
  private:
-  struct PendingBatch {
-    std::string model;
-    std::int64_t n = 0;
-    std::vector<std::int64_t> users;
-    // Request ids of traced followers parked on this batch; the leader
-    // emits the matching flow-finish events inside its scoring span.
-    std::vector<std::uint64_t> flow_ids;
-    std::vector<Recommendation> results;
-    std::exception_ptr error;
-    bool closed = false;  // no longer accepting joiners
-    bool done = false;
-    std::condition_variable cv;
-  };
-
-  // Shared body of recommend_batch; the coalescer leader additionally
-  // passes its followers' flow ids for trace linkage.
-  std::vector<Recommendation> recommend_batch_impl(
-      const std::string& model, std::span<const std::int64_t> users,
-      std::int64_t n, std::span<const std::uint64_t> flow_ids);
-  // Cache lookup + revalidation. Hits are always counted; misses only when
-  // count_miss is set — recommend()'s fast-path probe passes false because
-  // a missing user flows into a coalesced batch whose leader re-probes (and
-  // counts) it in recommend_batch, and counting both would double-book.
+  // Cache lookup + revalidation; counts the hit or miss.
   std::optional<CacheEntry> lookup(const CacheKey& key,
-                                   const ModelRegistry::Snapshot& snap,
-                                   bool count_miss);
+                                   const ModelRegistry::Snapshot& snap);
   // Scores `users` (all cache misses) against `snap` and fills results.
-  // `flow_ids` are the traced followers to flow-link into this scoring span.
   void score_misses(const ModelRegistry::Snapshot& snap, const std::string& model,
                     std::span<const std::int64_t> users, std::int64_t n,
-                    std::span<Recommendation*> out,
-                    std::span<const std::uint64_t> flow_ids = {});
+                    std::span<Recommendation*> out);
+  // Books `count` requests for `model` (requests_ + serve_requests_total).
+  void count_requests(const std::string& model, std::size_t count);
   // Latency bookkeeping shared by every recommend() exit: lifetime + rolling
   // histograms, SLO counters.
   void observe_request(double seconds);
@@ -215,9 +186,6 @@ class RecommendService {
   // Serializes feature swaps; shared across every service over the same
   // store so rebuild+swap sequences from different shards cannot interleave.
   std::shared_ptr<std::mutex> update_mutex_;
-
-  std::mutex batch_mutex_;
-  std::shared_ptr<PendingBatch> pending_;
 
   obs::SlidingWindowHistogram latency_window_;
   obs::UpdateAnomalyScorer anomaly_scorer_;

@@ -50,11 +50,10 @@ ShardRouter::ShardRouter(const data::ImplicitDataset& dataset, ModelRegistry& re
       static_cast<std::size_t>(config_.service.update_log_window));
   auto update_mutex = std::make_shared<std::mutex>();
 
-  // Split the total cache budget: every shard keeps at least one entry per
-  // internal cache shard so the LRU slices stay functional at any N.
+  // Split the total cache budget; every shard keeps at least one entry.
   ServeConfig per_shard = config_.service;
-  per_shard.cache_capacity = std::max<std::int64_t>(
-      per_shard.cache_shards, per_shard.cache_capacity / n);
+  per_shard.cache_capacity =
+      std::max<std::int64_t>(1, per_shard.cache_capacity / n);
 
   auto& metrics = obs::MetricsRegistry::global();
   shards_.reserve(static_cast<std::size_t>(n));
@@ -154,7 +153,6 @@ RecommendService::Stats ShardRouter::stats() const {
     total.cache.evictions += st.cache.evictions;
     total.cache.size += st.cache.size;
     total.cache.capacity += st.cache.capacity;
-    total.cache.shards += st.cache.shards;
   }
   // audit_records is a process-global counter, not per-shard; don't sum.
   total.audit_records = obs::AuditLog::global().records_written();

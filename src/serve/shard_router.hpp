@@ -3,15 +3,15 @@
 //
 // Invariants:
 //   * shard_of(user) is a pure function of (user, num_shards) — the same
-//     user always lands on the same shard, so its cached lists, coalesced
-//     batches and latency accounting live in exactly one place.
+//     user always lands on the same shard, so its cached lists and latency
+//     accounting live in exactly one place.
 //   * All shards share ONE ModelRegistry and ONE FeatureStore: model
 //     versions and feature epochs are global axes. A hot swap advances the
 //     shared epoch; each shard revalidates its own cache slice lazily on
 //     that shard's next touch (serve/recommend_service.hpp), so a swap
 //     never stalls sibling shards' request paths.
-//   * Each shard owns its TopNCache slice (total capacity split N ways),
-//     its own coalescer and its own rolling latency window — per-shard
+//   * Each shard owns its TopNCache slice (total capacity split N ways) and
+//     its own rolling latency window — per-shard
 //     serve_shard_requests_total{shard=..} counters make imbalance visible.
 //   * Feature updates are funneled through shard 0's service: one shared
 //     update mutex serializes rebuild+swap sequences, and a single anomaly

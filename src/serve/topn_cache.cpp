@@ -4,14 +4,11 @@
 
 namespace taamr::serve {
 
-TopNCache::TopNCache(std::int64_t capacity, std::int64_t shards) {
-  if (capacity <= 0 || shards <= 0) {
-    throw std::invalid_argument("TopNCache: capacity and shards must be positive");
+TopNCache::TopNCache(std::int64_t capacity) {
+  if (capacity <= 0) {
+    throw std::invalid_argument("TopNCache: capacity must be positive");
   }
-  if (shards > capacity) shards = capacity;
-  per_shard_capacity_ =
-      static_cast<std::size_t>((capacity + shards - 1) / shards);
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(shards));
+  capacity_ = static_cast<std::size_t>(capacity);
 }
 
 std::string TopNCache::flatten(const CacheKey& key) {
@@ -19,36 +16,30 @@ std::string TopNCache::flatten(const CacheKey& key) {
          std::to_string(key.n);
 }
 
-TopNCache::Shard& TopNCache::shard_of(const std::string& flat_key) {
-  return shards_[std::hash<std::string>{}(flat_key) % shards_.size()];
-}
-
 std::optional<CacheEntry> TopNCache::get(const CacheKey& key) {
   const std::string flat = flatten(key);
-  Shard& s = shard_of(flat);
-  std::lock_guard<std::mutex> lock(s.mutex);
-  auto it = s.index.find(flat);
-  if (it == s.index.end()) return std::nullopt;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(flat);
+  if (it == index_.end()) return std::nullopt;
   // Move to front (most recently used).
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->second;
 }
 
 void TopNCache::put(const CacheKey& key, CacheEntry entry) {
   const std::string flat = flatten(key);
-  Shard& s = shard_of(flat);
-  std::lock_guard<std::mutex> lock(s.mutex);
-  auto it = s.index.find(flat);
-  if (it != s.index.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(flat);
+  if (it != index_.end()) {
     it->second->second = std::move(entry);
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  s.lru.emplace_front(flat, std::move(entry));
-  s.index[flat] = s.lru.begin();
-  if (s.index.size() > per_shard_capacity_) {
-    s.index.erase(s.lru.back().first);
-    s.lru.pop_back();
+  lru_.emplace_front(flat, std::move(entry));
+  index_[flat] = lru_.begin();
+  if (index_.size() > capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -56,31 +47,25 @@ void TopNCache::put(const CacheKey& key, CacheEntry entry) {
 void TopNCache::touch_epoch(const CacheKey& key, std::uint64_t model_version,
                             std::uint64_t feature_epoch) {
   const std::string flat = flatten(key);
-  Shard& s = shard_of(flat);
-  std::lock_guard<std::mutex> lock(s.mutex);
-  auto it = s.index.find(flat);
-  if (it == s.index.end()) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(flat);
+  if (it == index_.end()) return;
   it->second->second.model_version = model_version;
   it->second->second.feature_epoch = feature_epoch;
 }
 
 void TopNCache::clear() {
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.lru.clear();
-    s.index.clear();
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  lru_.clear();
+  index_.clear();
 }
 
 TopNCache::Stats TopNCache::stats() const {
   Stats st;
   st.evictions = evictions_.load(std::memory_order_relaxed);
-  st.capacity = per_shard_capacity_ * shards_.size();
-  st.shards = shards_.size();
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    st.size += s.index.size();
-  }
+  st.capacity = capacity_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  st.size = index_.size();
   return st;
 }
 

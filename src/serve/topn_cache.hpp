@@ -1,9 +1,8 @@
-// Sharded per-(model, user, n) top-N result cache with per-shard LRU
-// eviction. Shards keep lock hold times short under concurrent clients:
-// a key hashes to one shard, and every operation takes exactly that
-// shard's mutex. Entries carry the model version and feature epoch they
-// were computed at; validity policy lives in RecommendService (full miss
-// on version change, selective revalidation on epoch drift).
+// Per-(model, user, n) top-N result cache: one mutex-guarded LRU list.
+// Entries carry the model version and feature epoch they were computed at;
+// validity policy lives in RecommendService (full miss on version change,
+// selective revalidation on epoch drift). ShardRouter gives every shard its
+// own cache, so the lock is only contended by requests for one shard's users.
 #pragma once
 
 #include <atomic>
@@ -33,9 +32,8 @@ struct CacheEntry {
 
 class TopNCache {
  public:
-  // capacity: total entries across all shards (>= shards; each shard gets
-  // an equal slice, minimum 1).
-  TopNCache(std::int64_t capacity, std::int64_t shards);
+  // capacity: maximum entries before the least recently used is evicted.
+  explicit TopNCache(std::int64_t capacity);
 
   std::optional<CacheEntry> get(const CacheKey& key);
   void put(const CacheKey& key, CacheEntry entry);
@@ -51,23 +49,18 @@ class TopNCache {
     std::uint64_t evictions = 0;
     std::size_t size = 0;
     std::size_t capacity = 0;
-    std::size_t shards = 0;
   };
   Stats stats() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    // LRU list, most recent first; map points into it.
-    std::list<std::pair<std::string, CacheEntry>> lru;
-    std::unordered_map<std::string, std::list<std::pair<std::string, CacheEntry>>::iterator> index;
-  };
-
   static std::string flatten(const CacheKey& key);
-  Shard& shard_of(const std::string& flat_key);
 
-  std::size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
+  std::size_t capacity_;
+  mutable std::mutex mutex_;
+  // LRU list, most recent first; the index points into it.
+  std::list<std::pair<std::string, CacheEntry>> lru_;
+  std::unordered_map<std::string, std::list<std::pair<std::string, CacheEntry>>::iterator>
+      index_;
   std::atomic<std::uint64_t> evictions_{0};
 };
 

@@ -46,11 +46,11 @@ TEST(RequestContext, MarksCloseStagesInOrder) {
   RequestContext ctx;
   ctx.mark("parse");
   ctx.mark("score");
-  ctx.add_stage("coalesce_wait", 123);
+  ctx.add_stage("serialize", 123);
   ASSERT_EQ(ctx.stages().size(), 3u);
   EXPECT_STREQ(ctx.stages()[0].first, "parse");
   EXPECT_STREQ(ctx.stages()[1].first, "score");
-  EXPECT_STREQ(ctx.stages()[2].first, "coalesce_wait");
+  EXPECT_STREQ(ctx.stages()[2].first, "serialize");
   EXPECT_EQ(ctx.stages()[2].second, 123u);
   EXPECT_GE(ctx.total_us(), ctx.stages()[0].second + ctx.stages()[1].second);
 }

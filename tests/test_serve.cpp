@@ -1,5 +1,5 @@
 // Units of the serving subsystem: ModelRegistry (versioned hot-swap),
-// FeatureStore (epoch changelog), TopNCache (sharded LRU), the JSONL
+// FeatureStore (epoch changelog), TopNCache (LRU), the JSONL
 // protocol, and ServeConfig env parsing. Suite names start with "Serve" so
 // the CI thread-sanitizer job picks them up.
 #include <gtest/gtest.h>
@@ -187,7 +187,7 @@ TEST(ServeFeatureStore, Validates) {
 // ---- TopNCache ----
 
 TEST(ServeCache, PutGetAndKeyIdentity) {
-  serve::TopNCache cache(16, 2);
+  serve::TopNCache cache(16);
   const serve::CacheKey key{"vbpr", 3, 10};
   EXPECT_FALSE(cache.get(key).has_value());
 
@@ -210,7 +210,7 @@ TEST(ServeCache, PutGetAndKeyIdentity) {
 }
 
 TEST(ServeCache, LruEvictsOldestPerShard) {
-  serve::TopNCache cache(4, 1);  // one shard, capacity 4
+  serve::TopNCache cache(4);
   for (std::int64_t u = 0; u < 4; ++u) {
     cache.put({"m", u, 10}, serve::CacheEntry{{{0, 1.0f}}, 1, 0});
   }
@@ -224,7 +224,7 @@ TEST(ServeCache, LruEvictsOldestPerShard) {
 }
 
 TEST(ServeCache, TouchEpochRestamps) {
-  serve::TopNCache cache(8, 2);
+  serve::TopNCache cache(8);
   cache.put({"m", 0, 10}, serve::CacheEntry{{{0, 1.0f}}, 1, 0});
   cache.touch_epoch({"m", 0, 10}, 1, 9);
   const auto got = cache.get({"m", 0, 10});
@@ -238,11 +238,9 @@ TEST(ServeCache, TouchEpochRestamps) {
 }
 
 TEST(ServeCache, Validates) {
-  EXPECT_THROW(serve::TopNCache(0, 1), std::invalid_argument);
-  EXPECT_THROW(serve::TopNCache(8, 0), std::invalid_argument);
-  // More shards than capacity collapses to capacity shards.
-  serve::TopNCache tiny(2, 16);
-  EXPECT_EQ(tiny.stats().shards, 2u);
+  EXPECT_THROW(serve::TopNCache(0), std::invalid_argument);
+  EXPECT_THROW(serve::TopNCache(-3), std::invalid_argument);
+  EXPECT_EQ(serve::TopNCache(2).stats().capacity, 2u);
 }
 
 // ---- Protocol ----
@@ -390,29 +388,20 @@ TEST(ServeProtocol, DebugEchoAttachesStageBreakdown) {
 
 TEST(ServeConfigEnv, ReadsAndValidatesKnobs) {
   ::setenv("TAAMR_SERVE_CACHE_CAP", "128", 1);
-  ::setenv("TAAMR_SERVE_CACHE_SHARDS", "4", 1);
-  ::setenv("TAAMR_SERVE_BATCH_MAX", "16", 1);
-  ::setenv("TAAMR_SERVE_BATCH_WINDOW_US", "0", 1);
   ::setenv("TAAMR_SERVE_UPDATE_LOG", "99", 1);
   auto cfg = serve::ServeConfig::from_env();
   EXPECT_EQ(cfg.cache_capacity, 128);
-  EXPECT_EQ(cfg.cache_shards, 4);
-  EXPECT_EQ(cfg.batch_max, 16);
-  EXPECT_EQ(cfg.batch_window_us, 0);
   EXPECT_EQ(cfg.update_log_window, 99);
 
   // Malformed values fall back to defaults.
   ::setenv("TAAMR_SERVE_CACHE_CAP", "banana", 1);
-  ::setenv("TAAMR_SERVE_BATCH_MAX", "-3", 1);
+  ::setenv("TAAMR_SERVE_UPDATE_LOG", "-3", 1);
   cfg = serve::ServeConfig::from_env();
   EXPECT_EQ(cfg.cache_capacity, serve::ServeConfig{}.cache_capacity);
-  EXPECT_EQ(cfg.batch_max, serve::ServeConfig{}.batch_max);
+  EXPECT_EQ(cfg.update_log_window, serve::ServeConfig{}.update_log_window);
 
-  for (const char* var : {"TAAMR_SERVE_CACHE_CAP", "TAAMR_SERVE_CACHE_SHARDS",
-                          "TAAMR_SERVE_BATCH_MAX", "TAAMR_SERVE_BATCH_WINDOW_US",
-                          "TAAMR_SERVE_UPDATE_LOG"}) {
-    ::unsetenv(var);
-  }
+  ::unsetenv("TAAMR_SERVE_CACHE_CAP");
+  ::unsetenv("TAAMR_SERVE_UPDATE_LOG");
 }
 
 TEST(ServeConfigEnv, ReadsSloAndWindowKnobs) {

@@ -1,5 +1,5 @@
 // RecommendService behaviour: golden agreement with the ranker, caching and
-// selective epoch invalidation, request coalescing, hot feature swaps, and
+// selective epoch invalidation, batched scoring, hot feature swaps, and
 // a multi-threaded hammer (the CI TSAN job runs these suites — keep every
 // scenario concurrency-clean).
 #include <gtest/gtest.h>
@@ -217,35 +217,39 @@ TEST_F(ServeServiceTest, ChangelogOverflowFallsBackToRecompute) {
   EXPECT_EQ(after.items, before.items);  // no-op rewrites: same scores
 }
 
-TEST_F(ServeServiceTest, CoalescesConcurrentRequests) {
-  serve::ServeConfig cfg;
-  cfg.batch_window_us = 50000;  // 50ms window: plenty for the joiners
-  cfg.batch_max = 8;
-  auto service = make_service(cfg);
+TEST_F(ServeServiceTest, RecommendBatchMixesHitsAndMisses) {
+  auto service = make_service();
+  // Single recommend() calls score their one miss alone.
+  service.recommend("vbpr", 1, 10);
+  service.recommend("vbpr", 4, 10);
+  EXPECT_EQ(service.stats().coalesced_batches, 0u);
 
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::vector<serve::Recommendation> recs(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&service, &recs, t] {
-      recs[static_cast<std::size_t>(t)] = service.recommend("vbpr", t, 10);
-    });
-  }
-  for (auto& t : threads) t.join();
-
+  // Users 1 and 4 are now cached; 0, 2 and 3 miss and are scored together.
+  const std::vector<std::int64_t> users = {0, 1, 2, 4, 3};
+  const auto batch = service.recommend_batch("vbpr", users, 10);
   const auto snap = registry_.get("vbpr");
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(recs[static_cast<std::size_t>(t)].user, t);
-    EXPECT_EQ(recs[static_cast<std::size_t>(t)].items,
-              golden_topn(dataset_, *snap.model, t, 10));
+  ASSERT_EQ(batch.size(), users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    EXPECT_EQ(batch[i].user, users[i]);
+    EXPECT_EQ(batch[i].cached, users[i] == 1 || users[i] == 4) << "user " << users[i];
+    EXPECT_EQ(batch[i].items, golden_topn(dataset_, *snap.model, users[i], 10))
+        << "user " << users[i];
   }
-  EXPECT_GE(service.stats().coalesced_batches, 1u);
+  auto stats = service.stats();
+  EXPECT_EQ(stats.coalesced_batches, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.cache_misses, 5u);
+
+  // One hit plus one miss is not a multi-miss batch.
+  const std::vector<std::int64_t> one_miss = {0, 5};
+  service.recommend_batch("vbpr", one_miss, 10);
+  stats = service.stats();
+  EXPECT_EQ(stats.coalesced_batches, 1u);
+  EXPECT_EQ(stats.cache_misses, 6u);
 }
 
 TEST_F(ServeServiceTest, ConcurrentLoadWithSwapsStaysConsistent) {
-  serve::ServeConfig cfg;
-  cfg.batch_window_us = 100;
-  auto service = make_service(cfg);
+  auto service = make_service();
 
   constexpr int kThreads = 4;
   constexpr int kRequests = 150;

@@ -106,91 +106,27 @@ TEST(TraceStats, TopKTruncates) {
   EXPECT_EQ(trace_top_spans(doc, 99).size(), 3u);
 }
 
-// ---- flow events / request critical paths ----
-
-std::string flow(const char* ph, int id, int ts, int tid = 1) {
-  return std::string("{\"name\":\"serve/coalesce\",\"ph\":\"") + ph +
-         "\",\"ts\":" + std::to_string(ts) + ",\"tid\":" + std::to_string(tid) +
-         ",\"id\":" + std::to_string(id) + "}";
-}
+// ---- flow events ----
 
 TEST(TraceStats, ParsesFlowEvents) {
-  const TraceDocument doc = parse_trace_document(
-      wrap(span("a", 0, 10) + "," + flow("s", 7, 2) + "," + flow("f", 7, 8, 2)));
-  EXPECT_EQ(doc.total_events(), 1u);  // spans only
-  ASSERT_EQ(doc.flows.size(), 2u);
-  EXPECT_EQ(doc.flows[0].id, 7u);
-  EXPECT_TRUE(doc.flows[0].start);
-  EXPECT_FALSE(doc.flows[1].start);
-  EXPECT_EQ(doc.flows[1].tid, 2);
-}
-
-TEST(TraceStats, FlowEventsRequireNumericId) {
-  EXPECT_THROW(parse_trace_document(wrap(
-                   "{\"name\":\"c\",\"ph\":\"s\",\"ts\":1,\"tid\":1}")),
-               std::runtime_error);
-  EXPECT_THROW(
-      parse_trace_document(wrap(
-          "{\"name\":\"c\",\"ph\":\"f\",\"ts\":1,\"tid\":1,\"id\":\"x\"}")),
-      std::runtime_error);
-  EXPECT_THROW(
-      parse_trace_document(
-          wrap("{\"name\":\"c\",\"ph\":\"f\",\"ts\":1,\"tid\":1,\"id\":-2}")),
-      std::runtime_error);
-}
-
-TEST(TraceStats, RequestPathLinksFollowerToLeaderSpan) {
-  // Follower parks at ts=5 on tid 1; the leader's scoring span [10,40) on
-  // tid 2 emits the finish at ts=20. Critical path runs from the follower's
-  // start to the end of the leader span: 40 - 5 = 35.
-  const TraceDocument doc = parse_trace_document(
-      wrap(span("serve/score_batch", 10, 30, 2) + "," + flow("s", 9, 5, 1) +
-           "," + flow("f", 9, 20, 2)));
-  const auto paths = trace_request_paths(doc);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].id, 9u);
-  EXPECT_EQ(paths[0].followers, 1u);
-  EXPECT_EQ(paths[0].leader_span_us, 30u);
-  EXPECT_EQ(paths[0].critical_us, 35u);
-}
-
-TEST(TraceStats, RequestPathPicksInnermostEnclosingSpan) {
-  // The finish sits inside both the outer request span and the nested
-  // scoring span; the leader span must be the innermost one.
-  const TraceDocument doc = parse_trace_document(
-      wrap(span("serve/recommend", 0, 100, 2) + "," +
-           span("serve/score_batch", 20, 30, 2) + "," + flow("s", 4, 25, 1) +
-           "," + flow("f", 4, 30, 2)));
-  const auto paths = trace_request_paths(doc);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].leader_span_us, 30u);
-  EXPECT_EQ(paths[0].critical_us, 50u - 20u);  // span [20,50), start at 25>20
-}
-
-TEST(TraceStats, RequestPathDropsUnfinishedAndSortsByCritical) {
-  const TraceDocument doc = parse_trace_document(
-      wrap(span("serve/score_batch", 0, 10, 1) + "," +
-           span("serve/score_batch", 100, 80, 2) + "," +
-           flow("s", 1, 2, 3) + "," + flow("f", 1, 5, 1) + "," +
-           flow("s", 2, 90, 3) + "," + flow("f", 2, 120, 2) + "," +
-           flow("s", 3, 0, 3)));  // id 3 never finishes: dropped
-  const auto paths = trace_request_paths(doc);
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths[0].id, 2u);  // 180 - 90 = 90 beats 10 - 0 = 10
-  EXPECT_EQ(paths[0].critical_us, 90u);
-  EXPECT_EQ(paths[1].id, 1u);
-  EXPECT_EQ(paths[1].critical_us, 10u);
-}
-
-TEST(TraceStats, RequestPathWithoutEnclosingSpanFallsBackToFinishTs) {
-  // No span on the finish tid: leader span is unknown; critical path spans
-  // from the follower start to the bare finish timestamp.
-  const TraceDocument doc =
-      parse_trace_document(wrap(flow("s", 6, 10, 1) + "," + flow("f", 6, 25, 2)));
-  const auto paths = trace_request_paths(doc);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].leader_span_us, 0u);
-  EXPECT_EQ(paths[0].critical_us, 15u);
+  // Flow arrows ("ph":"s"/"f") are skipped like any other unused phase,
+  // even without an id: the span rollup is the same as without them.
+  const std::string spans = span("parent", 0, 100) + "," + span("child", 10, 30, 2);
+  const std::string flows =
+      "{\"name\":\"c\",\"ph\":\"s\",\"ts\":2,\"tid\":1,\"id\":7},"
+      "{\"name\":\"c\",\"ph\":\"f\",\"ts\":20,\"tid\":2}";
+  const TraceDocument plain = parse_trace_document(wrap(spans));
+  const TraceDocument with_flows = parse_trace_document(wrap(spans + "," + flows));
+  EXPECT_EQ(with_flows.total_events(), plain.total_events());
+  const auto expected = trace_top_spans(plain, 10);
+  const auto actual = trace_top_spans(with_flows, 10);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].first, expected[i].first);
+    EXPECT_EQ(actual[i].second.wall_us, expected[i].second.wall_us);
+    EXPECT_EQ(actual[i].second.self_us, expected[i].second.self_us);
+    EXPECT_EQ(actual[i].second.count, expected[i].second.count);
+  }
 }
 
 }  // namespace

@@ -189,26 +189,13 @@ void render_runlog_section(std::ostream& os, const std::string& text,
 void render_trace_section(std::ostream& os, const obs::TraceDocument& doc) {
   os << "## Trace: top spans by self-time\n\n";
   os << doc.total_events() << " events on " << doc.by_tid.size()
-     << " thread(s), " << doc.flows.size() << " flow event(s)\n\n";
+     << " thread(s)\n\n";
   os << "| span | self (ms) | wall (ms) | count |\n|---|---|---|---|\n";
   for (const auto& [name, s] : obs::trace_top_spans(doc, 10)) {
     os << "| " << name << " | " << Table::fmt(s.self_us / 1e3, 3) << " | "
        << Table::fmt(s.wall_us / 1e3, 3) << " | " << s.count << " |\n";
   }
   os << "\n";
-  const auto paths = obs::trace_request_paths(doc);
-  if (!paths.empty()) {
-    os << "| request id | followers | leader span (ms) | critical (ms) "
-          "|\n|---|---|---|---|\n";
-    std::size_t shown = 0;
-    for (const obs::TraceRequestPath& p : paths) {
-      if (++shown > 10) break;
-      os << "| " << p.id << " | " << p.followers << " | "
-         << Table::fmt(p.leader_span_us / 1e3, 3) << " | "
-         << Table::fmt(p.critical_us / 1e3, 3) << " |\n";
-    }
-    os << "\n";
-  }
 }
 
 // Top-K self-weight table from a collapsed-stack CPU/alloc profile, the

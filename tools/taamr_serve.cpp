@@ -175,7 +175,7 @@ int serve_tcp(Server& server, int port) {
   serve::EventLoop loop(
       cfg, server.router->num_shards(),
       // Routing hint only: park the request on the queue of the shard its
-      // user hashes to, so a shard's coalescer sees its own users. The
+      // user hashes to, so that shard's workers serve its own users. The
       // router re-derives the shard from the parsed request either way.
       [&server](const std::string& line) {
         const std::int64_t user = serve::peek_user(line);

@@ -51,10 +51,8 @@ int main(int argc, char** argv) {
   }
 
   auto ranked = obs::trace_top_spans(doc, static_cast<std::size_t>(-1));
-  std::printf("%zu events on %zu thread(s), %zu distinct span name(s), "
-              "%zu flow event(s)\n",
-              doc.total_events(), doc.by_tid.size(), ranked.size(),
-              doc.flows.size());
+  std::printf("%zu events on %zu thread(s), %zu distinct span name(s)\n",
+              doc.total_events(), doc.by_tid.size(), ranked.size());
   if (ranked.size() > static_cast<std::size_t>(top_k)) {
     ranked.resize(static_cast<std::size_t>(top_k));
   }
@@ -67,22 +65,5 @@ int main(int argc, char** argv) {
            Table::fmt(s.self_us / 1e3 / static_cast<double>(s.count), 3)});
   }
   t.print(std::cout);
-
-  // Coalesced requests, reconstructed from flow arrows: each row is one
-  // follower linked to the leader scoring span that served it.
-  auto paths = obs::trace_request_paths(doc);
-  if (!paths.empty()) {
-    if (paths.size() > static_cast<std::size_t>(top_k)) {
-      paths.resize(static_cast<std::size_t>(top_k));
-    }
-    Table rt("Request critical paths (coalesced followers)");
-    rt.header({"request id", "followers", "leader span (ms)", "critical (ms)"});
-    for (const obs::TraceRequestPath& p : paths) {
-      rt.row({std::to_string(p.id), std::to_string(p.followers),
-              Table::fmt(p.leader_span_us / 1e3, 3),
-              Table::fmt(p.critical_us / 1e3, 3)});
-    }
-    rt.print(std::cout);
-  }
   return 0;
 }
