@@ -12,7 +12,6 @@
 //                      bench_results_seconds_total timing below) there at
 //                      exit, next to its stdout table output
 //   TAAMR_TRACE        Chrome trace-event JSON path (chrome://tracing)
-//   TAAMR_RUN_LOG      per-epoch/per-attack-step JSONL log path
 //   TAAMR_THREADS      global thread-pool size (default: hardware)
 //   TAAMR_BENCH_DIR    directory for the BENCH_<name>.json artifact each
 //                      bench binary writes via bench::Reporter (default ".")
@@ -22,12 +21,9 @@
 //                      TAAMR_PROFILE_OUT-prefixed .folded artifacts at exit
 //
 // Malformed TAAMR_SCALE / TAAMR_SEED values are rejected with a warning
-// and the default is used instead (they used to silently parse as 0, which
-// produced empty datasets and degenerate runs).
+// and the default is used instead (util/env.hpp), never parsed as 0.
 #pragma once
 
-#include <cctype>
-#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -39,6 +35,7 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "tensor/cost.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -48,14 +45,7 @@
 namespace taamr::bench {
 
 inline double env_scale() {
-  if (const char* s = std::getenv("TAAMR_SCALE")) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end != s && *end == '\0' && std::isfinite(v) && v > 0.0) return v;
-    log_warn() << "ignoring malformed TAAMR_SCALE='" << s << "', using default "
-               << data::kBenchScale;
-  }
-  return data::kBenchScale;
+  return env::get_positive_real("TAAMR_SCALE", data::kBenchScale);
 }
 
 inline std::string env_cache_dir() {
@@ -64,24 +54,7 @@ inline std::string env_cache_dir() {
 }
 
 inline std::uint64_t env_seed() {
-  if (const char* s = std::getenv("TAAMR_SEED")) {
-    // strtoull accepts a leading '-' (wrapping) and partial prefixes;
-    // require an all-digit string so typos fall back loudly.
-    bool digits = s[0] != '\0';
-    for (const char* p = s; *p != '\0'; ++p) {
-      if (!std::isdigit(static_cast<unsigned char>(*p))) {
-        digits = false;
-        break;
-      }
-    }
-    if (digits) {
-      char* end = nullptr;
-      const std::uint64_t v = std::strtoull(s, &end, 10);
-      if (end != s && *end == '\0') return v;
-    }
-    log_warn() << "ignoring malformed TAAMR_SEED='" << s << "', using default 42";
-  }
-  return 42;
+  return static_cast<std::uint64_t>(env::get_int("TAAMR_SEED", 42, 0));
 }
 
 inline core::ExperimentConfig experiment_config(const std::string& dataset) {

@@ -9,8 +9,8 @@
 // "1,2,4,8"): a fresh ModelRegistry + ShardRouter(S) + EventLoop,
 // TAAMR_SERVE_CLIENTS closed-loop TCP clients each sending
 // TAAMR_SERVE_REQUESTS newline-framed recommend requests with users drawn
-// from a shared Zipf(TAAMR_SERVE_ZIPF_ALPHA) sampler (rank = user id, the
-// same rank law amazon_serve_spec uses for item popularity). A controller
+// from a shared Zipf(1.0) sampler (rank = user id, the same rank law
+// amazon_serve_spec uses for item popularity). A controller
 // connection performs hot feature swaps at 25/50/75% of the load — pushed
 // through the wire as update_features (floats survive the %.9g JSON
 // round-trip exactly) — and verifies served lists for probe users spread
@@ -48,16 +48,16 @@
 // on its connection (the event loop's reorder map).
 //
 // Knobs: TAAMR_SERVE_USERS (default 20000), TAAMR_SERVE_ITEMS (2048),
-// TAAMR_SERVE_TRAIN_EPOCHS (3), TAAMR_SERVE_ZIPF_ALPHA (1.0),
 // TAAMR_SERVE_SHARD_SWEEP ("1,2,4,8"), TAAMR_SERVE_CLIENTS (4),
-// TAAMR_SERVE_REQUESTS per client (300), plus the TAAMR_SERVE_* service
-// and event-loop knobs read by ServeConfig / EventLoopConfig ::from_env.
+// TAAMR_SERVE_REQUESTS per client (300), plus TAAMR_SERVE_CACHE_CAP and
+// TAAMR_SERVE_WORKERS, read by ServeConfig / EventLoopConfig ::from_env.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,30 +86,14 @@ using namespace taamr;
 
 // Off/on phase pairs behind the telemetry-overhead measurement.
 constexpr int kPhasePairs = 20;
+// VBPR and BPR-MF training epochs; the bench measures serving, not fit.
+constexpr std::int64_t kTrainEpochs = 3;
+// Zipf exponent of the user draw.
+constexpr double kZipfAlpha = 1.0;
 
 void fail(const std::string& what) {
   std::cerr << "serve_load: FAIL: " << what << "\n";
   std::exit(1);
-}
-
-std::int64_t env_count(const char* name, std::int64_t fallback) {
-  if (const char* s = std::getenv(name)) {
-    char* end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end != s && *end == '\0' && v > 0) return v;
-    log_warn() << "ignoring malformed " << name << "='" << s << "'";
-  }
-  return fallback;
-}
-
-double env_real(const char* name, double fallback) {
-  if (const char* s = std::getenv(name)) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end != s && *end == '\0' && std::isfinite(v) && v >= 0.0) return v;
-    log_warn() << "ignoring malformed " << name << "='" << s << "'";
-  }
-  return fallback;
 }
 
 std::vector<std::int64_t> env_shard_sweep() {
@@ -121,12 +105,9 @@ std::vector<std::int64_t> env_shard_sweep() {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
     const std::string tok = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    const long long v = std::strtoll(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || v <= 0) {
-      fail("malformed TAAMR_SERVE_SHARD_SWEEP token '" + tok + "'");
-    }
-    out.push_back(v);
+    const std::optional<std::int64_t> v = env::parse_int(tok);
+    if (!v || *v <= 0) fail("malformed TAAMR_SERVE_SHARD_SWEEP token '" + tok + "'");
+    out.push_back(*v);
     pos = comma + 1;
   }
   return out;
@@ -274,12 +255,10 @@ double percentile(const std::vector<double>& sorted, double q) {
 int main() {
   bench::Reporter reporter("serve_load");
 
-  const std::int64_t num_users = env_count("TAAMR_SERVE_USERS", 20000);
-  const std::int64_t num_items = env_count("TAAMR_SERVE_ITEMS", 2048);
-  const std::int64_t train_epochs = env_count("TAAMR_SERVE_TRAIN_EPOCHS", 3);
-  const double zipf_alpha = env_real("TAAMR_SERVE_ZIPF_ALPHA", 1.0);
-  const std::int64_t clients = env_count("TAAMR_SERVE_CLIENTS", 4);
-  const std::int64_t per_client = env_count("TAAMR_SERVE_REQUESTS", 300);
+  const std::int64_t num_users = env::get_int("TAAMR_SERVE_USERS", 20000);
+  const std::int64_t num_items = env::get_int("TAAMR_SERVE_ITEMS", 2048);
+  const std::int64_t clients = env::get_int("TAAMR_SERVE_CLIENTS", 4);
+  const std::int64_t per_client = env::get_int("TAAMR_SERVE_REQUESTS", 300);
   const std::vector<std::int64_t> sweep = env_shard_sweep();
   const std::int64_t total = clients * per_client;
   const std::int64_t top_n = 10;
@@ -303,24 +282,24 @@ int main() {
   }
 
   recsys::VbprConfig vbpr_cfg;
-  vbpr_cfg.epochs = train_epochs;
+  vbpr_cfg.epochs = kTrainEpochs;
   auto vbpr = std::make_shared<recsys::Vbpr>(dataset, features, vbpr_cfg, rng);
   vbpr->fit(dataset, rng);
   recsys::BprMfConfig bpr_cfg;
-  bpr_cfg.epochs = train_epochs;
+  bpr_cfg.epochs = kTrainEpochs;
   auto bpr = std::make_shared<recsys::BprMf>(dataset, bpr_cfg, rng);
   bpr->fit(dataset, rng);
   std::cout << "serve_load: setup " << dataset.num_users << " users, "
-            << dataset.num_items << " items, " << train_epochs
+            << dataset.num_items << " items, " << kTrainEpochs
             << " train epochs in " << Table::fmt(setup_timer.seconds(), 1)
             << "s\n";
 
   // Traffic skew: the same Zipf rank law the dataset generator uses for
   // item popularity, here over user ids (rank = id, user 0 hottest).
-  ZipfSampler zipf(static_cast<std::size_t>(dataset.num_users), zipf_alpha);
+  ZipfSampler zipf(static_cast<std::size_t>(dataset.num_users), kZipfAlpha);
   const auto top1pct =
       static_cast<std::int64_t>(std::max<std::int64_t>(1, dataset.num_users / 100));
-  reporter.add_config("zipf_alpha", zipf_alpha);
+  reporter.add_config("zipf_alpha", kZipfAlpha);
   reporter.add_config("zipf_top1pct_share_expected",
                       zipf.top_share(static_cast<std::size_t>(top1pct)));
 

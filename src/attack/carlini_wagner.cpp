@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -150,18 +149,9 @@ Tensor CarliniWagner::perturb(nn::Classifier& classifier, const Tensor& images,
       }
     }
 
-    // Per-search-step telemetry: how many images currently succeed and how
-    // deep the margin sits (negative = past the decision boundary).
-    const double mean_margin = last_margin_sum / static_cast<double>(n);
-    margin_hist.observe(mean_margin);
-    obs::runlog("attack_step",
-                {{"attack", "cw"},
-                 {"step", static_cast<double>(step + 1)},
-                 {"successes",
-                  static_cast<double>(std::count(succeeded.begin(),
-                                                 succeeded.end(), true))},
-                 {"mean_margin", mean_margin},
-                 {"images", static_cast<double>(n)}});
+    // Per-search-step telemetry: how deep the margin sits (negative = past
+    // the decision boundary).
+    margin_hist.observe(last_margin_sum / static_cast<double>(n));
 
     // Binary-search update of c.
     for (std::int64_t i = 0; i < n; ++i) {

@@ -1,7 +1,6 @@
 #include "attack/fgsm.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -16,10 +15,6 @@ Tensor Fgsm::perturb(nn::Classifier& classifier, const Tensor& images,
       .histogram("attack_step_loss", {{"attack", "fgsm"}},
                  obs::exponential_bounds(1e-3, 2.0, 20))
       .observe(static_cast<double>(loss));
-  obs::runlog("attack_step", {{"attack", "fgsm"},
-                              {"step", 1.0},
-                              {"loss", static_cast<double>(loss)},
-                              {"images", static_cast<double>(images.dim(0))}});
   // Targeted: descend the loss toward the target class (minus sign, Eq. 5).
   // Untargeted: ascend the loss of the true class.
   const float step = config_.targeted ? -config_.epsilon : config_.epsilon;

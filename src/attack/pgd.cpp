@@ -1,7 +1,6 @@
 #include "attack/pgd.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -27,11 +26,6 @@ Tensor Pgd::perturb(nn::Classifier& classifier, const Tensor& images,
     float loss = 0.0f;
     const Tensor grad = classifier.loss_input_gradient(adversarial, labels, &loss);
     step_loss_hist.observe(static_cast<double>(loss));
-    obs::runlog("attack_step",
-                {{"attack", "pgd"},
-                 {"step", static_cast<double>(it + 1)},
-                 {"loss", static_cast<double>(loss)},
-                 {"images", static_cast<double>(images.dim(0))}});
     ops::axpy_inplace(adversarial, step, ops::sign(grad));
     project(adversarial, images);
   }

@@ -10,7 +10,6 @@
 #include "tensor/cost.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
@@ -48,7 +47,7 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)), rng_(con
 Tensor Pipeline::extract_features_chunked(const Tensor& images, const char* stage) {
   const std::int64_t n = images.dim(0);
   const std::int64_t d = classifier_->feature_dim();
-  const std::int64_t batch = nn::feature_batch_size();
+  const std::int64_t batch = nn::kInferenceBatch;
   Tensor out({n, d});
   auto& chunks_total = obs::MetricsRegistry::global().counter(
       "pipeline_feature_chunks_total", {{"stage", stage}});
@@ -241,13 +240,6 @@ Pipeline::AttackedBatch Pipeline::attack_category(std::int32_t source_category,
              << "' images -> '" << data::category_name(target_category) << "' in "
              << timer.seconds() << "s";
   add_stage_seconds("attack_category", timer.seconds());
-  obs::runlog("attack_category",
-              {{"attack", attacker->name()},
-               {"eps_255", static_cast<double>(epsilon_255)},
-               {"items", static_cast<double>(batch.items.size())},
-               {"source", static_cast<double>(source_category)},
-               {"target", static_cast<double>(target_category)},
-               {"seconds", timer.seconds()}});
   return batch;
 }
 

@@ -98,7 +98,7 @@ class Pipeline {
  private:
   void train_or_load_classifier();
 
-  // Extracts CNN features of `images` in TAAMR_FEATURE_BATCH-sized chunks
+  // Extracts CNN features of `images` in nn::kInferenceBatch-sized chunks
   // (one trace span + counter tick per chunk, allocator high-water gauge
   // per stage) so im2col scratch stays O(batch) instead of O(catalog).
   Tensor extract_features_chunked(const Tensor& images, const char* stage);

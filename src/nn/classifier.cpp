@@ -2,37 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace taamr::nn {
-
-namespace {
-constexpr std::int64_t kInferenceBatch = 64;
-}
-
-std::int64_t feature_batch_size() {
-  static const std::int64_t batch = [] {
-    if (const char* s = std::getenv("TAAMR_FEATURE_BATCH")) {
-      char* end = nullptr;
-      const long v = std::strtol(s, &end, 10);
-      if (end != s && *end == '\0' && v > 0) return static_cast<std::int64_t>(v);
-      log_warn() << "ignoring malformed TAAMR_FEATURE_BATCH='" << s
-                 << "', using default " << kInferenceBatch;
-    }
-    return kInferenceBatch;
-  }();
-  return batch;
-}
 
 Tensor slice_rows(const Tensor& t, std::int64_t begin, std::int64_t end) {
   if (t.ndim() < 1 || begin < 0 || end > t.dim(0) || begin >= end) {
@@ -114,7 +93,6 @@ void Classifier::fit(const Tensor& images, const std::vector<std::int64_t>& labe
   auto& epochs_total = obs::MetricsRegistry::global().counter("cnn_epochs_total");
   for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
     TAAMR_TRACE_SPAN("cnn/epoch");
-    Stopwatch epoch_timer;
     // Step schedule: decay 10x at 60% and 85% of the run.
     float lr = sgd_config.learning_rate;
     if (epoch >= (epochs * 85) / 100) {
@@ -124,16 +102,8 @@ void Classifier::fit(const Tensor& images, const std::vector<std::int64_t>& labe
     }
     optimizer.set_learning_rate(lr);
     const TrainStats stats = train_epoch(images, labels, batch_size, optimizer, rng);
-    const double examples_per_sec =
-        static_cast<double>(images.dim(0)) / std::max(epoch_timer.seconds(), 1e-9);
     loss_hist.observe(static_cast<double>(stats.loss));
     epochs_total.increment();
-    obs::runlog("cnn_epoch", {{"epoch", static_cast<double>(epoch + 1)},
-                              {"loss", static_cast<double>(stats.loss)},
-                              {"accuracy", stats.accuracy},
-                              {"grad_norm", stats.grad_norm},
-                              {"lr", static_cast<double>(lr)},
-                              {"examples_per_sec", examples_per_sec}});
     if (verbose) {
       log_info() << "cnn epoch " << (epoch + 1) << "/" << epochs << " loss=" << stats.loss
                  << " acc=" << stats.accuracy;
@@ -181,7 +151,7 @@ double Classifier::evaluate_accuracy(const Tensor& images,
 }
 
 Tensor Classifier::features(const Tensor& images) {
-  return batched(images, feature_batch_size(), feature_dim(), [this](const Tensor& x) {
+  return batched(images, kInferenceBatch, feature_dim(), [this](const Tensor& x) {
     return model_.net.forward_to(x, model_.feature_end, false);
   });
 }

@@ -100,9 +100,9 @@ class Classifier {
 // Slices rows [begin, end) of a [N, ...] tensor into a new tensor.
 Tensor slice_rows(const Tensor& t, std::int64_t begin, std::int64_t end);
 
-// Batch size used by Classifier::features and the pipeline's catalog
-// extraction: TAAMR_FEATURE_BATCH if set to a positive integer, else 64.
-// Peak im2col scratch memory is O(this), independent of catalog size.
-std::int64_t feature_batch_size();
+// Batch size of every inference pass (logits, features, input gradients)
+// and of the pipeline's catalog extraction. Peak im2col scratch memory is
+// O(this), independent of catalog size.
+constexpr std::int64_t kInferenceBatch = 64;
 
 }  // namespace taamr::nn

@@ -1,8 +1,8 @@
 #include "nn/conv2d.hpp"
 
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
@@ -83,7 +83,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t in_plane = g.in_channels * g.in_h * g.in_w;
   const std::int64_t out_plane = out_channels_ * oh * ow;
   Tensor grad_in({n, in_channels_, g.in_h, g.in_w});
-  std::mutex grad_mutex;  // guards the shared parameter-gradient accumulators
+  // Per-sample parameter gradients, summed in sample order after the loop:
+  // float addition is not associative, so summing in thread-finish order
+  // would make training depend on the schedule and the pool size.
+  std::vector<Tensor> dw(static_cast<std::size_t>(n));
+  std::vector<Tensor> db(static_cast<std::size_t>(n));
 
   parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t s) {
     // Recompute im2col of the cached input (memory-for-compute trade: the
@@ -100,26 +104,26 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                 static_cast<std::size_t>(out_plane) * sizeof(float));
 
     // dW_s = g_s * cols^T ; dx_s = col2im(W^T * g_s).
-    Tensor dw_local = ops::matmul(g_sample, cols, /*trans_a=*/false, /*trans_b=*/true);
+    dw[s] = ops::matmul(g_sample, cols, /*trans_a=*/false, /*trans_b=*/true);
     Tensor dcols = ops::matmul(weight_.value, g_sample, /*trans_a=*/true);
     Tensor dx = conv::col2im(dcols, g);
     std::memcpy(grad_in.data() + static_cast<std::int64_t>(s) * in_plane, dx.data(),
                 static_cast<std::size_t>(in_plane) * sizeof(float));
 
-    Tensor db_local({out_channels_});
     if (has_bias_) {
+      db[s] = Tensor({out_channels_});
       for (std::int64_t c = 0; c < out_channels_; ++c) {
         const float* row = g_sample.data() + c * oh * ow;
         float acc = 0.0f;
         for (std::int64_t p = 0; p < oh * ow; ++p) acc += row[p];
-        db_local[c] = acc;
+        db[s][c] = acc;
       }
     }
-
-    std::lock_guard<std::mutex> lock(grad_mutex);
-    ops::add_inplace(weight_.grad, dw_local);
-    if (has_bias_) ops::add_inplace(bias_.grad, db_local);
   });
+  for (std::size_t s = 0; s < dw.size(); ++s) {
+    ops::add_inplace(weight_.grad, dw[s]);
+    if (has_bias_) ops::add_inplace(bias_.grad, db[s]);
+  }
   return grad_in;
 }
 

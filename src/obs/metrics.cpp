@@ -30,8 +30,7 @@ std::string expand_pid_path(std::string path, long pid) {
 
 bool telemetry_enabled() {
   static const bool enabled = std::getenv("TAAMR_METRICS_OUT") != nullptr ||
-                              std::getenv("TAAMR_TRACE") != nullptr ||
-                              std::getenv("TAAMR_RUN_LOG") != nullptr;
+                              std::getenv("TAAMR_TRACE") != nullptr;
   return enabled;
 }
 

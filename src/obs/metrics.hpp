@@ -15,9 +15,9 @@
 // If TAAMR_METRICS_OUT=<path> is set in the environment, the registry
 // writes its JSON snapshot to <path> at process exit, which gives every
 // binary (benches, examples, the CLI) a machine-readable metrics dump for
-// free. `telemetry_enabled()` reports whether any observability knob
-// (TAAMR_METRICS_OUT / TAAMR_TRACE / TAAMR_RUN_LOG) is active; hot-path
-// call sites use it to skip instrumentation entirely on plain runs.
+// free. `telemetry_enabled()` reports whether either observability knob
+// (TAAMR_METRICS_OUT / TAAMR_TRACE) is active; hot-path call sites use it
+// to skip instrumentation entirely on plain runs.
 #pragma once
 
 #include <atomic>
@@ -34,7 +34,7 @@ namespace taamr::obs {
 
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-// True iff any of TAAMR_METRICS_OUT / TAAMR_TRACE / TAAMR_RUN_LOG is set.
+// True iff TAAMR_METRICS_OUT or TAAMR_TRACE is set.
 // Evaluated once at first call.
 bool telemetry_enabled();
 

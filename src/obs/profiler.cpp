@@ -19,8 +19,10 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/symbolize.hpp"
+#include "util/env.hpp"
 #include "util/thread_name.hpp"
 
 namespace taamr::obs {
@@ -101,22 +103,13 @@ struct AllocStore {
   std::uint64_t dropped = 0;
   std::uint64_t taken = 0;
   int every = 8;
-  std::int64_t min_bytes = 64 * 1024;
 };
+
+constexpr std::int64_t kAllocMinBytes = 64 * 1024;  // smaller allocations are ignored
 
 AllocStore& alloc_store() {
   static auto* s = new AllocStore();  // leaked: alloc hooks run at any time
   return *s;
-}
-
-int env_int(const char* name, int fallback, int lo, int hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp(parsed, static_cast<long>(lo),
-                                     static_cast<long>(hi)));
 }
 
 // ---------------------------------------------------------------------------
@@ -172,27 +165,6 @@ std::string fold_stack(long tid, void* const* pcs, int depth, int max_scan) {
   return stack;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 // The SIGPROF handler. extern "C" so the symbolizer can match it by name
@@ -243,9 +215,7 @@ ProfilerConfig ProfilerConfig::from_env() {
     else if (m == "both") cfg.mode = ProfileMode::kBoth;
     else cfg.mode = ProfileMode::kOff;  // "off", "", and typos all mean off
   }
-  cfg.hz = env_int("TAAMR_PROFILE_HZ", 97, 1, 10000);
-  cfg.alloc_sample_every = env_int("TAAMR_PROFILE_ALLOC_SAMPLE", 8, 1,
-                                   1 << 20);
+  cfg.hz = static_cast<int>(env::get_int("TAAMR_PROFILE_HZ", cfg.hz, 1, 10000));
   const char* out = std::getenv("TAAMR_PROFILE_OUT");
   if (out != nullptr && *out != '\0') cfg.out_prefix = out;
   cfg.out_prefix = expand_pid_path(cfg.out_prefix);
@@ -321,7 +291,6 @@ Profiler::Profiler(ProfilerConfig cfg) : cfg_(std::move(cfg)) {
     {
       std::lock_guard<std::mutex> lock(store.mutex);
       store.every = cfg_.alloc_sample_every;
-      store.min_bytes = cfg_.alloc_min_bytes;
     }
     prof::detail::g_alloc_state.store(1, std::memory_order_release);
   }
@@ -550,7 +519,7 @@ void Profiler::write_artifacts() {
   for (const auto& [family, bytes] : by_kernel) {
     if (!first) json << ", ";
     first = false;
-    json << "\"" << json_escape(family) << "\": " << bytes;
+    json << "\"" << json::escape(family) << "\": " << bytes;
   }
   json << "}}\n}\n";
 }
@@ -570,11 +539,6 @@ bool alloc_init_slow() {
   const bool on =
       mode != nullptr &&
       (std::strcmp(mode, "alloc") == 0 || std::strcmp(mode, "both") == 0);
-  if (on) {
-    obs::AllocStore& store = obs::alloc_store();
-    std::lock_guard<std::mutex> lock(store.mutex);
-    store.every = obs::env_int("TAAMR_PROFILE_ALLOC_SAMPLE", 8, 1, 1 << 20);
-  }
   int expected = -1;
   g_alloc_state.compare_exchange_strong(expected, on ? 1 : 0,
                                         std::memory_order_acq_rel);
@@ -584,15 +548,13 @@ bool alloc_init_slow() {
 void on_alloc_slow(std::int64_t bytes) {
 #ifdef __linux__
   using obs::AllocStore;
+  if (bytes < obs::kAllocMinBytes) return;
   AllocStore& store = obs::alloc_store();
-  std::int64_t min_bytes;
   int every;
   {
     std::lock_guard<std::mutex> lock(store.mutex);
-    min_bytes = store.min_bytes;
     every = store.every;
   }
-  if (bytes < min_bytes) return;
 
   thread_local std::uint64_t counter = 0;
   if (counter++ % static_cast<std::uint64_t>(every) != 0) return;

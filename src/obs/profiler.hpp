@@ -17,16 +17,15 @@
 // the handler. errno is saved and restored.
 //
 // Allocation sampling hooks Tensor's lifecycle accounting: every Nth
-// allocation of at least TAAMR_PROFILE_ALLOC_SAMPLE-gated size records a
-// truncated stack and the byte count, weighted by the sampling rate so
-// folded weights estimate total bytes. Capture runs in the allocating
-// thread's normal context (backtrace + mutex are fine there).
+// allocation (ProfilerConfig::alloc_sample_every, default 8) of at least
+// 64 KiB records a truncated stack and the byte count, weighted by the
+// sampling rate so folded weights estimate total bytes. Capture runs in the
+// allocating thread's normal context (backtrace + mutex are fine there).
 //
 // Environment:
-//   TAAMR_PROFILE              off|cpu|alloc|both   (default off)
-//   TAAMR_PROFILE_HZ           CPU sampling rate    (default 97, clamp 1..10000)
-//   TAAMR_PROFILE_OUT          artifact prefix; %p -> pid (default taamr_prof)
-//   TAAMR_PROFILE_ALLOC_SAMPLE sample every Nth large alloc (default 8)
+//   TAAMR_PROFILE      off|cpu|alloc|both   (default off)
+//   TAAMR_PROFILE_HZ   CPU sampling rate, 1..10000 (default 97)
+//   TAAMR_PROFILE_OUT  artifact prefix; %p -> pid (default taamr_prof)
 //
 // Artifacts at process exit (Profiler::global()'s destructor):
 //   <prefix>.cpu.folded   collapsed CPU stacks (flamegraph.pl / speedscope)
@@ -52,7 +51,6 @@ struct ProfilerConfig {
   int hz = 97;  // prime, so sampling does not alias periodic work
   std::string out_prefix = "taamr_prof";  // already %p-expanded
   int alloc_sample_every = 8;
-  std::int64_t alloc_min_bytes = 64 * 1024;
 
   bool cpu_enabled() const {
     return mode == ProfileMode::kCpu || mode == ProfileMode::kBoth;

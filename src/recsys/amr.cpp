@@ -1,12 +1,8 @@
 #include "recsys/amr.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace taamr::recsys {
 
@@ -26,21 +22,10 @@ Amr::Amr(const data::ImplicitDataset& dataset, const Tensor& raw_features,
 void Amr::fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose) {
   auto& loss_hist = obs::MetricsRegistry::global().histogram(
       "amr_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
-  const auto epoch_telemetry = [&](const char* event, std::int64_t epoch,
-                                   float loss, double seconds) {
-    loss_hist.observe(static_cast<double>(loss));
-    obs::runlog(event, {{"epoch", static_cast<double>(epoch)},
-                        {"loss", static_cast<double>(loss)},
-                        {"mean_grad", last_epoch_mean_grad()},
-                        {"examples_per_sec",
-                         static_cast<double>(dataset.num_train_feedback()) /
-                             std::max(seconds, 1e-9)}});
-  };
   for (std::int64_t epoch = 0; epoch < amr_config_.warm_epochs; ++epoch) {
     TAAMR_TRACE_SPAN("recsys/amr/warm_epoch");
-    Stopwatch epoch_timer;
     const float loss = train_epoch(dataset, rng);
-    epoch_telemetry("amr_warm_epoch", epoch + 1, loss, epoch_timer.seconds());
+    loss_hist.observe(static_cast<double>(loss));
     if (verbose && (epoch + 1) % 20 == 0) {
       log_info() << "amr warm epoch " << (epoch + 1) << "/" << amr_config_.warm_epochs
                  << " loss=" << loss;
@@ -48,9 +33,8 @@ void Amr::fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose) {
   }
   for (std::int64_t epoch = 0; epoch < amr_config_.adversarial_epochs; ++epoch) {
     TAAMR_TRACE_SPAN("recsys/amr/adversarial_epoch");
-    Stopwatch epoch_timer;
     const float loss = train_epoch(dataset, rng, amr_config_.adversarial);
-    epoch_telemetry("amr_adversarial_epoch", epoch + 1, loss, epoch_timer.seconds());
+    loss_hist.observe(static_cast<double>(loss));
     if (verbose && (epoch + 1) % 20 == 0) {
       log_info() << "amr adversarial epoch " << (epoch + 1) << "/"
                  << amr_config_.adversarial_epochs << " loss=" << loss;

@@ -8,10 +8,8 @@
 #include "util/io.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace taamr::recsys {
 
@@ -54,7 +52,6 @@ float BprMf::train_epoch(const data::ImplicitDataset& dataset, Rng& rng) {
   const float reg = config_.reg_factors;
   const float reg_b = config_.reg_bias;
   double loss_sum = 0.0;
-  double grad_sum = 0.0;
 
   for (std::int64_t step = 0; step < steps; ++step) {
     const Triplet t = sampler_.sample(rng);
@@ -66,7 +63,6 @@ float BprMf::train_epoch(const data::ImplicitDataset& dataset, Rng& rng) {
     for (std::int64_t f = 0; f < k; ++f) x += p[f] * (qi[f] - qj[f]);
     const float g = sigmoid(-x);  // d(-ln sigma(x))/dx = -sigma(-x)
     loss_sum += -std::log(std::max(sigmoid(x), 1e-12f));
-    grad_sum += g;
 
     for (std::int64_t f = 0; f < k; ++f) {
       const float pu = p[f], qif = qi[f], qjf = qj[f];
@@ -77,7 +73,6 @@ float BprMf::train_epoch(const data::ImplicitDataset& dataset, Rng& rng) {
     item_bias_[t.pos_item] += lr * (g - reg_b * item_bias_[t.pos_item]);
     item_bias_[t.neg_item] += lr * (-g - reg_b * item_bias_[t.neg_item]);
   }
-  last_epoch_mean_grad_ = grad_sum / static_cast<double>(steps);
   return static_cast<float>(loss_sum / static_cast<double>(steps));
 }
 
@@ -163,16 +158,8 @@ void BprMf::fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose) {
       "bpr_mf_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     TAAMR_TRACE_SPAN("recsys/bpr_mf/epoch");
-    Stopwatch epoch_timer;
     const float loss = train_epoch(dataset, rng);
     loss_hist.observe(static_cast<double>(loss));
-    obs::runlog("bpr_mf_epoch",
-                {{"epoch", static_cast<double>(epoch + 1)},
-                 {"loss", static_cast<double>(loss)},
-                 {"mean_grad", last_epoch_mean_grad_},
-                 {"examples_per_sec",
-                  static_cast<double>(dataset.num_train_feedback()) /
-                      std::max(epoch_timer.seconds(), 1e-9)}});
     if (verbose && (epoch + 1) % 20 == 0) {
       log_info() << "bpr-mf epoch " << (epoch + 1) << "/" << config_.epochs
                  << " loss=" << loss;

@@ -31,11 +31,6 @@ class BprMf : public Recommender {
   float train_epoch(const data::ImplicitDataset& dataset, Rng& rng);
   void fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose = false);
 
-  // Mean sigma(-x) over the last train_epoch: the shared magnitude of every
-  // per-step gradient, a cheap convergence signal (0.5 = untrained, -> 0 as
-  // the ranking saturates).
-  double last_epoch_mean_grad() const { return last_epoch_mean_grad_; }
-
   std::int64_t num_users() const override { return user_factors_.dim(0); }
   std::int64_t num_items() const override { return item_factors_.dim(0); }
   float score(std::int64_t user, std::int32_t item) const override;
@@ -62,7 +57,6 @@ class BprMf : public Recommender {
   BprMf(const data::ImplicitDataset& dataset, BprMfConfig config, LoadTag);
 
   BprMfConfig config_;
-  double last_epoch_mean_grad_ = 0.0;
   Tensor user_factors_;  // [U, K]
   Tensor item_factors_;  // [I, K]
   Tensor item_bias_;     // [I]

@@ -9,12 +9,10 @@
 #include "util/io.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "tensor/cost.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace taamr::recsys {
 
@@ -235,7 +233,6 @@ float Vbpr::train_epoch(const data::ImplicitDataset& dataset, Rng& rng,
   const float reg_b = config_.reg_bias;
   const float reg_v = config_.reg_visual;
   double loss_sum = 0.0;
-  double grad_sum = 0.0;
 
   std::vector<float> theta_i(static_cast<std::size_t>(a)),
       theta_j(static_cast<std::size_t>(a)), dir(static_cast<std::size_t>(d));
@@ -305,7 +302,6 @@ float Vbpr::train_epoch(const data::ImplicitDataset& dataset, Rng& rng,
       }
     }
     const float g_total = g + gamma * g_adv;
-    grad_sum += g_total;
 
     // Collaborative parameters see g_total (their gradient shape is shared
     // between the clean and adversarial terms).
@@ -351,7 +347,6 @@ float Vbpr::train_epoch(const data::ImplicitDataset& dataset, Rng& rng,
       }
     }
   }
-  last_epoch_mean_grad_ = grad_sum / static_cast<double>(steps);
   return static_cast<float>(loss_sum / static_cast<double>(steps));
 }
 
@@ -449,16 +444,8 @@ void Vbpr::fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose) {
       "vbpr_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     TAAMR_TRACE_SPAN("recsys/vbpr/epoch");
-    Stopwatch epoch_timer;
     const float loss = train_epoch(dataset, rng);
     loss_hist.observe(static_cast<double>(loss));
-    obs::runlog("vbpr_epoch",
-                {{"epoch", static_cast<double>(epoch + 1)},
-                 {"loss", static_cast<double>(loss)},
-                 {"mean_grad", last_epoch_mean_grad_},
-                 {"examples_per_sec",
-                  static_cast<double>(dataset.num_train_feedback()) /
-                      std::max(epoch_timer.seconds(), 1e-9)}});
     if (verbose && (epoch + 1) % 20 == 0) {
       log_info() << name() << " epoch " << (epoch + 1) << "/" << config_.epochs
                  << " loss=" << loss;

@@ -58,10 +58,6 @@ class Vbpr : public Recommender {
 
   void fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose = false);
 
-  // Mean |g_total| over the last train_epoch (clean + weighted adversarial
-  // sigmoid residual): the shared magnitude of every per-step gradient.
-  double last_epoch_mean_grad() const { return last_epoch_mean_grad_; }
-
   // Swap in new raw item features (e.g. re-extracted after an image
   // attack). Model parameters stay fixed: this is exactly the prediction-
   // time attack surface of the paper. Refreshes scoring caches.
@@ -106,7 +102,6 @@ class Vbpr : public Recommender {
                        std::span<float> out) const;
 
   VbprConfig config_;
-  double last_epoch_mean_grad_ = 0.0;
   FeatureTransform transform_;
   Tensor features_;       // standardized features, [I, D]
   Tensor user_factors_;   // P: [U, K]

@@ -11,11 +11,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/thread_name.hpp"
 
@@ -24,27 +23,14 @@ namespace taamr::serve {
 namespace {
 
 constexpr int kMaxEvents = 64;
-
-std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min_value) {
-    std::fprintf(stderr, "serve: ignoring invalid %s=%s (using %lld)\n", name, raw,
-                 static_cast<long long>(fallback));
-    return fallback;
-  }
-  return static_cast<std::int64_t>(v);
-}
+constexpr int kListenBacklog = 128;
+constexpr const char* kOverloadResponse = "{\"ok\":false,\"error\":\"overloaded\"}";
 
 }  // namespace
 
 EventLoopConfig EventLoopConfig::from_env() {
   EventLoopConfig c;
-  c.backlog = env_int64("TAAMR_SERVE_BACKLOG", c.backlog, 1);
-  c.max_inflight = env_int64("TAAMR_SERVE_MAX_INFLIGHT", c.max_inflight, 1);
-  c.workers_per_shard = env_int64("TAAMR_SERVE_WORKERS", c.workers_per_shard, 1);
+  c.workers_per_shard = env::get_int("TAAMR_SERVE_WORKERS", c.workers_per_shard);
   return c;
 }
 
@@ -92,7 +78,7 @@ void EventLoop::start() {
     throw std::runtime_error(std::string("EventLoop: bind failed: ") +
                              std::strerror(err));
   }
-  if (::listen(listen_fd_, static_cast<int>(config_.backlog)) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -125,7 +111,7 @@ void EventLoop::start() {
   loop_thread_ = std::thread(&EventLoop::loop_main, this);
   log_info() << "event loop listening on 127.0.0.1:" << port_ << " ("
              << shards_.size() << " shards x " << config_.workers_per_shard
-             << " workers, backlog " << config_.backlog << ", max inflight "
+             << " workers, backlog " << kListenBacklog << ", max inflight "
              << config_.max_inflight << "/shard)";
 }
 
@@ -227,7 +213,7 @@ void EventLoop::admit(const std::shared_ptr<Connection>& conn, std::string line)
     shed_.fetch_add(1, std::memory_order_relaxed);
     // Shed on the loop thread, through the same sequencing as real
     // responses — the client still gets one line per request, in order.
-    deliver(conn, seq, config_.overload_response);
+    deliver(conn, seq, kOverloadResponse);
   }
 }
 

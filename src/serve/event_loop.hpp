@@ -11,9 +11,9 @@
 //
 // Admission control: each shard queue holds at most max_inflight jobs.
 // When a queue is full the loop thread sheds the request immediately with
-// `overload_response` (default {"ok":false,"error":"overloaded"}) instead
-// of buffering unboundedly or blocking the loop — serve_shard_shed_total
-// counts per shard, serve_shard_queue_depth gauges expose pressure.
+// {"ok":false,"error":"overloaded"} instead of buffering unboundedly or
+// blocking the loop — serve_shard_shed_total counts per shard,
+// serve_shard_queue_depth gauges expose pressure.
 //
 // Ordering: responses on a connection are delivered in request order even
 // though shards execute concurrently. Every request gets a per-connection
@@ -52,14 +52,11 @@ namespace taamr::serve {
 
 struct EventLoopConfig {
   int port = 0;                        // 0 = kernel-assigned; see port()
-  std::int64_t backlog = 128;          // TAAMR_SERVE_BACKLOG
-  std::int64_t max_inflight = 256;     // per-shard queue bound, TAAMR_SERVE_MAX_INFLIGHT
+  std::int64_t max_inflight = 256;     // per-shard queue bound
   std::int64_t workers_per_shard = 2;  // TAAMR_SERVE_WORKERS
   std::int64_t drain_timeout_ms = 10000;
-  std::string overload_response = "{\"ok\":false,\"error\":\"overloaded\"}";
 
-  // TAAMR_SERVE_BACKLOG / TAAMR_SERVE_MAX_INFLIGHT / TAAMR_SERVE_WORKERS;
-  // malformed values fall back to the defaults with a warning.
+  // Defaults plus TAAMR_SERVE_WORKERS (util/env.hpp rules).
   static EventLoopConfig from_env();
 };
 
@@ -78,8 +75,8 @@ class EventLoop {
             Handler handler);
   ~EventLoop();
 
-  // Binds 127.0.0.1:<port>, listens with the configured backlog and spawns
-  // the loop + worker threads. Throws std::runtime_error on bind failure.
+  // Binds 127.0.0.1:<port>, listens (backlog 128) and spawns the loop +
+  // worker threads. Throws std::runtime_error on bind failure.
   void start();
   // The bound port (useful with config.port = 0).
   int port() const { return port_; }

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -13,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/vbpr.hpp"
+#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
 namespace taamr::serve {
@@ -32,27 +30,11 @@ Recommendation cached_recommendation(std::int64_t user, CacheEntry entry) {
   return rec;
 }
 
-std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min_value) {
-    std::fprintf(stderr, "serve: ignoring invalid %s=%s (using %lld)\n", name, raw,
-                 static_cast<long long>(fallback));
-    return fallback;
-  }
-  return static_cast<std::int64_t>(v);
-}
-
 }  // namespace
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig c;
-  c.cache_capacity = env_int64("TAAMR_SERVE_CACHE_CAP", c.cache_capacity, 1);
-  c.update_log_window = env_int64("TAAMR_SERVE_UPDATE_LOG", c.update_log_window, 1);
-  c.slo_ms = env_int64("TAAMR_SERVE_SLO_MS", c.slo_ms, 0);
-  c.window_s = env_int64("TAAMR_SERVE_WINDOW_S", c.window_s, 1);
+  c.cache_capacity = env::get_int("TAAMR_SERVE_CACHE_CAP", c.cache_capacity);
   return c;
 }
 
@@ -78,8 +60,8 @@ RecommendService::RecommendService(const data::ImplicitDataset& dataset,
       update_mutex_(std::move(update_mutex)),
       // One-second slots, same bucket layout as serve_request_seconds so
       // rolling and lifetime quantiles interpolate over identical edges.
-      latency_window_(static_cast<std::uint64_t>(config.window_s) * 1000000ull,
-                      static_cast<std::size_t>(config.window_s),
+      latency_window_(static_cast<std::uint64_t>(kWindowSeconds) * 1000000ull,
+                      static_cast<std::size_t>(kWindowSeconds),
                       obs::exponential_bounds(1e-6, 2.0, 30)) {
   if (store_ == nullptr || update_mutex_ == nullptr) {
     throw std::invalid_argument("RecommendService: null store or update mutex");
@@ -119,7 +101,7 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
   }
   const bool list_full = static_cast<std::int64_t>(entry->items.size()) >= key.n;
   for (const std::int32_t c : changed.value()) {
-    if (config_.exclude_train && dataset_.user_interacted(key.user, c)) {
+    if (dataset_.user_interacted(key.user, c)) {
       continue;  // never servable for this user
     }
     const bool in_list =
@@ -173,10 +155,8 @@ void RecommendService::score_misses(const ModelRegistry::Snapshot& snap,
     for (std::int64_t r = begin; r < end; ++r) {
       float* row = scores.data() + r * num_items;
       const std::int64_t user = users[static_cast<std::size_t>(r)];
-      if (config_.exclude_train) {
-        for (const std::int32_t it : dataset_.train[static_cast<std::size_t>(user)]) {
-          row[it] = -std::numeric_limits<float>::infinity();
-        }
+      for (const std::int32_t it : dataset_.train[static_cast<std::size_t>(user)]) {
+        row[it] = -std::numeric_limits<float>::infinity();
       }
       Recommendation& rec = *out[static_cast<std::size_t>(r)];
       rec.user = user;
@@ -226,20 +206,17 @@ void RecommendService::observe_request(double seconds) {
                  obs::exponential_bounds(1e-6, 2.0, 30))
       .observe(seconds);
   latency_window_.observe(seconds);
-  if (config_.slo_ms > 0) {
-    const double slo_s = static_cast<double>(config_.slo_ms) * 1e-3;
-    if (seconds > slo_s) {
-      slow_requests_.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global()
-          .counter("serve_slow_requests_total")
-          .increment();
-    }
-    if (seconds > 2.0 * slo_s) {
-      deadline_breaches_.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global()
-          .counter("serve_deadline_breach_total")
-          .increment();
-    }
+  if (seconds > kSloSeconds) {
+    slow_requests_.fetch_add(1, std::memory_order_relaxed);
+    obs::MetricsRegistry::global()
+        .counter("serve_slow_requests_total")
+        .increment();
+  }
+  if (seconds > 2.0 * kSloSeconds) {
+    deadline_breaches_.fetch_add(1, std::memory_order_relaxed);
+    obs::MetricsRegistry::global()
+        .counter("serve_deadline_breach_total")
+        .increment();
   }
 }
 
@@ -284,10 +261,7 @@ std::int64_t RecommendService::item_rank(const recsys::Recommender& model,
   std::int64_t rank = 0;
   for (std::int64_t j = 0; j < dataset_.num_items; ++j) {
     if (j == item) continue;
-    if (config_.exclude_train &&
-        dataset_.user_interacted(user, static_cast<std::int32_t>(j))) {
-      continue;
-    }
+    if (dataset_.user_interacted(user, static_cast<std::int32_t>(j))) continue;
     const float s = model.score(user, j);
     // Canonical serving order: score desc, id asc on ties.
     if (s > target || (s == target && j < item)) ++rank;

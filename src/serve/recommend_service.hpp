@@ -6,9 +6,10 @@
 //      model — hot swaps never tear an in-flight request);
 //   2. cache lookup with revalidation (below);
 //   3. on miss, score the user through Recommender::score_users and cache
-//      the list. recommend_batch takes the same path for many users at once:
-//      its misses are scored together, one gathered GEMM tile per
-//      kScoreTile users, tiles spread over the shared ThreadPool.
+//      the list. Lists never hold the user's training items (the
+//      evaluation protocol). recommend_batch takes the same path for many
+//      users at once: its misses are scored together, one gathered GEMM
+//      tile per kScoreTile users, tiles spread over the shared ThreadPool.
 //
 // Cache validity (the epoch-invalidation contract):
 //   * entry.model_version != current  -> recompute (new checkpoint);
@@ -49,19 +50,18 @@ namespace taamr::serve {
 
 struct ServeConfig {
   std::int64_t cache_capacity = 4096;    // TAAMR_SERVE_CACHE_CAP
-  std::int64_t update_log_window = 256;  // TAAMR_SERVE_UPDATE_LOG
-  // SLO threshold in milliseconds: a request slower than slo_ms counts as
-  // slow, slower than 2*slo_ms as a deadline breach. 0 disables both.
-  std::int64_t slo_ms = 50;              // TAAMR_SERVE_SLO_MS
-  // Rolling-quantile window in seconds (serve_rolling_p99 and friends
-  // reflect the last window_s seconds, not process lifetime).
-  std::int64_t window_s = 30;            // TAAMR_SERVE_WINDOW_S
-  bool exclude_train = true;             // serve unseen items (eval protocol)
+  std::int64_t update_log_window = 256;  // feature-store change-log length
 
-  // Reads the TAAMR_SERVE_* environment knobs; malformed values fall back
-  // to the defaults above with a warning.
+  // Defaults plus TAAMR_SERVE_CACHE_CAP (util/env.hpp rules).
   static ServeConfig from_env();
 };
+
+// SLO threshold: a request slower than kSloSeconds counts as slow, slower
+// than twice it as a deadline breach.
+inline constexpr double kSloSeconds = 0.050;
+// Rolling-quantile window: serve_rolling_p99 and friends reflect the last
+// kWindowSeconds, not process lifetime.
+inline constexpr std::int64_t kWindowSeconds = 30;
 
 struct Recommendation {
   std::int64_t user = 0;
@@ -133,11 +133,11 @@ class RecommendService {
     // recommend_batch calls that scored more than one miss together.
     std::uint64_t coalesced_batches = 0;
     std::uint64_t feature_swaps = 0;
-    std::uint64_t slow_requests = 0;      // latency > slo_ms
-    std::uint64_t deadline_breaches = 0;  // latency > 2*slo_ms
+    std::uint64_t slow_requests = 0;      // latency > kSloSeconds
+    std::uint64_t deadline_breaches = 0;  // latency > 2 * kSloSeconds
     std::uint64_t suspect_updates = 0;    // anomaly-scorer flags
     std::uint64_t audit_records = 0;      // JSONL lines written
-    double rolling_p50_s = 0.0;  // over the last window_s seconds
+    double rolling_p50_s = 0.0;  // over the last kWindowSeconds
     double rolling_p90_s = 0.0;
     double rolling_p99_s = 0.0;
     std::uint64_t rolling_window_requests = 0;  // observations in the window

@@ -1,8 +1,6 @@
 #include "serve/shard_router.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
@@ -10,26 +8,8 @@
 
 namespace taamr::serve {
 
-namespace {
-
-std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min_value) {
-    std::fprintf(stderr, "serve: ignoring invalid %s=%s (using %lld)\n", name, raw,
-                 static_cast<long long>(fallback));
-    return fallback;
-  }
-  return static_cast<std::int64_t>(v);
-}
-
-}  // namespace
-
 ShardRouterConfig ShardRouterConfig::from_env() {
   ShardRouterConfig c;
-  c.num_shards = env_int64("TAAMR_SERVE_SHARDS", 0, 0);
   c.service = ServeConfig::from_env();
   return c;
 }

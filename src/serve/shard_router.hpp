@@ -33,11 +33,11 @@ namespace taamr::serve {
 struct ShardRouterConfig {
   // 0 = auto: max(1, hardware_concurrency / 2) — half the cores route
   // requests, the other half keeps scoring GEMMs and the event loop fed.
-  std::int64_t num_shards = 0;  // TAAMR_SERVE_SHARDS
+  std::int64_t num_shards = 0;
   ServeConfig service;          // per-shard knobs; cache_capacity is the
                                 // TOTAL budget, split evenly across shards
 
-  // TAAMR_SERVE_SHARDS on top of ServeConfig::from_env().
+  // Auto shard count over ServeConfig::from_env().
   static ShardRouterConfig from_env();
 };
 

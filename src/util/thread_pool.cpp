@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
+#include "util/env.hpp"
 #include "util/thread_name.hpp"
 
 namespace taamr {
@@ -197,14 +196,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 }
 
 std::size_t env_thread_count() {
-  if (const char* s = std::getenv("TAAMR_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
-    log_warn() << "ignoring malformed TAAMR_THREADS='" << s
-               << "', using hardware concurrency";
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+  const std::int64_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(env::get_int("TAAMR_THREADS", hardware));
 }
 
 ThreadPool& ThreadPool::global() {

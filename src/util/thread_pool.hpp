@@ -105,7 +105,8 @@ void parallel_for(std::size_t begin, std::size_t end,
                   std::size_t serial_threshold = 2);
 
 // Worker count the global pool uses: TAAMR_THREADS if set to a positive
-// integer, otherwise hardware concurrency. Bench reports record this.
+// integer (util/env.hpp rules), otherwise hardware concurrency. Bench
+// reports record this.
 std::size_t env_thread_count();
 
 }  // namespace taamr

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nn/conv2d.hpp"
 #include "test_helpers.hpp"
 
@@ -108,6 +110,43 @@ TEST(Conv2d, BiasGradientMatchesFiniteDifference) {
   Tensor x({2, 1, 4, 4});
   fill_uniform(x, rng);
   check_param_gradient(layer, x, layer.bias(), rng);
+}
+
+// The batch parameter gradient must be the per-sample gradients summed in
+// sample order — bitwise, whatever order the pool's workers finish in — so
+// training is reproducible at any TAAMR_THREADS.
+TEST(Conv2d, BatchParamGradientIsOrderedSumOfSampleGradients) {
+  constexpr std::int64_t n = 64, in_c = 8, out_c = 16, hw = 12;
+  Rng rng(17);
+  nn::Conv2d layer(in_c, out_c, 3, 1, 1, /*bias=*/true);
+  fill_uniform(layer.weight().value, rng, -0.5f, 0.5f);
+  Tensor x({n, in_c, hw, hw});
+  Tensor g({n, out_c, hw, hw});
+  fill_uniform(x, rng);
+  fill_uniform(g, rng);
+
+  layer.zero_grad();
+  layer.forward(x, true);
+  layer.backward(g);
+  const Tensor batch_dw = layer.weight().grad;
+  const Tensor batch_db = layer.bias().grad;
+
+  layer.zero_grad();
+  const std::int64_t x_plane = in_c * hw * hw, g_plane = out_c * hw * hw;
+  for (std::int64_t s = 0; s < n; ++s) {
+    Tensor xs({1, in_c, hw, hw});
+    Tensor gs({1, out_c, hw, hw});
+    std::copy_n(x.data() + s * x_plane, x_plane, xs.data());
+    std::copy_n(g.data() + s * g_plane, g_plane, gs.data());
+    layer.forward(xs, true);
+    layer.backward(gs);  // accumulates into the parameter gradients
+  }
+  for (std::int64_t i = 0; i < batch_dw.numel(); ++i) {
+    ASSERT_EQ(batch_dw[i], layer.weight().grad[i]) << "weight grad " << i;
+  }
+  for (std::int64_t i = 0; i < batch_db.numel(); ++i) {
+    ASSERT_EQ(batch_db[i], layer.bias().grad[i]) << "bias grad " << i;
+  }
 }
 
 TEST(Conv2d, RejectsBadInput) {

@@ -1,0 +1,107 @@
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
+
+#include "util/env.hpp"
+
+namespace taamr {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::set<std::string> matches(const std::string& text, const std::regex& re) {
+  std::set<std::string> out;
+  for (std::sregex_iterator it(text.begin(), text.end(), re), end; it != end; ++it) {
+    out.insert((*it)[1].str());
+  }
+  return out;
+}
+
+// Every TAAMR_* variable the code reads is a quoted literal (the argument
+// of std::getenv or env::get_*); README's knob tables name each one in
+// backticks. The two sets must match, so a knob is never added without
+// documentation or left documented after its reader is gone.
+TEST(EnvKnobInventory, ReadmeDocumentsExactlyTheKnobsTheCodeReads) {
+  const fs::path root = TAAMR_SOURCE_ROOT;
+  const std::regex literal("\"(TAAMR_[A-Z0-9_]+)\"");
+  std::set<std::string> read_by_code;
+  for (const char* dir : {"src", "tools", "bench", "examples"}) {
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (ext != ".cpp" && ext != ".hpp") continue;
+      read_by_code.merge(matches(read_text(entry.path()), literal));
+    }
+  }
+  const std::set<std::string> documented =
+      matches(read_text(root / "README.md"), std::regex("`(TAAMR_[A-Z0-9_]+)`"));
+  EXPECT_FALSE(read_by_code.empty());
+  EXPECT_EQ(read_by_code, documented);
+}
+
+// A variable no binary reads, set and cleared per test.
+constexpr const char* kKnob = "TAAMR_ENV_TEST_KNOB";
+
+class EnvKnob : public ::testing::Test {
+ protected:
+  void TearDown() override { ::unsetenv(kKnob); }
+  void set(const char* value) { ::setenv(kKnob, value, 1); }
+};
+
+TEST(EnvParse, AcceptsOnlyWholeIntegers) {
+  EXPECT_EQ(env::parse_int("42").value_or(0), 42);
+  EXPECT_EQ(env::parse_int("-7").value_or(0), -7);
+  EXPECT_EQ(env::parse_int("9223372036854775807").value_or(0), INT64_MAX);
+  for (const char* bad : {"", " 4", "4 ", "+4", "4x", "0x10", "1.5", "banana",
+                          "9223372036854775808"}) {
+    EXPECT_FALSE(env::parse_int(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST_F(EnvKnob, UnsetOrEmptyMeansDefault) {
+  EXPECT_EQ(env::get_int(kKnob, 17), 17);
+  set("");
+  EXPECT_EQ(env::get_int(kKnob, 17), 17);
+  EXPECT_DOUBLE_EQ(env::get_positive_real(kKnob, 0.5), 0.5);
+}
+
+TEST_F(EnvKnob, ReadsInRangeIntegers) {
+  set("128");
+  EXPECT_EQ(env::get_int(kKnob, 1), 128);
+  EXPECT_EQ(env::get_int(kKnob, 1, 128, 128), 128);
+  set("0");
+  EXPECT_EQ(env::get_int(kKnob, 5, 0), 0);
+}
+
+TEST_F(EnvKnob, MalformedOrOutOfRangeFallsBack) {
+  for (const char* bad : {"banana", "12abc", " 3", "-3", "0"}) {
+    set(bad);
+    EXPECT_EQ(env::get_int(kKnob, 9), 9) << "'" << bad << "'";
+  }
+  set("20000");
+  EXPECT_EQ(env::get_int(kKnob, 97, 1, 10000), 97);
+}
+
+TEST_F(EnvKnob, PositiveRealRejectsZeroNegativeAndNonFinite) {
+  set("0.025");
+  EXPECT_DOUBLE_EQ(env::get_positive_real(kKnob, 1.0), 0.025);
+  for (const char* bad : {"0", "-0.5", "inf", "nan", "1e999", "0.5x"}) {
+    set(bad);
+    EXPECT_DOUBLE_EQ(env::get_positive_real(kKnob, 1.0), 1.0) << "'" << bad << "'";
+  }
+}
+
+}  // namespace
+}  // namespace taamr

@@ -3,7 +3,7 @@
 //
 //   # human report from one or more bench artifacts (+ optional extras)
 //   ./tools/taamr_report BENCH_table2_chr.json
-//       [--metrics metrics.json] [--runlog run.jsonl] [--trace trace.json]
+//       [--metrics metrics.json] [--trace trace.json]
 //       [--out report.md]
 //
 //   # schema validation only (CI artifact check)
@@ -159,33 +159,6 @@ void render_metrics_section(std::ostream& os, const json::Value& doc) {
   }
 }
 
-void render_runlog_section(std::ostream& os, const std::string& text,
-                           const std::string& path) {
-  std::map<std::string, std::size_t> by_event;
-  std::size_t lines = 0, bad = 0;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    try {
-      const json::Value v = json::parse(line);
-      const json::Value* event = v.find("event");
-      by_event[event != nullptr && event->is_string() ? event->str : "?"]++;
-    } catch (const std::exception&) {
-      ++bad;
-    }
-  }
-  os << "## Run log: " << path << "\n\n"
-     << lines << " events";
-  if (bad > 0) os << " (" << bad << " malformed lines!)";
-  os << "\n\n| event | count |\n|---|---|\n";
-  for (const auto& [event, count] : by_event) {
-    os << "| " << event << " | " << count << " |\n";
-  }
-  os << "\n";
-}
-
 void render_trace_section(std::ostream& os, const obs::TraceDocument& doc) {
   os << "## Trace: top spans by self-time\n\n";
   os << doc.total_events() << " events on " << doc.by_tid.size()
@@ -300,7 +273,6 @@ int main(int argc, char** argv) {
 
   const std::string baseline_path = args.get("baseline", "");
   const std::string metrics_path = args.get("metrics", "");
-  const std::string runlog_path = args.get("runlog", "");
   const std::string trace_path = args.get("trace", "");
   const std::string audit_path = args.get("audit", "");
   const std::string profile_path = args.get("profile", "");
@@ -325,7 +297,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s <BENCH_*.json...> [--check] [--baseline old.json]\n"
                  "       [--threshold 10%%] [--metrics metrics.json]\n"
-                 "       [--runlog run.jsonl] [--trace trace.json]\n"
+                 "       [--trace trace.json]\n"
                  "       [--audit audit.jsonl] [--profile prof.folded]\n"
                  "       [--out report.md]\n",
                  argv[0]);
@@ -397,9 +369,6 @@ int main(int argc, char** argv) {
   try {
     if (!metrics_path.empty()) {
       render_metrics_section(md, json::parse(read_file(metrics_path)));
-    }
-    if (!runlog_path.empty()) {
-      render_runlog_section(md, read_file(runlog_path), runlog_path);
     }
     if (!trace_path.empty()) {
       render_trace_section(md, obs::parse_trace_document(read_file(trace_path)));

@@ -7,7 +7,7 @@
 //   taamr_serve --port 7787 &                             # 127.0.0.1:7787
 //
 // TCP serving runs through the sharded engine: a ShardRouter partitions
-// users over TAAMR_SERVE_SHARDS per-shard RecommendServices, and an epoll
+// users over one RecommendService per shard (half the cores), and an epoll
 // EventLoop (serve/event_loop.hpp) multiplexes connections onto a fixed
 // worker set with bounded per-shard queues — overload sheds
 // {"error":"overloaded"} instead of queueing unboundedly, and shutdown
