@@ -1,7 +1,9 @@
 # Regression-gate integration test, run via
 #   cmake -DBENCH_BIN=... -DREPORT_BIN=... -DWORK_DIR=... -P BenchReportTest.cmake
 # Optional: -DBENCH_NAME=<name> (artifact is BENCH_<name>.json, default
-# table2_chr) and -DTHRESHOLD=<pct> (self-compare threshold, default 60%).
+# table2_chr), -DTHRESHOLD=<pct> (self-compare threshold, default 60%) and
+# -DSERIAL_BASELINE=ON (run1 uses TAAMR_THREADS=1 and its metrics must match
+# run2's exactly; only for benches whose metrics are deterministic).
 #
 # Drives the real pipeline twice: two runs of table2_chr at a small scale
 # (separate cache AND bench dirs, so the second run re-does the work instead
@@ -9,12 +11,15 @@
 #   1. asserts both runs produced a schema-valid BENCH_table2_chr.json,
 #   2. asserts the artifact carries nonzero GFLOP/s (kernel cost accounting
 #      actually fired),
-#   3. self-compares the runs with taamr_report --baseline — identical code
+#   3. with SERIAL_BASELINE, asserts the 1-thread and the N-thread run wrote
+#      byte-equal metrics arrays (a fixed seed gives the same paper numbers
+#      at any thread count),
+#   4. self-compares the runs with taamr_report --baseline — identical code
 #      on identical inputs must pass the gate (generous 60% threshold, the
 #      runs' only difference is timing noise),
-#   4. inflates the baseline's recorded gflops and wall and re-compares —
+#   5. inflates the baseline's recorded gflops and wall and re-compares —
 #      the gate must now fail with a nonzero exit.
-cmake_minimum_required(VERSION 3.16)
+cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 foreach(var BENCH_BIN REPORT_BIN WORK_DIR)
   if(NOT DEFINED ${var})
@@ -27,6 +32,12 @@ endif()
 if(NOT DEFINED THRESHOLD)
   set(THRESHOLD 60%)
 endif()
+# run1 is the baseline; with SERIAL_BASELINE it runs on one thread and run2
+# on the default (hardware concurrency).
+set(run1_env)
+if(SERIAL_BASELINE)
+  set(run1_env TAAMR_THREADS=1)
+endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/run1" "${WORK_DIR}/run2")
@@ -37,6 +48,7 @@ foreach(run run1 run2)
     COMMAND ${CMAKE_COMMAND} -E env
             TAAMR_SCALE=0.004
             TAAMR_SEED=42
+            ${${run}_env}
             "TAAMR_CACHE_DIR=${WORK_DIR}/${run}/cache"
             "TAAMR_BENCH_DIR=${WORK_DIR}/${run}"
             ${BENCH_BIN}
@@ -74,7 +86,18 @@ if(run1_text MATCHES "\"flops_total\":0[,}]")
   message(FATAL_ERROR "BenchReportTest: flops_total is zero — cost accounting did not fire")
 endif()
 
-# 3. Self-compare must pass: identical code, identical config, deterministic
+# 3. Thread-count independence: same seed, same metrics, byte for byte.
+if(SERIAL_BASELINE)
+  file(READ ${run2_json} run2_text)
+  string(JSON run1_metrics GET "${run1_text}" metrics)
+  string(JSON run2_metrics GET "${run2_text}" metrics)
+  if(NOT run1_metrics STREQUAL run2_metrics)
+    message(FATAL_ERROR "BenchReportTest: TAAMR_THREADS=1 and default-thread runs wrote "
+                        "different metrics (${run1_json} vs ${run2_json})")
+  endif()
+endif()
+
+# 4. Self-compare must pass: identical code, identical config, deterministic
 # tables; only wall time wiggles, hence the fat threshold.
 execute_process(
   COMMAND ${REPORT_BIN} ${run2_json} --baseline ${run1_json} --threshold ${THRESHOLD}
@@ -85,7 +108,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "BenchReportTest: self-compare flagged a regression (rc=${rc})")
 endif()
 
-# 4. Inflate the baseline: prepending a digit makes the recorded flops_total
+# 5. Inflate the baseline: prepending a digit makes the recorded flops_total
 # (hence GFLOP/s) at least 10x the truth, far past any threshold, so the
 # current run must now look like a >=90% throughput regression.
 string(REPLACE "\"flops_total\":" "\"flops_total\":9" inflated_text "${run1_text}")

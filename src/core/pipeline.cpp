@@ -60,8 +60,8 @@ Tensor Pipeline::extract_features_chunked(const Tensor& images, const char* stag
                 static_cast<std::size_t>((end - start) * d) * sizeof(float));
     chunks_total.increment();
   }
-  // Allocator high-water after the stage: with chunking this tracks the
-  // per-batch im2col scratch, not a catalog-sized mega-batch.
+  // Allocator high-water after the stage: with chunking this tracks
+  // per-batch activations, not a catalog-sized mega-batch.
   obs::MetricsRegistry::global()
       .gauge("pipeline_feature_extract_high_water_bytes", {{"stage", stage}})
       .set(static_cast<double>(cost::tensor_bytes_high_water()));

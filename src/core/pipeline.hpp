@@ -100,7 +100,8 @@ class Pipeline {
 
   // Extracts CNN features of `images` in nn::kInferenceBatch-sized chunks
   // (one trace span + counter tick per chunk, allocator high-water gauge
-  // per stage) so im2col scratch stays O(batch) instead of O(catalog).
+  // per stage) so activations stay O(batch) instead of O(catalog). Conv
+  // lowering scratch is per thread and sized for one sample.
   Tensor extract_features_chunked(const Tensor& images, const char* stage);
 
   PipelineConfig config_;

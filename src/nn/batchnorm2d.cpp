@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace taamr::nn {
 
 BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
@@ -30,10 +32,15 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   cached_shape_ = x.shape();
   cached_invstd_ = Tensor({channels_});
 
+  // Channels are independent: each reads its own planes and writes only its
+  // own statistics, gradient slots and output planes. So the per-channel
+  // loops run in parallel, and each channel keeps its serial double
+  // accumulation, which gives the same result at any pool size.
   Tensor y(x.shape());
   if (train) {
     cached_xhat_ = Tensor(x.shape());
-    for (std::int64_t c = 0; c < channels_; ++c) {
+    parallel_for(0, static_cast<std::size_t>(channels_), [&](std::size_t ch) {
+      const auto c = static_cast<std::int64_t>(ch);
       double mean = 0.0, var = 0.0;
       for (std::int64_t s = 0; s < n; ++s) {
         const float* p = x.data() + (s * channels_ + c) * plane;
@@ -66,7 +73,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
           out[i] = g * xh[i] + b;
         }
       }
-    }
+    });
   } else {
     for (std::int64_t c = 0; c < channels_; ++c) {
       const float invstd = 1.0f / std::sqrt(running_var_.value[c] + eps_);
@@ -98,7 +105,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   if (last_forward_training_) {
     // Standard BN backward:
     // dx = gamma*invstd/M * (M*dy - sum(dy) - xhat * sum(dy*xhat))
-    for (std::int64_t c = 0; c < channels_; ++c) {
+    parallel_for(0, static_cast<std::size_t>(channels_), [&](std::size_t ch) {
+      const auto c = static_cast<std::int64_t>(ch);
       double sum_dy = 0.0, sum_dy_xhat = 0.0;
       for (std::int64_t s = 0; s < n; ++s) {
         const float* dy = grad_out.data() + (s * channels_ + c) * plane;
@@ -122,11 +130,12 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
                            xh[i] * static_cast<float>(sum_dy_xhat));
         }
       }
-    }
+    });
   } else {
     // Inference mode is an affine map per channel: dx = dy * gamma * invstd.
     // Parameter gradients are still accumulated for completeness.
-    for (std::int64_t c = 0; c < channels_; ++c) {
+    parallel_for(0, static_cast<std::size_t>(channels_), [&](std::size_t ch) {
+      const auto c = static_cast<std::int64_t>(ch);
       const float scale = gamma_.value[c] * cached_invstd_[c];
       double sum_dy = 0.0;
       for (std::int64_t s = 0; s < n; ++s) {
@@ -138,7 +147,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
         }
       }
       beta_.grad[c] += static_cast<float>(sum_dy);
-    }
+    });
   }
   return grad_in;
 }

@@ -101,8 +101,9 @@ class Classifier {
 Tensor slice_rows(const Tensor& t, std::int64_t begin, std::int64_t end);
 
 // Batch size of every inference pass (logits, features, input gradients)
-// and of the pipeline's catalog extraction. Peak im2col scratch memory is
-// O(this), independent of catalog size.
+// and of the pipeline's catalog extraction. Peak activation memory is
+// O(this), independent of catalog size; Conv2d's im2col scratch is per
+// thread and sized for one sample.
 constexpr std::int64_t kInferenceBatch = 64;
 
 }  // namespace taamr::nn

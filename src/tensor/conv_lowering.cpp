@@ -1,5 +1,6 @@
 #include "tensor/conv_lowering.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/cost.hpp"
@@ -18,6 +19,98 @@ void ConvGeometry::validate() const {
   }
 }
 
+namespace {
+
+// Output positions [lo, hi) of one kernel tap whose input coordinate
+// o * stride + tap - padding lands inside [0, in). Empty when lo == hi.
+struct ValidRange {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+ValidRange valid_range(std::int64_t tap, const ConvGeometry& g, std::int64_t in,
+                       std::int64_t out) {
+  const std::int64_t off = tap - g.padding;
+  const std::int64_t lo = off >= 0 ? 0 : (g.stride - 1 - off) / g.stride;
+  const std::int64_t last = in - 1 - off;  // largest o * stride that stays inside
+  const std::int64_t hi = last < 0 ? 0 : last / g.stride + 1;
+  const std::int64_t clo = std::min(lo, out);
+  return {clo, std::max(clo, std::min(hi, out))};
+}
+
+// Nominal data movement of one lowering: one read and one write per patch
+// matrix element (padding slots are writes without reads; close enough).
+double lowering_bytes(const ConvGeometry& g) {
+  return 8.0 * static_cast<double>(g.patch_rows()) * static_cast<double>(g.patch_cols());
+}
+
+}  // namespace
+
+void im2col_into(const float* img, const ConvGeometry& g, float* cols) {
+  cost::add(cost::Kernel::kIm2col, 0.0, lowering_bytes(g));
+  const std::int64_t oh = g.out_h(), ow = g.out_w(), k = g.kernel, s = g.stride;
+  float* dst = cols;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    const float* plane = img + c * g.in_h * g.in_w;
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+      const ValidRange ys = valid_range(ky, g, g.in_h, oh);
+      for (std::int64_t kx = 0; kx < k; ++kx, dst += oh * ow) {
+        const ValidRange xs = valid_range(kx, g, g.in_w, ow);
+        if (xs.lo == xs.hi) {  // the tap misses every input column
+          std::fill(dst, dst + oh * ow, 0.0f);
+          continue;
+        }
+        std::fill(dst, dst + ys.lo * ow, 0.0f);
+        // First input column the valid range reads.
+        const std::int64_t ix0 = xs.lo * s + kx - g.padding;
+        const std::int64_t len = xs.hi - xs.lo;
+        for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
+          float* out = dst + oy * ow;
+          const float* src = plane + (oy * s + ky - g.padding) * g.in_w + ix0;
+          std::fill(out, out + xs.lo, 0.0f);
+          if (s == 1) {
+            std::copy(src, src + len, out + xs.lo);
+          } else {
+            for (std::int64_t i = 0; i < len; ++i) out[xs.lo + i] = src[i * s];
+          }
+          std::fill(out + xs.hi, out + ow, 0.0f);
+        }
+        std::fill(dst + ys.hi * ow, dst + oh * ow, 0.0f);
+      }
+    }
+  }
+}
+
+void col2im_add(const float* cols, const ConvGeometry& g, float* img) {
+  // Scatter-accumulate: one read and one add per patch matrix element.
+  cost::add(cost::Kernel::kIm2col,
+            static_cast<double>(g.patch_rows()) * static_cast<double>(g.patch_cols()),
+            lowering_bytes(g));
+  const std::int64_t oh = g.out_h(), ow = g.out_w(), k = g.kernel, s = g.stride;
+  const float* src = cols;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    float* plane = img + c * g.in_h * g.in_w;
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+      const ValidRange ys = valid_range(ky, g, g.in_h, oh);
+      for (std::int64_t kx = 0; kx < k; ++kx, src += oh * ow) {
+        const ValidRange xs = valid_range(kx, g, g.in_w, ow);
+        if (xs.lo == xs.hi) continue;
+        const std::int64_t ix0 = xs.lo * s + kx - g.padding;
+        const std::int64_t len = xs.hi - xs.lo;
+        for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
+          const float* in = src + oy * ow + xs.lo;
+          float* out = plane + (oy * s + ky - g.padding) * g.in_w + ix0;
+          if (s == 1) {
+            for (std::int64_t i = 0; i < len; ++i) out[i] += in[i];
+          } else {
+            for (std::int64_t i = 0; i < len; ++i) out[i * s] += in[i];
+          }
+        }
+      }
+    }
+  }
+}
+
 Tensor im2col(const Tensor& image, const ConvGeometry& g) {
   g.validate();
   if (image.ndim() != 3 || image.dim(0) != g.in_channels || image.dim(1) != g.in_h ||
@@ -25,38 +118,8 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g) {
     throw std::invalid_argument("im2col: image shape " + shape_to_string(image.shape()) +
                                 " does not match geometry");
   }
-  const std::int64_t oh = g.out_h(), ow = g.out_w(), k = g.kernel;
-  // Pure data movement: one read per gathered element, one write per
-  // column slot (padding slots are writes without reads; close enough).
-  cost::add(cost::Kernel::kIm2col, 0.0,
-            8.0 * static_cast<double>(g.patch_rows()) *
-                static_cast<double>(g.patch_cols()));
   Tensor cols({g.patch_rows(), g.patch_cols()});
-  float* out = cols.data();
-  const float* img = image.data();
-
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.in_channels; ++c) {
-    const float* plane = img + c * g.in_h * g.in_w;
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      for (std::int64_t kx = 0; kx < k; ++kx, ++row) {
-        float* dst = out + row * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * g.stride + ky - g.padding;
-          if (iy < 0 || iy >= g.in_h) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) dst[oy * ow + ox] = 0.0f;
-            continue;
-          }
-          const float* src_row = plane + iy * g.in_w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * g.stride + kx - g.padding;
-            dst[oy * ow + ox] =
-                (ix >= 0 && ix < g.in_w) ? src_row[ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+  im2col_into(image.data(), g, cols.data());
   return cols;
 }
 
@@ -68,34 +131,8 @@ Tensor col2im(const Tensor& columns, const ConvGeometry& g) {
                                 shape_to_string(columns.shape()) +
                                 " does not match geometry");
   }
-  const std::int64_t oh = g.out_h(), ow = g.out_w(), k = g.kernel;
-  // Scatter-accumulate back into the image: read + add per column element.
-  cost::add(cost::Kernel::kIm2col,
-            static_cast<double>(g.patch_rows()) * static_cast<double>(g.patch_cols()),
-            8.0 * static_cast<double>(g.patch_rows()) *
-                static_cast<double>(g.patch_cols()));
   Tensor image({g.in_channels, g.in_h, g.in_w});
-  float* img = image.data();
-  const float* cols = columns.data();
-
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.in_channels; ++c) {
-    float* plane = img + c * g.in_h * g.in_w;
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      for (std::int64_t kx = 0; kx < k; ++kx, ++row) {
-        const float* src = cols + row * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * g.stride + ky - g.padding;
-          if (iy < 0 || iy >= g.in_h) continue;
-          float* dst_row = plane + iy * g.in_w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * g.stride + kx - g.padding;
-            if (ix >= 0 && ix < g.in_w) dst_row[ix] += src[oy * ow + ox];
-          }
-        }
-      }
-    }
-  }
+  col2im_add(columns.data(), g, image.data());
   return image;
 }
 

@@ -26,6 +26,17 @@ struct ConvGeometry {
   void validate() const;
 };
 
+// Raw-buffer lowering, the one implementation behind im2col/col2im. `g`
+// must be valid; `img` is one [C, H, W] image and `cols` one
+// [C*K*K, outH*outW] patch matrix, both row-major and non-aliasing.
+//
+// Writes every element of `cols`; zero padding is materialized as zeros.
+void im2col_into(const float* img, const ConvGeometry& g, float* cols);
+// Adjoint of im2col_into: img += col2im(cols). Each pixel receives its
+// contributions in patch-row order, so accumulating into a zeroed image
+// gives exactly col2im's result.
+void col2im_add(const float* cols, const ConvGeometry& g, float* img);
+
 // Lower a single image [C, H, W] to a patch matrix
 // [C*K*K, outH*outW]; zero padding is materialized as zeros.
 Tensor im2col(const Tensor& image, const ConvGeometry& g);

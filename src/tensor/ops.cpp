@@ -160,6 +160,17 @@ void gemm_nn_blocked(float* c, const float* a, const float* b, std::int64_t m,
   });
 }
 
+void gemm_accumulate(float* c, const float* a, const float* b, std::int64_t m,
+                     std::int64_t k, std::int64_t n) {
+  cost::add(cost::Kernel::kGemm,
+            2.0 * static_cast<double>(m) * static_cast<double>(k) *
+                static_cast<double>(n),
+            4.0 * (static_cast<double>(m) * static_cast<double>(k) +
+                   static_cast<double>(k) * static_cast<double>(n) +
+                   2.0 * static_cast<double>(m) * static_cast<double>(n)));
+  gemm_nn_blocked(c, a, b, m, k, n, &ThreadPool::global());
+}
+
 void matmul_accumulate(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
                        bool trans_b) {
   require_matrix(a, "A");
@@ -180,13 +191,7 @@ void matmul_accumulate(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a
                                 shape_to_string(c.shape()) + ", expected [" +
                                 std::to_string(m) + ", " + std::to_string(n) + "]");
   }
-  cost::add(cost::Kernel::kGemm,
-            2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                static_cast<double>(n),
-            4.0 * (static_cast<double>(m) * static_cast<double>(k) +
-                   static_cast<double>(k) * static_cast<double>(n) +
-                   2.0 * static_cast<double>(m) * static_cast<double>(n)));
-  gemm_nn_blocked(c.data(), an.data(), bn.data(), m, k, n, &ThreadPool::global());
+  gemm_accumulate(c.data(), an.data(), bn.data(), m, k, n);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {

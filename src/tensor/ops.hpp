@@ -54,6 +54,11 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
 void gemm_nn_blocked(float* c, const float* a, const float* b, std::int64_t m,
                      std::int64_t k, std::int64_t n, ThreadPool* pool);
 
+// C += A[m, k] * B[k, n] on raw row-major buffers: books the launch's
+// nominal cost (as matmul does) and runs gemm_nn_blocked on the global pool.
+void gemm_accumulate(float* c, const float* a, const float* b, std::int64_t m,
+                     std::int64_t k, std::int64_t n);
+
 // C += op(A) * op(B); C must already have the right shape.
 void matmul_accumulate(Tensor& c, const Tensor& a, const Tensor& b,
                        bool trans_a = false, bool trans_b = false);

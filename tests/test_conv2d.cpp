@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "nn/conv2d.hpp"
+#include "tensor/ops.hpp"
 #include "test_helpers.hpp"
 
 namespace taamr {
@@ -146,6 +149,70 @@ TEST(Conv2d, BatchParamGradientIsOrderedSumOfSampleGradients) {
   }
   for (std::int64_t i = 0; i < batch_db.numel(); ++i) {
     ASSERT_EQ(batch_db[i], layer.bias().grad[i]) << "bias grad " << i;
+  }
+}
+
+// Conv2d lowers into per-thread scratch and runs the weight-gradient GEMM
+// as dW^T = cols * g^T. Each output must be bitwise what the Tensor path
+// gives: im2col + matmul (with transpose flags) + col2im per sample, and the
+// parameter gradients summed in sample order.
+TEST(Conv2d, MatchesReferenceLoweringBitwise) {
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  for (const auto& [in_c, out_c] : {std::pair<std::int64_t, std::int64_t>{3, 4}, {8, 16}}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const bool bias : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << in_c << "->" << out_c << " stride " << stride
+                                          << (bias ? " bias" : " no bias"));
+        constexpr std::int64_t n = 5, h = 11, w = 9;
+        Rng rng(29);
+        nn::Conv2d layer(in_c, out_c, 3, stride, 1, bias);
+        fill_uniform(layer.weight().value, rng, -0.5f, 0.5f);
+        fill_uniform(layer.bias().value, rng);
+        Tensor x({n, in_c, h, w});
+        fill_uniform(x, rng);
+        const conv::ConvGeometry g{in_c, h, w, 3, stride, 1};
+        const std::int64_t p = g.patch_cols();
+        Tensor grad({n, out_c, g.out_h(), g.out_w()});
+        fill_uniform(grad, rng);
+
+        layer.zero_grad();
+        const Tensor y = layer.forward(x, true);
+        const Tensor dx = layer.backward(grad);
+
+        Tensor want_y(y.shape()), want_dx(x.shape());
+        Tensor want_dw(layer.weight().value.shape()), want_db({out_c});
+        const std::int64_t x_plane = in_c * h * w, y_plane = out_c * p;
+        for (std::int64_t s = 0; s < n; ++s) {
+          Tensor xs({in_c, h, w}), gs({out_c, p});
+          std::copy_n(x.data() + s * x_plane, x_plane, xs.data());
+          std::copy_n(grad.data() + s * y_plane, y_plane, gs.data());
+          const Tensor cols = conv::im2col(xs, g);
+          Tensor out = ops::matmul(layer.weight().value, cols);
+          for (std::int64_t c = 0; c < out_c && bias; ++c) {
+            for (std::int64_t i = 0; i < p; ++i) out.at(c, i) += layer.bias().value[c];
+          }
+          std::copy_n(out.data(), y_plane, want_y.data() + s * y_plane);
+          ops::add_inplace(want_dw, ops::matmul(gs, cols, false, /*trans_b=*/true));
+          const Tensor dcols = ops::matmul(layer.weight().value, gs, /*trans_a=*/true);
+          std::copy_n(conv::col2im(dcols, g).data(), x_plane, want_dx.data() + s * x_plane);
+          for (std::int64_t c = 0; c < out_c; ++c) {
+            float acc = 0.0f;
+            for (std::int64_t i = 0; i < p; ++i) acc += gs.at(c, i);
+            want_db[c] += acc;
+          }
+        }
+        EXPECT_TRUE(same_bits(y, want_y)) << "forward output";
+        EXPECT_TRUE(same_bits(dx, want_dx)) << "input gradient";
+        EXPECT_TRUE(same_bits(layer.weight().grad, want_dw)) << "weight gradient";
+        if (bias) {
+          EXPECT_TRUE(same_bits(layer.bias().grad, want_db)) << "bias gradient";
+        }
+      }
+    }
   }
 }
 

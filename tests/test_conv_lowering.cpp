@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "tensor/conv_lowering.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
@@ -119,6 +123,82 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 6, 3, 1), std::make_tuple(2, 8, 3, 2),
                       std::make_tuple(3, 5, 1, 1), std::make_tuple(2, 7, 5, 1),
                       std::make_tuple(4, 8, 3, 1)));
+
+// Naive lowering: one bounds-checked read per patch matrix element.
+float naive_tap(const std::vector<float>& img, const ConvGeometry& g, std::int64_t row,
+                std::int64_t col, std::int64_t* index) {
+  const std::int64_t k = g.kernel;
+  const std::int64_t c = row / (k * k), ky = row / k % k, kx = row % k;
+  const std::int64_t oy = col / g.out_w(), ox = col % g.out_w();
+  const std::int64_t iy = oy * g.stride + ky - g.padding;
+  const std::int64_t ix = ox * g.stride + kx - g.padding;
+  if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
+    *index = -1;
+    return 0.0f;
+  }
+  *index = (c * g.in_h + iy) * g.in_w + ix;
+  return img[static_cast<std::size_t>(*index)];
+}
+
+TEST(ConvLowering, IntoMatchesNaive) {
+  Rng rng(23);
+  int geometries = 0, empty_taps = 0;
+  // Non-square odd inputs; the 1-wide and 3-high ones give taps whose valid
+  // output range is empty once padding exceeds the input.
+  const std::int64_t shapes[][3] = {{2, 7, 5}, {1, 3, 9}, {3, 5, 1}, {1, 9, 11}};
+  for (const auto& shape : shapes) {
+    for (std::int64_t k : {1, 3, 5}) {
+      for (std::int64_t s : {1, 2, 3}) {
+        for (std::int64_t p : {0, 1, 2}) {
+          const ConvGeometry g = geom(shape[0], shape[1], shape[2], k, s, p);
+          if (shape[1] + 2 * p < k || shape[2] + 2 * p < k) continue;
+          ++geometries;
+          SCOPED_TRACE(::testing::Message() << "C=" << shape[0] << " H=" << shape[1]
+                                            << " W=" << shape[2] << " k=" << k
+                                            << " s=" << s << " p=" << p);
+          const std::int64_t rows = g.patch_rows(), cols_n = g.patch_cols();
+          std::vector<float> img(static_cast<std::size_t>(shape[0] * shape[1] * shape[2]));
+          for (float& v : img) v = rng.uniform_f(-1.0f, 1.0f);
+
+          // Every slot must be written: start from NaN.
+          std::vector<float> cols(static_cast<std::size_t>(rows * cols_n),
+                                  std::numeric_limits<float>::quiet_NaN());
+          conv::im2col_into(img.data(), g, cols.data());
+          for (std::int64_t r = 0; r < rows; ++r) {
+            bool any_valid = false;
+            for (std::int64_t c = 0; c < cols_n; ++c) {
+              std::int64_t index = 0;
+              const float want = naive_tap(img, g, r, c, &index);
+              any_valid |= index >= 0;
+              ASSERT_EQ(cols[static_cast<std::size_t>(r * cols_n + c)], want)
+                  << "row " << r << " col " << c;
+            }
+            if (!any_valid) ++empty_taps;
+          }
+
+          // col2im_add accumulates onto what the image already holds.
+          std::vector<float> upstream(cols.size());
+          for (float& v : upstream) v = rng.uniform_f(-1.0f, 1.0f);
+          std::vector<float> got = img, want = img;
+          conv::col2im_add(upstream.data(), g, got.data());
+          for (std::int64_t r = 0; r < rows; ++r) {
+            for (std::int64_t c = 0; c < cols_n; ++c) {
+              std::int64_t index = 0;
+              naive_tap(img, g, r, c, &index);
+              if (index >= 0) {
+                want[static_cast<std::size_t>(index)] +=
+                    upstream[static_cast<std::size_t>(r * cols_n + c)];
+              }
+            }
+          }
+          ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)));
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 80);
+  EXPECT_GT(empty_taps, 0);  // the empty-range path really ran
+}
 
 TEST(Col2im, AccumulatesOverlaps) {
   // All-ones patch matrix with overlapping 2x2 windows, stride 1: interior
