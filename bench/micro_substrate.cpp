@@ -4,9 +4,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "attack/attack.hpp"
 #include "bench_common.hpp"
@@ -22,6 +25,9 @@
 namespace {
 
 using namespace taamr;
+
+// Off/on pairs behind gemm_profiler_overhead_pct.
+constexpr int kProfilerPairs = 20;
 
 void BM_Gemm(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -176,7 +182,8 @@ BENCHMARK(BM_RenderItemImage);
 // GEMM thread-scaling probe: times ops::gemm_nn_blocked against explicit
 // 1- and 4-worker pools and books single- vs multi-thread GFLOP/s (and the
 // speedup ratio) into the BENCH_micro_substrate.json artifact, which is
-// what the regression gate tracks across commits. Returns false if the
+// what the regression gate tracks across commits. With the CPU profiler
+// configured it also books gemm_profiler_overhead_pct. Returns false if the
 // pooled result is not bitwise identical to the serial one.
 bool report_gemm_scaling(taamr::bench::Reporter& reporter) {
   const std::int64_t n = 256;
@@ -202,6 +209,33 @@ bool report_gemm_scaling(taamr::bench::Reporter& reporter) {
   reporter.add_metric("gemm_gflops", {{"threads", "1"}}, g1);
   reporter.add_metric("gemm_gflops", {{"threads", "4"}}, g4);
   reporter.add_metric("gemm_speedup_4_over_1", {}, g4 / g1);
+
+  // Sampling-profiler cost (TAAMR_PROFILE=cpu only): alternating off/on
+  // pairs of the threads=1 timing inside this one process, booked as the
+  // median pair's GFLOP/s loss. prof_overhead_gate judges it.
+  obs::Profiler& profiler = obs::Profiler::global();
+  if (profiler.config().cpu_enabled()) {
+    std::vector<double> loss_pct;
+    for (int pair = 0; pair < kProfilerPairs; ++pair) {
+      double gflops[2] = {0.0, 0.0};  // [0] profiler off, [1] on
+      for (const bool on : {pair % 2 == 1, pair % 2 == 0}) {
+        // stop_cpu() idles ~2 ms; idle as long before every timing so the
+        // off timings are not the only ones that start on a rested core.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        if (on) {
+          profiler.start_cpu();
+        } else {
+          profiler.stop_cpu();
+        }
+        gflops[on ? 1 : 0] = time_gflops(c_serial, &pool1);
+      }
+      loss_pct.push_back((gflops[0] - gflops[1]) / gflops[0] * 100.0);
+    }
+    profiler.start_cpu();
+    std::sort(loss_pct.begin(), loss_pct.end());
+    reporter.add_metric("gemm_profiler_overhead_pct", {},
+                        loss_pct[loss_pct.size() / 2]);
+  }
 
   // Re-run serially (nullptr pool) and demand bit-identity with the pooled
   // run — the kernel's panel decomposition must not change the math.

@@ -7,70 +7,34 @@
 #
 # trace_summary exits nonzero on malformed trace JSON, so it serves as the
 # validator; the metrics snapshot is checked for the expected top-level keys.
-
-foreach(var QUICKSTART TRACE_SUMMARY WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "QuickstartTraceTest: -D${var}=... is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/Gate.cmake)
+gate_require(QUICKSTART TRACE_SUMMARY WORK_DIR)
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(trace_file "${WORK_DIR}/quickstart_trace.json")
 set(metrics_file "${WORK_DIR}/quickstart_metrics.json")
 file(REMOVE "${trace_file}" "${metrics_file}")
 
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env
-          "TAAMR_TRACE=${trace_file}"
-          "TAAMR_METRICS_OUT=${metrics_file}"
-          "${QUICKSTART}"
-  WORKING_DIRECTORY "${WORK_DIR}"
-  RESULT_VARIABLE quickstart_rc
-  OUTPUT_VARIABLE quickstart_out
-  ERROR_VARIABLE quickstart_err
-)
-if(NOT quickstart_rc EQUAL 0)
-  message(FATAL_ERROR "quickstart failed (rc=${quickstart_rc}):\n${quickstart_out}\n${quickstart_err}")
-endif()
+gate_run(quickstart COMMAND ${QUICKSTART}
+  ENV "TAAMR_TRACE=${trace_file}" "TAAMR_METRICS_OUT=${metrics_file}")
+foreach(file "${trace_file}" "${metrics_file}")
+  if(NOT EXISTS "${file}")
+    gate_fail("quickstart did not write ${file}")
+  endif()
+endforeach()
 
-if(NOT EXISTS "${trace_file}")
-  message(FATAL_ERROR "quickstart did not write the trace file ${trace_file}")
-endif()
-if(NOT EXISTS "${metrics_file}")
-  message(FATAL_ERROR "quickstart did not write the metrics file ${metrics_file}")
-endif()
-
-# trace_summary parses the trace and fails on invalid JSON / missing keys.
-execute_process(
-  COMMAND "${TRACE_SUMMARY}" "${trace_file}" 15
-  RESULT_VARIABLE summary_rc
-  OUTPUT_VARIABLE summary_out
-  ERROR_VARIABLE summary_err
-)
-if(NOT summary_rc EQUAL 0)
-  message(FATAL_ERROR "trace_summary rejected ${trace_file} (rc=${summary_rc}):\n${summary_err}")
-endif()
-message(STATUS "trace_summary output:\n${summary_out}")
+gate_run(trace_summary COMMAND ${TRACE_SUMMARY} "${trace_file}" 15)
+message(STATUS "trace_summary output:\n${trace_summary_out}")
 
 # The trace must cover the pipeline stages, CNN epochs and attack steps.
 file(READ "${trace_file}" trace_text)
-foreach(span "pipeline/prepare" "pipeline/train_cnn" "cnn/epoch"
-        "pipeline/train_vbpr" "recsys/vbpr/epoch"
-        "pipeline/attack_category" "attack/fgsm")
-  string(FIND "${trace_text}" "${span}" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR "trace is missing the '${span}' span")
-  endif()
-endforeach()
+gate_expect_text("trace" "${trace_text}" "pipeline/prepare" "pipeline/train_cnn"
+  "cnn/epoch" "pipeline/train_vbpr" "recsys/vbpr/epoch" "pipeline/attack_category"
+  "attack/fgsm")
 
 # The metrics snapshot must carry the documented instrument families.
 file(READ "${metrics_file}" metrics_text)
-foreach(key "counters" "gauges" "histograms"
-        "pipeline_stage_seconds_total" "cnn_epoch_loss" "attack_step_loss")
-  string(FIND "${metrics_text}" "${key}" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR "metrics snapshot is missing '${key}'")
-  endif()
-endforeach()
+gate_expect_text("metrics snapshot" "${metrics_text}" "counters" "gauges" "histograms"
+  "pipeline_stage_seconds_total" "cnn_epoch_loss" "attack_step_loss")
 
-message(STATUS "quickstart trace + metrics validated")
+message(STATUS "${GATE_NAME}: PASS (trace + metrics validated)")

@@ -11,12 +11,8 @@
 # Invoked as:
 #   cmake -DSERVE_BIN=<path> -DREPORT_BIN=<path> -DWORK_DIR=<dir>
 #         -P ServeObsSmokeTest.cmake
-
-foreach(var SERVE_BIN REPORT_BIN WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "ServeObsSmokeTest: -D${var}=... is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/Gate.cmake)
+gate_require(SERVE_BIN REPORT_BIN WORK_DIR)
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(audit_file "${WORK_DIR}/audit.jsonl")
@@ -38,99 +34,58 @@ string(APPEND requests "\
 set(requests_file "${WORK_DIR}/requests.jsonl")
 file(WRITE "${requests_file}" "${requests}")
 
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env
-          "TAAMR_AUDIT_LOG=${audit_file}"
-          "${SERVE_BIN}" --seed 42
-  INPUT_FILE "${requests_file}"
-  WORKING_DIRECTORY "${WORK_DIR}"
-  RESULT_VARIABLE serve_rc
-  OUTPUT_VARIABLE serve_out
-  ERROR_VARIABLE serve_err
-  TIMEOUT 600
-)
-if(NOT serve_rc EQUAL 0)
-  message(FATAL_ERROR "taamr_serve failed (rc=${serve_rc}):\n${serve_out}\n${serve_err}")
-endif()
+gate_run(serve COMMAND ${SERVE_BIN} --seed 42 INPUT "${requests_file}"
+  ENV "TAAMR_AUDIT_LOG=${audit_file}")
 
 # The server answered everything: 2 recommends + 16 updates + stats +
 # shutdown = 20 "ok"-tagged lines (the metrics exposition is not JSON).
 string(REGEX MATCHALL "\"ok\":(true|false)" response_lines "${serve_out}")
 list(LENGTH response_lines response_count)
 if(NOT response_count EQUAL 20)
-  message(FATAL_ERROR "expected 20 JSONL responses, saw ${response_count}:\n${serve_out}")
+  gate_fail("expected 20 JSONL responses, saw ${response_count}:\n${serve_out}")
 endif()
 string(FIND "${serve_out}" "\"ok\":false" any_error)
 if(NOT any_error EQUAL -1)
-  message(FATAL_ERROR "a request errored during the update storm:\n${serve_out}")
+  gate_fail("a request errored during the update storm:\n${serve_out}")
 endif()
 
-# The post-storm recommend carries the debug stage attribution.
-string(FIND "${serve_out}" "\"debug\":{\"request_id\"" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR "debug recommend is missing the stage breakdown:\n${serve_out}")
-endif()
+# The post-storm recommend carries the debug stage attribution; the metrics
+# exposition carries the rolling quantile gauges and its terminator.
+gate_expect_text("serve output" "${serve_out}" "\"debug\":{\"request_id\""
+  "serve_rolling_p50_seconds" "serve_rolling_p99_seconds"
+  "serve_stage_seconds_bucket" "# EOF")
 
-# Metrics exposition: rolling quantile gauges + terminator present.
-foreach(needle
-    "serve_rolling_p50_seconds"
-    "serve_rolling_p99_seconds"
-    "serve_stage_seconds_bucket"
-    "# EOF")
-  string(FIND "${serve_out}" "${needle}" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR "metrics exposition is missing '${needle}':\n${serve_out}")
-  endif()
-endforeach()
-
-# The anomaly scorer must have flagged the storm.
+# The anomaly scorer must have flagged the storm, and stats must agree with
+# the exposition.
 string(REGEX MATCH "serve_suspect_update_total{reason=\"rate\"} ([0-9.]+)"
        suspect_match "${serve_out}")
-if(NOT suspect_match)
-  message(FATAL_ERROR "no serve_suspect_update_total{reason=\"rate\"} sample:\n${serve_out}")
+if(NOT suspect_match OR NOT CMAKE_MATCH_1 GREATER 0)
+  gate_fail("serve_suspect_update_total{reason=\"rate\"} is missing or zero:\n${serve_out}")
 endif()
-if(CMAKE_MATCH_1 LESS_EQUAL 0)
-  message(FATAL_ERROR "serve_suspect_update_total{reason=\"rate\"} is ${CMAKE_MATCH_1}, expected > 0")
-endif()
-
-# Stats agree with the exposition.
 string(REGEX MATCH "\"suspect_updates\":([0-9]+)" stats_match "${serve_out}")
-if(NOT stats_match OR CMAKE_MATCH_1 LESS_EQUAL 0)
-  message(FATAL_ERROR "stats report no suspect updates:\n${serve_out}")
+if(NOT stats_match OR NOT CMAKE_MATCH_1 GREATER 0)
+  gate_fail("stats report no suspect updates:\n${serve_out}")
 endif()
 string(REGEX MATCH "\"audit_records\":([0-9]+)" audit_match "${serve_out}")
 if(NOT audit_match OR NOT CMAKE_MATCH_1 EQUAL 16)
-  message(FATAL_ERROR "stats should report 16 audit records:\n${serve_out}")
+  gate_fail("stats should report 16 audit records:\n${serve_out}")
 endif()
 
 # Audit trail on disk: one record per push, with the forensic fields.
 if(NOT EXISTS "${audit_file}")
-  message(FATAL_ERROR "audit log ${audit_file} was not written")
+  gate_fail("audit log ${audit_file} was not written")
 endif()
 file(STRINGS "${audit_file}" audit_lines)
 list(LENGTH audit_lines audit_count)
 if(NOT audit_count EQUAL 16)
-  message(FATAL_ERROR "expected 16 audit records, found ${audit_count}")
+  gate_fail("expected 16 audit records, found ${audit_count}")
 endif()
 file(READ "${audit_file}" audit_text)
-foreach(needle "\"item\":1" "\"source\":\"update_image\"" "\"suspect\":true"
-        "\"reason\":\"rate\"" "\"rank_shifts\":[" "\"ssim\":")
-  string(FIND "${audit_text}" "${needle}" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR "audit log is missing '${needle}':\n${audit_text}")
-  endif()
-endforeach()
+gate_expect_text("audit log" "${audit_text}" "\"item\":1" "\"source\":\"update_image\""
+  "\"suspect\":true" "\"reason\":\"rate\"" "\"rank_shifts\":[" "\"ssim\":")
 
 # taamr_report validates every record's schema and summarizes the trail.
-execute_process(
-  COMMAND "${REPORT_BIN}" --audit "${audit_file}"
-  RESULT_VARIABLE report_rc
-  OUTPUT_VARIABLE report_out
-  ERROR_VARIABLE report_err
-)
-if(NOT report_rc EQUAL 0)
-  message(FATAL_ERROR "taamr_report rejected the audit log (rc=${report_rc}):\n${report_err}")
-endif()
-message(STATUS "audit summary:\n${report_out}")
+gate_run(audit_report COMMAND ${REPORT_BIN} --audit "${audit_file}")
+message(STATUS "audit summary:\n${audit_report_out}")
 
-message(STATUS "serve observability smoke: storm flagged, metrics + audit validated")
+message(STATUS "${GATE_NAME}: PASS (storm flagged, metrics + audit validated)")

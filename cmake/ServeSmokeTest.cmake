@@ -4,12 +4,8 @@
 #
 # Invoked as:
 #   cmake -DSERVE_BIN=<path> -DWORK_DIR=<dir> -P ServeSmokeTest.cmake
-
-foreach(var SERVE_BIN WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "ServeSmokeTest: -D${var}=... is required")
-  endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/Gate.cmake)
+gate_require(SERVE_BIN WORK_DIR)
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(requests_file "${WORK_DIR}/requests.jsonl")
@@ -26,44 +22,27 @@ file(WRITE "${requests_file}" "\
 {\"op\":\"shutdown\"}
 ")
 
-execute_process(
-  COMMAND "${SERVE_BIN}" --seed 42
-  INPUT_FILE "${requests_file}"
-  WORKING_DIRECTORY "${WORK_DIR}"
-  RESULT_VARIABLE serve_rc
-  OUTPUT_VARIABLE serve_out
-  ERROR_VARIABLE serve_err
-  TIMEOUT 600
-)
-if(NOT serve_rc EQUAL 0)
-  message(FATAL_ERROR "taamr_serve failed (rc=${serve_rc}):\n${serve_out}\n${serve_err}")
-endif()
+gate_run(serve COMMAND ${SERVE_BIN} --seed 42 INPUT "${requests_file}")
 
 # Every exchange the driver must have answered correctly.
-foreach(needle
-    "taamr_serve: ready"          # pipeline prepared, models registered
-    "\"vbpr\""                    # models response lists both entries
-    "\"bpr_mf\""
-    "\"cached\":false"            # first recommend is a cold miss
-    "\"cached\":true"             # identical repeat is served from cache
-    "\"feature_epoch\":1"         # update_image advanced the epoch and the
-                                  # next recommend reflects it
-    "unknown model"               # descriptive error, not a crash
-    "\"ok\":false"
-    "\"requests\":"               # stats carry the counters
-    )
-  string(FIND "${serve_out}" "${needle}" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR "serve output is missing '${needle}':\n${serve_out}")
-  endif()
-endforeach()
+gate_expect_text("serve output" "${serve_out}"
+  "taamr_serve: ready"          # pipeline prepared, models registered
+  "\"vbpr\""                    # models response lists both entries
+  "\"bpr_mf\""
+  "\"cached\":false"            # first recommend is a cold miss
+  "\"cached\":true"             # identical repeat is served from cache
+  "\"feature_epoch\":1"         # update_image advanced the epoch and the
+                                # next recommend reflects it
+  "unknown model"               # descriptive error, not a crash
+  "\"ok\":false"
+  "\"requests\":")              # stats carry the counters
 
 # One response per request: 10 requests in, 10 "ok"-tagged JSON lines out
 # (every formatter leads with the ok field; shutdown acks before exiting).
 string(REGEX MATCHALL "\"ok\":(true|false)" response_lines "${serve_out}")
 list(LENGTH response_lines response_count)
 if(NOT response_count EQUAL 10)
-  message(FATAL_ERROR "expected 10 JSONL responses, saw ${response_count}:\n${serve_out}")
+  gate_fail("expected 10 JSONL responses, saw ${response_count}:\n${serve_out}")
 endif()
 
-message(STATUS "taamr_serve smoke: ${response_count} responses validated")
+message(STATUS "${GATE_NAME}: PASS (${response_count} responses validated)")

@@ -1,6 +1,5 @@
 # SIMD substrate gate, run via
 #   cmake -DBENCH_BIN=<micro_substrate> -DWORK_DIR=... -P SimdSubstrateGate.cmake
-# Optional: -DMIN_SPEEDUP=<x> (default 2.0).
 #
 # Runs micro_substrate with every google-benchmark filtered out (the probe
 # section at the end still executes) and pins the AVX2-over-scalar GEMM
@@ -8,54 +7,26 @@
 #   1. the run itself must exit zero (the probe enforces scalar/AVX2
 #      elementwise parity and serial/pooled bit-identity internally),
 #   2. when the artifact carries an avx2-labelled sample the recorded
-#      gemm_simd_speedup must be at least MIN_SPEEDUP.
+#      gemm_simd_speedup must be at least 2.0.
 # Hosts without AVX2+FMA pass trivially: the probe books speedup = 1 and no
 # avx2-labelled sample, so there is nothing to pin.
-cmake_minimum_required(VERSION 3.16)
-
-foreach(var BENCH_BIN WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "SimdSubstrateGate: ${var} not set")
-  endif()
-endforeach()
-if(NOT DEFINED MIN_SPEEDUP)
-  set(MIN_SPEEDUP 2.0)
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/Gate.cmake)
+gate_require(BENCH_BIN WORK_DIR)
+set(min_speedup 2.0)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env
-          "TAAMR_BENCH_DIR=${WORK_DIR}"
-          ${BENCH_BIN} --benchmark_filter=^$
-  RESULT_VARIABLE rc
-  OUTPUT_FILE "${WORK_DIR}/stdout.log"
-  ERROR_FILE "${WORK_DIR}/stderr.log"
-)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "SimdSubstrateGate: micro_substrate failed (rc=${rc}) — parity probe tripped?")
-endif()
+gate_run(micro_substrate COMMAND ${BENCH_BIN} --benchmark_filter=^$
+  ENV "TAAMR_BENCH_DIR=${WORK_DIR}")
 
 set(artifact "${WORK_DIR}/BENCH_micro_substrate.json")
-if(NOT EXISTS "${artifact}")
-  message(FATAL_ERROR "SimdSubstrateGate: no ${artifact}")
-endif()
-file(READ "${artifact}" text)
-
-if(NOT text MATCHES "\"simd_variant\":\"avx2\"")
-  message(STATUS "SimdSubstrateGate: PASS (AVX2 unavailable on this host; speedup not pinned)")
+gate_find_metric(avx2 "${artifact}" gemm_gflops threads=1 simd_variant=avx2)
+if(avx2 STREQUAL "NOTFOUND")
+  message(STATUS "${GATE_NAME}: PASS (AVX2 unavailable on this host; speedup not pinned)")
   return()
 endif()
-
-if(NOT text MATCHES "\"name\":\"gemm_simd_speedup\",\"labels\":{},\"value\":([0-9.]+)")
-  message(FATAL_ERROR "SimdSubstrateGate: no gemm_simd_speedup metric in artifact")
+gate_metric(speedup "${artifact}" gemm_simd_speedup)
+if(speedup LESS min_speedup)
+  gate_fail("AVX2 GEMM speedup ${speedup}x is below the ${min_speedup}x floor")
 endif()
-set(speedup ${CMAKE_MATCH_1})
-
-# VERSION_LESS gives a numeric, component-wise comparison of the decimal
-# strings ("11.3" vs "2.0"), which plain LESS does not guarantee for reals.
-if(speedup VERSION_LESS MIN_SPEEDUP)
-  message(FATAL_ERROR "SimdSubstrateGate: AVX2 GEMM speedup ${speedup}x is below the ${MIN_SPEEDUP}x floor")
-endif()
-message(STATUS "SimdSubstrateGate: PASS (AVX2 GEMM speedup ${speedup}x >= ${MIN_SPEEDUP}x)")
+message(STATUS "${GATE_NAME}: PASS (AVX2 GEMM speedup ${speedup}x >= ${min_speedup}x)")
