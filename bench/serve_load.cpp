@@ -68,7 +68,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -129,19 +128,13 @@ std::vector<std::int64_t> env_shard_sweep() {
   return out;
 }
 
-// Golden top-n through the exact arithmetic path the service uses
-// (score_users tile + canonical tie-break), so served lists must match
-// bit-for-bit.
+// Golden top-n from the ranker for the same single-user tile the service's
+// miss path ranks, so served lists must match bit-for-bit.
 std::vector<recsys::ScoredItem> golden_topn(const data::ImplicitDataset& dataset,
                                             const recsys::Recommender& model,
                                             std::int64_t user, std::int64_t n) {
-  std::vector<float> row(static_cast<std::size_t>(dataset.num_items));
   const std::int64_t users[1] = {user};
-  model.score_users({users, 1}, row);
-  for (const std::int32_t it : dataset.train[static_cast<std::size_t>(user)]) {
-    row[static_cast<std::size_t>(it)] = -std::numeric_limits<float>::infinity();
-  }
-  return recsys::top_n_from_row(row, n, /*drop_masked=*/true);
+  return recsys::rank_users(model, dataset, users, n).front();
 }
 
 // Canonical order + no training items: a torn or stale list trips one of

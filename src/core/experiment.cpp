@@ -41,8 +41,7 @@ struct AttackKey {
 
 Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
                               const AttackScenario& scenario,
-                              const AttackProducts& products, std::int64_t top_n) {
-  (void)top_n;
+                              const AttackProducts& products) {
   Fig2Example ex;
   ex.source_category = scenario.source_category;
   ex.target_category = scenario.target_category;
@@ -231,7 +230,7 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
   AttackProducts& fig2_products =
       get_products(vbpr_scenarios.front(), "pgd", 8.0f);
   results.fig2 =
-      make_fig2_example(pipeline, *vbpr, vbpr_scenarios.front(), fig2_products, top_n);
+      make_fig2_example(pipeline, *vbpr, vbpr_scenarios.front(), fig2_products);
 
   return results;
 }

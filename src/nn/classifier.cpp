@@ -1,7 +1,6 @@
 #include "nn/classifier.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -72,16 +71,8 @@ TrainStats Classifier::train_epoch(const Tensor& images,
       }
     }
   }
-  double grad_sq = 0.0;
-  for (const Param* p : model_.net.params()) {
-    if (!p->trainable) continue;
-    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
-      grad_sq += static_cast<double>(p->grad[i]) * p->grad[i];
-    }
-  }
   return TrainStats{static_cast<float>(loss_sum / static_cast<double>(n)),
-                    static_cast<double>(correct) / static_cast<double>(n),
-                    std::sqrt(grad_sq)};
+                    static_cast<double>(correct) / static_cast<double>(n)};
 }
 
 void Classifier::fit(const Tensor& images, const std::vector<std::int64_t>& labels,
@@ -144,9 +135,7 @@ std::vector<std::int64_t> Classifier::predict(const Tensor& images) {
 }
 
 double Classifier::evaluate_accuracy(const Tensor& images,
-                                     const std::vector<std::int64_t>& labels,
-                                     std::int64_t batch_size) {
-  (void)batch_size;
+                                     const std::vector<std::int64_t>& labels) {
   return accuracy(logits(images), labels);
 }
 

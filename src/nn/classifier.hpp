@@ -18,9 +18,6 @@ namespace taamr::nn {
 struct TrainStats {
   float loss = 0.0f;
   double accuracy = 0.0;
-  // L2 norm of the parameter gradient after the epoch's last batch — a
-  // cheap convergence/explosion signal for the run log.
-  double grad_norm = 0.0;
 };
 
 class Classifier {
@@ -44,8 +41,7 @@ class Classifier {
   Tensor logits(const Tensor& images);
   Tensor probabilities(const Tensor& images);
   std::vector<std::int64_t> predict(const Tensor& images);
-  double evaluate_accuracy(const Tensor& images, const std::vector<std::int64_t>& labels,
-                           std::int64_t batch_size = 64);
+  double evaluate_accuracy(const Tensor& images, const std::vector<std::int64_t>& labels);
 
   // Learned image features f_e(x) at the global-average-pool layer: [N, D].
   Tensor features(const Tensor& images);

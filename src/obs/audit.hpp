@@ -32,9 +32,12 @@
 
 namespace taamr::obs {
 
+// Where the updated item ranks for one probe user: recsys::item_rank minus
+// one (0-based, training items excluded), or -1 on both sides when the
+// probe user trained on the item.
 struct RankShift {
   std::int64_t user = 0;
-  std::int64_t before = 0;  // 0-based rank prior to the update
+  std::int64_t before = 0;  // rank prior to the update
   std::int64_t after = 0;
 };
 

@@ -9,8 +9,7 @@
 
 namespace taamr::recsys {
 
-std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t n,
-                                       bool drop_masked) {
+std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t n) {
   if (n <= 0) throw std::invalid_argument("top_n_from_row: non-positive N");
   const std::int64_t num_items = static_cast<std::int64_t>(row.size());
   const std::int64_t top = std::min(n, num_items);
@@ -27,48 +26,61 @@ std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t 
   out.reserve(static_cast<std::size_t>(top));
   for (std::int64_t r = 0; r < top; ++r) {
     const float s = row[static_cast<std::size_t>(idx[static_cast<std::size_t>(r)])];
-    if (drop_masked && s == -std::numeric_limits<float>::infinity()) break;
+    if (s == -std::numeric_limits<float>::infinity()) break;
     out.push_back({idx[static_cast<std::size_t>(r)], s});
   }
   return out;
 }
 
-std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
-                                                   const data::ImplicitDataset& dataset,
-                                                   std::int64_t n, bool exclude_train) {
-  if (n <= 0) throw std::invalid_argument("top_n_lists: non-positive N");
+std::vector<std::vector<ScoredItem>> rank_users(const Recommender& model,
+                                                const data::ImplicitDataset& dataset,
+                                                std::span<const std::int64_t> users,
+                                                std::int64_t n) {
+  if (n <= 0) throw std::invalid_argument("rank_users: non-positive N");
   if (model.num_users() != dataset.num_users || model.num_items() != dataset.num_items) {
-    throw std::invalid_argument("top_n_lists: model/dataset size mismatch");
+    throw std::invalid_argument("rank_users: model/dataset size mismatch");
   }
-  const std::int64_t num_items = dataset.num_items;
-  const std::int64_t top = std::min(n, num_items);
-  std::vector<std::vector<std::int32_t>> lists(
-      static_cast<std::size_t>(dataset.num_users));
+  for (const std::int64_t u : users) {
+    if (u < 0 || u >= dataset.num_users) {
+      throw std::invalid_argument("rank_users: user out of range");
+    }
+  }
+  const std::size_t num_items = static_cast<std::size_t>(dataset.num_items);
+  std::vector<std::vector<ScoredItem>> lists(users.size());
 
-  // Users are scored in tiles through Recommender::score_block so models
-  // with matrix structure batch a whole tile into GEMMs. Tiles run on the
-  // pool; the GEMMs inside then execute inline on the worker (nesting-safe)
-  // while a single-tile call still parallelizes inside the GEMM itself.
-  constexpr std::int64_t kUserTile = 64;
-  const std::int64_t num_tiles = (dataset.num_users + kUserTile - 1) / kUserTile;
-  parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t t) {
-    const std::int64_t u0 = static_cast<std::int64_t>(t) * kUserTile;
-    const std::int64_t u1 = std::min(dataset.num_users, u0 + kUserTile);
-    std::vector<float> scores(static_cast<std::size_t>((u1 - u0) * num_items));
-    model.score_block(u0, u1, scores);
-    for (std::int64_t u = u0; u < u1; ++u) {
-      float* row = scores.data() + (u - u0) * num_items;
-      if (exclude_train) {
-        for (std::int32_t item : dataset.train[static_cast<std::size_t>(u)]) {
-          row[item] = -std::numeric_limits<float>::infinity();
-        }
+  // Tiles run on the pool; the GEMMs inside then execute inline on the
+  // worker (nesting-safe) while a single-tile call still parallelizes
+  // inside the GEMM itself.
+  constexpr std::size_t kUserTile = 64;
+  const std::size_t num_tiles = (users.size() + kUserTile - 1) / kUserTile;
+  parallel_for(0, num_tiles, [&](std::size_t t) {
+    const std::size_t first = t * kUserTile;
+    const std::span<const std::int64_t> tile =
+        users.subspan(first, std::min(kUserTile, users.size() - first));
+    std::vector<float> scores(tile.size() * num_items);
+    model.score_users(tile, scores);
+    for (std::size_t r = 0; r < tile.size(); ++r) {
+      const std::span<float> row(scores.data() + r * num_items, num_items);
+      for (const std::int32_t item : dataset.train[static_cast<std::size_t>(tile[r])]) {
+        row[static_cast<std::size_t>(item)] = -std::numeric_limits<float>::infinity();
       }
-      const auto ranked = top_n_from_row({row, static_cast<std::size_t>(num_items)}, top);
-      std::vector<std::int32_t> ids(ranked.size());
-      for (std::size_t r = 0; r < ranked.size(); ++r) ids[r] = ranked[r].item;
-      lists[static_cast<std::size_t>(u)] = std::move(ids);
+      lists[first + r] = top_n_from_row(row, n);
     }
   });
+  return lists;
+}
+
+std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
+                                                   const data::ImplicitDataset& dataset,
+                                                   std::int64_t n) {
+  std::vector<std::int64_t> users(static_cast<std::size_t>(dataset.num_users));
+  std::iota(users.begin(), users.end(), 0);
+  const std::vector<std::vector<ScoredItem>> ranked = rank_users(model, dataset, users, n);
+  std::vector<std::vector<std::int32_t>> lists(ranked.size());
+  for (std::size_t u = 0; u < ranked.size(); ++u) {
+    lists[u].reserve(ranked[u].size());
+    for (const ScoredItem& s : ranked[u]) lists[u].push_back(s.item);
+  }
   return lists;
 }
 

@@ -1,4 +1,6 @@
 // Top-N recommendation lists (the "Preference Sorting" stage of Fig. 1).
+// rank_users is the one path from scores to lists: the offline evaluation
+// (top_n_lists) and the serving layer's cache misses both go through it.
 #pragma once
 
 #include <cstdint>
@@ -20,19 +22,24 @@ struct ScoredItem {
 // Top-n (item, score) pairs of one scored row, with the canonical ranking
 // order used everywhere in the repo: score descending, then item id
 // ascending (the deterministic tie-break serve-side result caching relies
-// on). Callers mask excluded items to -inf; when drop_masked is set those
-// entries are removed from the result (the serving behaviour) instead of
-// trailing it (the offline-evaluation behaviour top_n_lists keeps).
-std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t n,
-                                       bool drop_masked = false);
+// on). Callers mask excluded items to -inf; those entries are dropped, so
+// the result can be shorter than min(n, row.size()).
+std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t n);
 
-// Per-user top-N item lists, best first. Training items are excluded when
-// exclude_train is set (the usual evaluation protocol; the CHR definition
-// sums over I_c \ I_u^+, which this implements).
+// Top-n lists for `users` (any order, duplicates allowed), best first, one
+// per entry of `users`. Training items are never listed: the CHR definition
+// sums over I_c \ I_u^+. Users are scored in 64-user tiles on the thread
+// pool through Recommender::score_users, so models with matrix structure
+// batch each tile into GEMMs.
+std::vector<std::vector<ScoredItem>> rank_users(const Recommender& model,
+                                                const data::ImplicitDataset& dataset,
+                                                std::span<const std::int64_t> users,
+                                                std::int64_t n);
+
+// rank_users over every user, item ids only.
 std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
                                                    const data::ImplicitDataset& dataset,
-                                                   std::int64_t n,
-                                                   bool exclude_train = true);
+                                                   std::int64_t n);
 
 // 1-based rank of `item` in user's full ranking (training items excluded),
 // i.e. the "rec. position" reported in the paper's Fig. 2. Returns -1 when

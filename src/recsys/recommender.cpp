@@ -6,19 +6,6 @@ namespace taamr::recsys {
 
 Recommender::~Recommender() = default;
 
-void Recommender::score_block(std::int64_t u_begin, std::int64_t u_end,
-                              std::span<float> out) const {
-  const std::int64_t items = num_items();
-  if (u_begin < 0 || u_end < u_begin || u_end > num_users() ||
-      static_cast<std::int64_t>(out.size()) != (u_end - u_begin) * items) {
-    throw std::invalid_argument("score_block: bad user range / output size");
-  }
-  for (std::int64_t u = u_begin; u < u_end; ++u) {
-    score_all(u, out.subspan(static_cast<std::size_t>((u - u_begin) * items),
-                             static_cast<std::size_t>(items)));
-  }
-}
-
 void Recommender::score_users(std::span<const std::int64_t> users,
                               std::span<float> out) const {
   const std::int64_t items = num_items();

@@ -94,7 +94,7 @@ void Vbpr::rebuild_caches() {
   // theta_i = E f_i for all items: [I, D] x [A, D]^T -> [I, A].
   theta_cache_ = ops::matmul(features_, embedding_, /*trans_a=*/false, /*trans_b=*/true);
   visual_bias_cache_ = ops::matvec(features_, visual_bias_);
-  // score_block right-hand sides, transposed once so every ranking pass
+  // score_users right-hand sides, transposed once so every ranking pass
   // runs plain NN GEMMs without re-materializing Q^T / Theta^T.
   item_factors_t_ = transposed_2d(item_factors_);
   theta_cache_t_ = transposed_2d(theta_cache_);
@@ -152,13 +152,31 @@ void Vbpr::score_all(std::int64_t user, std::span<float> out) const {
             static_cast<double>(num_items()) * static_cast<double>(k + a) * 8.0);
 }
 
-void Vbpr::score_user_rows(const Tensor& p_block, const Tensor& a_block,
-                           std::span<float> out) const {
-  const std::int64_t users = p_block.dim(0);
+void Vbpr::score_users(std::span<const std::int64_t> users,
+                       std::span<float> out) const {
+  require_fresh_caches();
   const std::int64_t items = num_items();
+  if (out.size() != users.size() * static_cast<std::size_t>(items)) {
+    throw std::invalid_argument("Vbpr::score_users: bad output size");
+  }
+  if (users.empty()) return;
+  const std::int64_t rows = static_cast<std::int64_t>(users.size());
+  const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
+  Tensor p_block({rows, k});
+  Tensor a_block({rows, a});
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t u = users[static_cast<std::size_t>(r)];
+    if (u < 0 || u >= num_users()) {
+      throw std::invalid_argument("Vbpr::score_users: user out of range");
+    }
+    std::memcpy(p_block.data() + r * k, user_factors_.data() + u * k,
+                static_cast<std::size_t>(k) * sizeof(float));
+    std::memcpy(a_block.data() + r * a, user_visual_.data() + u * a,
+                static_cast<std::size_t>(a) * sizeof(float));
+  }
   Tensor s = ops::matmul(p_block, item_factors_t_);        // [U_b, I]
   ops::matmul_accumulate(s, a_block, theta_cache_t_);      // += alpha Theta^T
-  for (std::int64_t r = 0; r < users; ++r) {
+  for (std::int64_t r = 0; r < rows; ++r) {
     const float* srow = s.data() + r * items;
     float* orow = out.data() + r * items;
     for (std::int64_t i = 0; i < items; ++i) {
@@ -168,57 +186,8 @@ void Vbpr::score_user_rows(const Tensor& p_block, const Tensor& a_block,
   // The GEMMs book themselves under the gemm family; the bias broadcast is
   // the remaining per-score work.
   cost::add(cost::Kernel::kRecsysScore,
-            static_cast<double>(users) * static_cast<double>(items) * 2.0,
-            static_cast<double>(users) * static_cast<double>(items) * 12.0);
-}
-
-void Vbpr::score_block(std::int64_t u_begin, std::int64_t u_end,
-                       std::span<float> out) const {
-  require_fresh_caches();
-  const std::int64_t items = num_items();
-  if (u_begin < 0 || u_end < u_begin || u_end > num_users() ||
-      static_cast<std::int64_t>(out.size()) != (u_end - u_begin) * items) {
-    throw std::invalid_argument("Vbpr::score_block: bad user range / output size");
-  }
-  const std::int64_t users = u_end - u_begin;
-  if (users == 0) return;
-  const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
-
-  // Gather the block's user rows (contiguous in P / alpha) and run the two
-  // GEMMs against the cached transposes; the bias terms broadcast per item.
-  Tensor p_block({users, k});
-  std::memcpy(p_block.data(), user_factors_.data() + u_begin * k,
-              static_cast<std::size_t>(users * k) * sizeof(float));
-  Tensor a_block({users, a});
-  std::memcpy(a_block.data(), user_visual_.data() + u_begin * a,
-              static_cast<std::size_t>(users * a) * sizeof(float));
-  score_user_rows(p_block, a_block, out);
-}
-
-void Vbpr::score_users(std::span<const std::int64_t> users,
-                       std::span<float> out) const {
-  require_fresh_caches();
-  const std::int64_t items = num_items();
-  if (out.size() != users.size() * static_cast<std::size_t>(items)) {
-    throw std::invalid_argument("Vbpr::score_users: bad output size");
-  }
-  if (users.empty()) return;
-  const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
-  Tensor p_block({static_cast<std::int64_t>(users.size()), k});
-  Tensor a_block({static_cast<std::int64_t>(users.size()), a});
-  for (std::size_t r = 0; r < users.size(); ++r) {
-    const std::int64_t u = users[r];
-    if (u < 0 || u >= num_users()) {
-      throw std::invalid_argument("Vbpr::score_users: user out of range");
-    }
-    std::memcpy(p_block.data() + static_cast<std::int64_t>(r) * k,
-                user_factors_.data() + u * k,
-                static_cast<std::size_t>(k) * sizeof(float));
-    std::memcpy(a_block.data() + static_cast<std::int64_t>(r) * a,
-                user_visual_.data() + u * a,
-                static_cast<std::size_t>(a) * sizeof(float));
-  }
-  score_user_rows(p_block, a_block, out);
+            static_cast<double>(rows) * static_cast<double>(items) * 2.0,
+            static_cast<double>(rows) * static_cast<double>(items) * 12.0);
 }
 
 float Vbpr::train_epoch(const data::ImplicitDataset& dataset, Rng& rng,

@@ -67,13 +67,10 @@ class Vbpr : public Recommender {
   std::int64_t num_items() const override { return item_factors_.dim(0); }
   float score(std::int64_t user, std::int32_t item) const override;
   void score_all(std::int64_t user, std::span<float> out) const override;
-  // Batched scoring of a user block as two GEMMs over the cached item
-  // matrices: S = P_b Q^T + A_b Theta^T + (b_i + beta.f_i) broadcast.
-  // Routes ranking through the blocked GEMM kernel.
-  void score_block(std::int64_t u_begin, std::int64_t u_end,
-                   std::span<float> out) const override;
-  // Same two-GEMM path for an arbitrary user set (the serving tile): the
-  // rows of P and alpha are gathered, then scored exactly like score_block.
+  // Batched scoring of an arbitrary user set as two GEMMs over the cached
+  // item matrices: the rows of P and alpha are gathered, then
+  // S = P_b Q^T + A_b Theta^T + (b_i + beta.f_i) broadcast. Routes ranking
+  // (recsys::rank_users) through the blocked GEMM kernel.
   void score_users(std::span<const std::int64_t> users,
                    std::span<float> out) const override;
   std::string name() const override { return "VBPR"; }
@@ -96,10 +93,6 @@ class Vbpr : public Recommender {
   // Rebuilds theta_cache_ (= E f_i) and visual_bias_cache_ (= beta . f_i).
   void rebuild_caches();
   void require_fresh_caches() const;
-  // Shared GEMM path of score_block/score_users: scores the gathered user
-  // rows p_block [U_b, K] / a_block [U_b, A] against every item.
-  void score_user_rows(const Tensor& p_block, const Tensor& a_block,
-                       std::span<float> out) const;
 
   VbprConfig config_;
   FeatureTransform transform_;
@@ -112,7 +105,7 @@ class Vbpr : public Recommender {
   Tensor visual_bias_;    // beta: [D]
   Tensor theta_cache_;        // [I, A]
   Tensor visual_bias_cache_;  // [I]
-  // Transposed copies of Q and Theta for score_block's GEMMs ([K, I] and
+  // Transposed copies of Q and Theta for score_users' GEMMs ([K, I] and
   // [A, I]); refreshed by rebuild_caches alongside the caches above.
   Tensor item_factors_t_;  // [K, I]
   Tensor theta_cache_t_;   // [A, I]

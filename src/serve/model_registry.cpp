@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/bpr_mf.hpp"
@@ -99,25 +98,6 @@ void ModelRegistry::load_bpr_mf(const std::string& name, const std::string& path
   TAAMR_TRACE_SPAN("serve/model_load");
   auto model = std::make_shared<recsys::BprMf>(recsys::BprMf::load_file(path, dataset_));
   register_model(name, std::move(model), /*visual=*/false);
-}
-
-void ModelRegistry::register_classifier(const std::string& name,
-                                        std::shared_ptr<nn::Classifier> c) {
-  if (!c) throw std::invalid_argument("ModelRegistry: null classifier for " + name);
-  std::lock_guard<std::mutex> lock(mutex_);
-  classifiers_[name] = std::move(c);
-}
-
-void ModelRegistry::load_classifier(const std::string& name, const std::string& path) {
-  TAAMR_TRACE_SPAN("serve/model_load");
-  auto c = std::make_shared<nn::Classifier>(nn::load_classifier_file(path));
-  register_classifier(name, std::move(c));
-}
-
-std::shared_ptr<nn::Classifier> ModelRegistry::classifier(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = classifiers_.find(name);
-  return it == classifiers_.end() ? nullptr : it->second;
 }
 
 }  // namespace taamr::serve

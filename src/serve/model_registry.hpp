@@ -13,9 +13,8 @@
 //                      recommend_service.hpp).
 //
 // Checkpoint loaders cover every model family that can serve: VBPR/AMR via
-// Vbpr::load (an AMR checkpoint loads as a Vbpr and scores identically),
-// BPR-MF via BprMf::load, and the CNN feature extractor via nn/serialize
-// (kept for the re-extraction path of live image swaps).
+// Vbpr::load (an AMR checkpoint loads as a Vbpr and scores identically) and
+// BPR-MF via BprMf::load.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "data/interactions.hpp"
-#include "nn/classifier.hpp"
 #include "recsys/recommender.hpp"
 
 namespace taamr::serve {
@@ -71,14 +69,6 @@ class ModelRegistry {
   void load_vbpr(const std::string& name, const std::string& path);
   void load_bpr_mf(const std::string& name, const std::string& path);
 
-  // Classifier (feature extractor) slots — used to re-extract features from
-  // swapped product images. Extraction is not const on Classifier, so
-  // callers must serialize their use (RecommendService's update lock does).
-  void register_classifier(const std::string& name, std::shared_ptr<nn::Classifier> c);
-  void load_classifier(const std::string& name, const std::string& path);
-  // nullptr when absent.
-  std::shared_ptr<nn::Classifier> classifier(const std::string& name) const;
-
   const data::ImplicitDataset& dataset() const { return dataset_; }
 
  private:
@@ -92,7 +82,6 @@ class ModelRegistry {
   const data::ImplicitDataset& dataset_;
   mutable std::mutex mutex_;
   std::map<std::string, Entry> models_;
-  std::map<std::string, std::shared_ptr<nn::Classifier>> classifiers_;
 };
 
 }  // namespace taamr::serve

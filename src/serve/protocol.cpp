@@ -174,7 +174,9 @@ std::string format_stats(const RecommendService::Stats& stats) {
   out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
   out += ",\"cache_misses\":" + std::to_string(stats.cache_misses);
   out += ",\"cache_revalidated\":" + std::to_string(stats.cache_revalidated);
-  out += ",\"coalesced_batches\":" + std::to_string(stats.coalesced_batches);
+  // Always 0: no request path batches misses. The key stays because the
+  // benchmark's stats reader (benchmark/src/serve_workloads.cpp) requires it.
+  out += ",\"coalesced_batches\":0";
   out += ",\"feature_swaps\":" + std::to_string(stats.feature_swaps);
   out += ",\"slow_requests\":" + std::to_string(stats.slow_requests);
   out += ",\"deadline_breaches\":" + std::to_string(stats.deadline_breaches);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -11,26 +10,8 @@
 #include "recsys/ranker.hpp"
 #include "recsys/vbpr.hpp"
 #include "util/env.hpp"
-#include "util/thread_pool.hpp"
 
 namespace taamr::serve {
-
-namespace {
-
-// Users per gathered GEMM tile when scoring a batch of misses.
-constexpr std::int64_t kScoreTile = 64;
-
-Recommendation cached_recommendation(std::int64_t user, CacheEntry entry) {
-  Recommendation rec;
-  rec.user = user;
-  rec.items = std::move(entry.items);
-  rec.cached = true;
-  rec.model_version = entry.model_version;
-  rec.feature_epoch = entry.feature_epoch;
-  return rec;
-}
-
-}  // namespace
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig c;
@@ -117,7 +98,9 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
       continue;
     }
     // Could the changed item displace the tail under the canonical
-    // score-desc / id-asc order?
+    // score-desc / id-asc order? Known gap: score() and the score_users
+    // GEMM that built the tail can differ in the low bits, so a near tie
+    // is not decided exactly (DESIGN.md §8).
     const float s = snap.model->score(key.user, c);
     const recsys::ScoredItem& tail = entry->items.back();
     if (s > tail.score || (s == tail.score && c < tail.item)) {
@@ -133,71 +116,6 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
   hits_.fetch_add(1, std::memory_order_relaxed);
   revalidated_.fetch_add(1, std::memory_order_relaxed);
   return entry;
-}
-
-void RecommendService::score_misses(const ModelRegistry::Snapshot& snap,
-                                    const std::string& model,
-                                    std::span<const std::int64_t> users, std::int64_t n,
-                                    std::span<Recommendation*> out) {
-  TAAMR_TRACE_SPAN("serve/score_batch");
-  const std::int64_t num_items = dataset_.num_items;
-  const std::int64_t count = static_cast<std::int64_t>(users.size());
-  std::vector<float> scores(static_cast<std::size_t>(count * num_items));
-  const std::int64_t num_tiles = (count + kScoreTile - 1) / kScoreTile;
-  taamr::parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t t) {
-    const std::int64_t begin = static_cast<std::int64_t>(t) * kScoreTile;
-    const std::int64_t end = std::min<std::int64_t>(begin + kScoreTile, count);
-    std::span<float> tile(scores.data() + begin * num_items,
-                          static_cast<std::size_t>((end - begin) * num_items));
-    snap.model->score_users(users.subspan(static_cast<std::size_t>(begin),
-                                          static_cast<std::size_t>(end - begin)),
-                            tile);
-    for (std::int64_t r = begin; r < end; ++r) {
-      float* row = scores.data() + r * num_items;
-      const std::int64_t user = users[static_cast<std::size_t>(r)];
-      for (const std::int32_t it : dataset_.train[static_cast<std::size_t>(user)]) {
-        row[it] = -std::numeric_limits<float>::infinity();
-      }
-      Recommendation& rec = *out[static_cast<std::size_t>(r)];
-      rec.user = user;
-      rec.items = recsys::top_n_from_row({row, static_cast<std::size_t>(num_items)},
-                                         n, /*drop_masked=*/true);
-      rec.cached = false;
-      rec.model_version = snap.version;
-      rec.feature_epoch = snap.feature_epoch;
-      cache_.put(CacheKey{model, user, n},
-                 CacheEntry{rec.items, snap.version, snap.feature_epoch});
-    }
-  });
-}
-
-std::vector<Recommendation> RecommendService::recommend_batch(
-    const std::string& model, std::span<const std::int64_t> users, std::int64_t n) {
-  if (n <= 0) throw std::invalid_argument("recommend_batch: n must be positive");
-  for (const std::int64_t u : users) {
-    if (u < 0 || u >= dataset_.num_users) {
-      throw std::invalid_argument("recommend_batch: user out of range");
-    }
-  }
-  const ModelRegistry::Snapshot snap = registry_.get(model);
-  count_requests(model, users.size());
-
-  std::vector<Recommendation> results(users.size());
-  std::vector<std::int64_t> miss_users;
-  std::vector<Recommendation*> miss_out;
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (std::optional<CacheEntry> entry = lookup(CacheKey{model, users[i], n}, snap)) {
-      results[i] = cached_recommendation(users[i], std::move(*entry));
-    } else {
-      miss_users.push_back(users[i]);
-      miss_out.push_back(&results[i]);
-    }
-  }
-  if (miss_users.size() > 1) {
-    coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!miss_users.empty()) score_misses(snap, model, miss_users, n, miss_out);
-  return results;
 }
 
 void RecommendService::observe_request(double seconds) {
@@ -220,13 +138,6 @@ void RecommendService::observe_request(double seconds) {
   }
 }
 
-void RecommendService::count_requests(const std::string& model, std::size_t count) {
-  requests_.fetch_add(count, std::memory_order_relaxed);
-  obs::MetricsRegistry::global()
-      .counter("serve_requests_total", {{"model", model}})
-      .add(static_cast<double>(count));
-}
-
 Recommendation RecommendService::recommend(const std::string& model, std::int64_t user,
                                            std::int64_t n, obs::RequestContext* ctx) {
   TAAMR_TRACE_SPAN("serve/request");
@@ -236,37 +147,33 @@ Recommendation RecommendService::recommend(const std::string& model, std::int64_
     throw std::invalid_argument("recommend: user out of range");
   }
   const ModelRegistry::Snapshot snap = registry_.get(model);
-  count_requests(model, 1);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  obs::MetricsRegistry::global()
+      .counter("serve_requests_total", {{"model", model}})
+      .increment();
 
   Recommendation rec;
-  std::optional<CacheEntry> entry = lookup(CacheKey{model, user, n}, snap);
+  rec.user = user;
+  const CacheKey key{model, user, n};
+  std::optional<CacheEntry> entry = lookup(key, snap);
   if (ctx != nullptr) ctx->mark("cache_lookup");
   if (entry.has_value()) {
-    rec = cached_recommendation(user, std::move(*entry));
+    rec.items = std::move(entry->items);
+    rec.cached = true;
+    rec.model_version = entry->model_version;
+    rec.feature_epoch = entry->feature_epoch;
   } else {
+    TAAMR_TRACE_SPAN("serve/score");
     const std::int64_t users[1] = {user};
-    Recommendation* out[1] = {&rec};
-    score_misses(snap, model, users, n, out);
+    rec.items = std::move(recsys::rank_users(*snap.model, dataset_, users, n).front());
+    rec.model_version = snap.version;
+    rec.feature_epoch = snap.feature_epoch;
+    cache_.put(key, CacheEntry{rec.items, snap.version, snap.feature_epoch});
     if (ctx != nullptr) ctx->mark("score");
   }
   observe_request(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   return rec;
-}
-
-std::int64_t RecommendService::item_rank(const recsys::Recommender& model,
-                                         std::int64_t user,
-                                         std::int64_t item) const {
-  const float target = model.score(user, item);
-  std::int64_t rank = 0;
-  for (std::int64_t j = 0; j < dataset_.num_items; ++j) {
-    if (j == item) continue;
-    if (dataset_.user_interacted(user, static_cast<std::int32_t>(j))) continue;
-    const float s = model.score(user, j);
-    // Canonical serving order: score desc, id asc on ties.
-    if (s > target || (s == target && j < item)) ++rank;
-  }
-  return rank;
 }
 
 std::uint64_t RecommendService::update_item_features(std::int64_t item,
@@ -301,10 +208,16 @@ std::uint64_t RecommendService::update_item_features(std::int64_t item,
     if (auditing && record.rank_shifts.empty()) {
       // Rank-shift sample against the first visual model: where did the
       // pushed item sit for a few probe users before and after this swap?
+      // 0-based; -1 when the probe user trained on the item.
+      const auto probe_rank = [&](const recsys::Recommender& m, std::int64_t u) {
+        const std::int64_t r =
+            recsys::item_rank(m, dataset_, u, static_cast<std::int32_t>(item));
+        return r < 0 ? r : r - 1;
+      };
       const std::int64_t probes = std::min<std::int64_t>(3, dataset_.num_users);
       for (std::int64_t u = 0; u < probes; ++u) {
-        record.rank_shifts.push_back(obs::RankShift{
-            u, item_rank(*snap.model, u, item), item_rank(*rebuilt, u, item)});
+        record.rank_shifts.push_back(
+            obs::RankShift{u, probe_rank(*snap.model, u), probe_rank(*rebuilt, u)});
       }
     }
     registry_.swap_features(name, std::move(rebuilt), epoch);
@@ -354,7 +267,6 @@ RecommendService::Stats RecommendService::stats() const {
   st.cache_hits = hits_.load(std::memory_order_relaxed);
   st.cache_misses = misses_.load(std::memory_order_relaxed);
   st.cache_revalidated = revalidated_.load(std::memory_order_relaxed);
-  st.coalesced_batches = coalesced_batches_.load(std::memory_order_relaxed);
   st.feature_swaps = feature_swaps_.load(std::memory_order_relaxed);
   st.slow_requests = slow_requests_.load(std::memory_order_relaxed);
   st.deadline_breaches = deadline_breaches_.load(std::memory_order_relaxed);
@@ -367,19 +279,6 @@ RecommendService::Stats RecommendService::stats() const {
   st.rolling_window_requests = win.count;
   st.cache = cache_.stats();
   return st;
-}
-
-std::string RecommendService::metrics_text() const {
-  auto& registry = obs::MetricsRegistry::global();
-  const obs::SlidingWindowHistogram::Snapshot win = latency_window_.snapshot();
-  // Refreshed at scrape time: gauges are the natural exposition for a
-  // quantile that decays as its window slides.
-  registry.gauge("serve_rolling_p50_seconds").set(win.quantile(0.50));
-  registry.gauge("serve_rolling_p90_seconds").set(win.quantile(0.90));
-  registry.gauge("serve_rolling_p99_seconds").set(win.quantile(0.99));
-  registry.gauge("serve_rolling_window_requests")
-      .set(static_cast<double>(win.count));
-  return registry.to_prometheus();
 }
 
 }  // namespace taamr::serve

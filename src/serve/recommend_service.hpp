@@ -5,11 +5,9 @@
 //   1. snapshot the model entry (lock-free scoring against an immutable
 //      model — hot swaps never tear an in-flight request);
 //   2. cache lookup with revalidation (below);
-//   3. on miss, score the user through Recommender::score_users and cache
-//      the list. Lists never hold the user's training items (the
-//      evaluation protocol). recommend_batch takes the same path for many
-//      users at once: its misses are scored together, one gathered GEMM
-//      tile per kScoreTile users, tiles spread over the shared ThreadPool.
+//   3. on miss, rank the user through recsys::rank_users (the same path
+//      the offline evaluation takes) and cache the list. Lists never hold
+//      the user's training items (the evaluation protocol).
 //
 // Cache validity (the epoch-invalidation contract):
 //   * entry.model_version != current  -> recompute (new checkpoint);
@@ -95,12 +93,6 @@ class RecommendService {
   Recommendation recommend(const std::string& model, std::int64_t user,
                            std::int64_t n, obs::RequestContext* ctx = nullptr);
 
-  // Batched entry point for bulk callers (ShardRouter scatter/gather):
-  // every miss in the batch is scored in one score_misses call.
-  std::vector<Recommendation> recommend_batch(const std::string& model,
-                                              std::span<const std::int64_t> users,
-                                              std::int64_t n);
-
   // Provenance attached to a feature update for the audit trail. `ssim`
   // carries the front-end's structural similarity vs the item's previous
   // rendered image when it has one (-1 = unavailable; feature-only updates
@@ -130,8 +122,6 @@ class RecommendService {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_revalidated = 0;  // subset of cache_hits
-    // recommend_batch calls that scored more than one miss together.
-    std::uint64_t coalesced_batches = 0;
     std::uint64_t feature_swaps = 0;
     std::uint64_t slow_requests = 0;      // latency > kSloSeconds
     std::uint64_t deadline_breaches = 0;  // latency > 2 * kSloSeconds
@@ -149,11 +139,6 @@ class RecommendService {
   };
   Stats stats() const;
 
-  // Refreshes the serve_rolling_{p50,p90,p99}_seconds gauges from the
-  // sliding window and returns the full Prometheus exposition. Backs the
-  // protocol's {"op":"metrics"}.
-  std::string metrics_text() const;
-
   const ServeConfig& config() const { return config_; }
   const FeatureStore& feature_store() const { return *store_; }
   const data::ImplicitDataset& dataset() const { return dataset_; }
@@ -163,19 +148,9 @@ class RecommendService {
   // Cache lookup + revalidation; counts the hit or miss.
   std::optional<CacheEntry> lookup(const CacheKey& key,
                                    const ModelRegistry::Snapshot& snap);
-  // Scores `users` (all cache misses) against `snap` and fills results.
-  void score_misses(const ModelRegistry::Snapshot& snap, const std::string& model,
-                    std::span<const std::int64_t> users, std::int64_t n,
-                    std::span<Recommendation*> out);
-  // Books `count` requests for `model` (requests_ + serve_requests_total).
-  void count_requests(const std::string& model, std::size_t count);
   // Latency bookkeeping shared by every recommend() exit: lifetime + rolling
   // histograms, SLO counters.
   void observe_request(double seconds);
-  // Rank of `item` for `user` under `model` (canonical score-desc/id-asc
-  // order, train items excluded per config) — the audit trail's probe.
-  std::int64_t item_rank(const recsys::Recommender& model, std::int64_t user,
-                         std::int64_t item) const;
 
   const data::ImplicitDataset& dataset_;
   ModelRegistry& registry_;
@@ -194,7 +169,6 @@ class RecommendService {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> revalidated_{0};
-  std::atomic<std::uint64_t> coalesced_batches_{0};
   std::atomic<std::uint64_t> feature_swaps_{0};
   std::atomic<std::uint64_t> slow_requests_{0};
   std::atomic<std::uint64_t> deadline_breaches_{0};

@@ -65,34 +65,6 @@ Recommendation ShardRouter::recommend(const std::string& model, std::int64_t use
   return shards_[s]->recommend(model, user, n, ctx);
 }
 
-std::vector<Recommendation> ShardRouter::recommend_batch(
-    const std::string& model, std::span<const std::int64_t> users, std::int64_t n) {
-  for (const std::int64_t u : users) {
-    if (u < 0 || u >= dataset_.num_users) {
-      throw std::invalid_argument("recommend_batch: user out of range");
-    }
-  }
-  // Scatter by shard, batch per shard, gather back into request order.
-  std::vector<std::vector<std::int64_t>> by_shard(shards_.size());
-  std::vector<std::vector<std::size_t>> positions(shards_.size());
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    const std::size_t s = shard_of(users[i]);
-    by_shard[s].push_back(users[i]);
-    positions[s].push_back(i);
-  }
-  std::vector<Recommendation> results(users.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    shard_requests_[s]->add(static_cast<double>(by_shard[s].size()));
-    std::vector<Recommendation> part =
-        shards_[s]->recommend_batch(model, by_shard[s], n);
-    for (std::size_t j = 0; j < part.size(); ++j) {
-      results[positions[s][j]] = std::move(part[j]);
-    }
-  }
-  return results;
-}
-
 std::uint64_t ShardRouter::update_item_features(std::int64_t item,
                                                 std::span<const float> features) {
   return shards_[0]->update_item_features(item, features);
@@ -120,7 +92,6 @@ RecommendService::Stats ShardRouter::stats() const {
     total.cache_hits += st.cache_hits;
     total.cache_misses += st.cache_misses;
     total.cache_revalidated += st.cache_revalidated;
-    total.coalesced_batches += st.coalesced_batches;
     total.feature_swaps += st.feature_swaps;
     total.slow_requests += st.slow_requests;
     total.deadline_breaches += st.deadline_breaches;

@@ -56,9 +56,6 @@ class ShardRouter {
   // Routed equivalents of the RecommendService surface.
   Recommendation recommend(const std::string& model, std::int64_t user,
                            std::int64_t n, obs::RequestContext* ctx = nullptr);
-  std::vector<Recommendation> recommend_batch(const std::string& model,
-                                              std::span<const std::int64_t> users,
-                                              std::int64_t n);
   std::uint64_t update_item_features(std::int64_t item,
                                      std::span<const float> features);
   std::uint64_t update_item_features(std::int64_t item,
@@ -70,9 +67,11 @@ class ShardRouter {
   // shards (the SLO question is "how bad is the worst shard right now").
   RecommendService::Stats stats() const;
   RecommendService::Stats shard_stats(std::size_t shard) const;
+  // Refreshes the serve_rolling_{p50,p90,p99}_seconds gauges from stats()
+  // and returns the full Prometheus exposition. Backs the protocol's
+  // {"op":"metrics"}.
   std::string metrics_text() const;
 
-  RecommendService& shard_service(std::size_t shard) { return *shards_[shard]; }
   const ServeConfig& config() const { return config_.service; }
   const FeatureStore& feature_store() const { return *store_; }
   const data::ImplicitDataset& dataset() const { return dataset_; }

@@ -1,11 +1,10 @@
 // RecommendService behaviour: golden agreement with the ranker, caching and
-// selective epoch invalidation, batched scoring, hot feature swaps, and
+// selective epoch invalidation, hot feature swaps, and
 // a multi-threaded hammer (the CI TSAN job runs these suites — keep every
 // scenario concurrency-clean).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -20,18 +19,13 @@
 namespace taamr {
 namespace {
 
-// Golden list through the exact arithmetic path the service uses
-// (score_users + canonical tie-break + drop masked), so equality is exact.
+// Golden list straight from the ranker, for the same single-user tile the
+// service's miss path ranks, so equality is exact.
 std::vector<recsys::ScoredItem> golden_topn(const data::ImplicitDataset& ds,
                                             const recsys::Recommender& model,
                                             std::int64_t user, std::int64_t n) {
-  std::vector<float> row(static_cast<std::size_t>(ds.num_items));
   const std::int64_t users[1] = {user};
-  model.score_users({users, 1}, row);
-  for (const std::int32_t it : ds.train[static_cast<std::size_t>(user)]) {
-    row[static_cast<std::size_t>(it)] = -std::numeric_limits<float>::infinity();
-  }
-  return recsys::top_n_from_row(row, n, /*drop_masked=*/true);
+  return recsys::rank_users(model, ds, users, n).front();
 }
 
 class ServeServiceTest : public ::testing::Test {
@@ -96,17 +90,6 @@ TEST_F(ServeServiceTest, SecondRequestIsCachedAndIdentical) {
   EXPECT_EQ(stats.cache_misses, 1u);
   // Different n is a different cache entry.
   EXPECT_FALSE(service.recommend("vbpr", 2, 5).cached);
-}
-
-TEST_F(ServeServiceTest, BatchMatchesSingles) {
-  auto service = make_service();
-  const std::vector<std::int64_t> users = {0, 3, 1, 3, 5};
-  const auto batch = service.recommend_batch("vbpr", users, 8);
-  ASSERT_EQ(batch.size(), users.size());
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    EXPECT_EQ(batch[i].user, users[i]);
-    EXPECT_EQ(batch[i].items, service.recommend("vbpr", users[i], 8).items);
-  }
 }
 
 TEST_F(ServeServiceTest, ValidatesInputs) {
@@ -215,37 +198,6 @@ TEST_F(ServeServiceTest, ChangelogOverflowFallsBackToRecompute) {
   const auto after = service.recommend("vbpr", 0, 10);
   EXPECT_FALSE(after.cached);
   EXPECT_EQ(after.items, before.items);  // no-op rewrites: same scores
-}
-
-TEST_F(ServeServiceTest, RecommendBatchMixesHitsAndMisses) {
-  auto service = make_service();
-  // Single recommend() calls score their one miss alone.
-  service.recommend("vbpr", 1, 10);
-  service.recommend("vbpr", 4, 10);
-  EXPECT_EQ(service.stats().coalesced_batches, 0u);
-
-  // Users 1 and 4 are now cached; 0, 2 and 3 miss and are scored together.
-  const std::vector<std::int64_t> users = {0, 1, 2, 4, 3};
-  const auto batch = service.recommend_batch("vbpr", users, 10);
-  const auto snap = registry_.get("vbpr");
-  ASSERT_EQ(batch.size(), users.size());
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    EXPECT_EQ(batch[i].user, users[i]);
-    EXPECT_EQ(batch[i].cached, users[i] == 1 || users[i] == 4) << "user " << users[i];
-    EXPECT_EQ(batch[i].items, golden_topn(dataset_, *snap.model, users[i], 10))
-        << "user " << users[i];
-  }
-  auto stats = service.stats();
-  EXPECT_EQ(stats.coalesced_batches, 1u);
-  EXPECT_EQ(stats.cache_hits, 2u);
-  EXPECT_EQ(stats.cache_misses, 5u);
-
-  // One hit plus one miss is not a multi-miss batch.
-  const std::vector<std::int64_t> one_miss = {0, 5};
-  service.recommend_batch("vbpr", one_miss, 10);
-  stats = service.stats();
-  EXPECT_EQ(stats.coalesced_batches, 1u);
-  EXPECT_EQ(stats.cache_misses, 6u);
 }
 
 TEST_F(ServeServiceTest, ConcurrentLoadWithSwapsStaysConsistent) {
