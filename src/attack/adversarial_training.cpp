@@ -1,7 +1,7 @@
 #include "attack/adversarial_training.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 
 #include "attack/pgd.hpp"
@@ -30,41 +30,21 @@ double fit_robust(nn::Classifier& classifier, const Tensor& images,
   double last_clean_accuracy = 0.0;
 
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    float lr = config.sgd.learning_rate;
-    if (epoch >= (config.epochs * 85) / 100) {
-      lr *= 0.01f;
-    } else if (epoch >= (config.epochs * 60) / 100) {
-      lr *= 0.1f;
-    }
-    optimizer.set_learning_rate(lr);
-
-    std::vector<std::int64_t> order(static_cast<std::size_t>(n));
-    std::iota(order.begin(), order.end(), 0);
-    rng.shuffle(order);
-
+    optimizer.set_learning_rate(
+        nn::step_decay_lr(config.sgd.learning_rate, epoch, config.epochs));
+    const std::vector<std::int64_t> order = nn::shuffled_order(n, rng);
     std::int64_t correct = 0;
     for (std::int64_t start = 0; start < n; start += config.batch_size) {
-      const std::int64_t bsz = std::min(config.batch_size, n - start);
-      Shape batch_shape = images.shape();
-      batch_shape[0] = bsz;
-      Tensor batch(batch_shape);
-      std::vector<std::int64_t> batch_labels(static_cast<std::size_t>(bsz));
-      for (std::int64_t b = 0; b < bsz; ++b) {
-        const std::int64_t src = order[static_cast<std::size_t>(start + b)];
-        std::memcpy(batch.data() + b * row_elems, images.data() + src * row_elems,
-                    static_cast<std::size_t>(row_elems) * sizeof(float));
-        batch_labels[static_cast<std::size_t>(b)] = labels[static_cast<std::size_t>(src)];
-      }
+      const std::int64_t end = std::min(n, start + config.batch_size);
+      const std::int64_t bsz = end - start;
+      Tensor batch = nn::gather_rows(images, order, start, end);
+      std::vector<std::int64_t> batch_labels(order.begin() + start, order.begin() + end);
+      for (std::int64_t& label : batch_labels) label = labels[static_cast<std::size_t>(label)];
 
       // Clean accuracy bookkeeping before perturbing.
-      {
-        const auto pred = classifier.predict(batch);
-        for (std::int64_t b = 0; b < bsz; ++b) {
-          if (pred[static_cast<std::size_t>(b)] ==
-              batch_labels[static_cast<std::size_t>(b)]) {
-            ++correct;
-          }
-        }
+      const auto pred = classifier.predict(batch);
+      for (std::size_t b = 0; b < pred.size(); ++b) {
+        if (pred[b] == batch_labels[b]) ++correct;
       }
 
       // Replace a prefix of the (already shuffled) batch with adversarial

@@ -1,6 +1,5 @@
 #include "attack/attack.hpp"
 
-#include <mutex>
 #include <stdexcept>
 
 #include "attack/carlini_wagner.hpp"
@@ -33,111 +32,63 @@ void Attack::project(Tensor& candidate, const Tensor& original) const {
 
 namespace {
 
-struct RegistryEntry {
-  std::string display;
-  Factory factory;
+struct Entry {
+  const char* key;
+  const char* display;
+  std::unique_ptr<Attack> (*factory)(const AttackConfig&);
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, RegistryEntry> entries;
-};
-
-// Leaked: attacks may be constructed from static contexts in tools.
-Registry& registry() {
-  static Registry* r = new Registry;
-  return *r;
+template <typename A>
+std::unique_ptr<Attack> construct(const AttackConfig& c) {
+  return std::make_unique<A>(c);
 }
 
-bool register_entry(const std::string& key, const std::string& display_name,
-                    Factory factory) {
-  if (key.empty() || !factory) {
-    throw std::invalid_argument("register_attack: empty key or factory");
+// The paper's C&W is unconstrained-L2; the registry contract promises an
+// l_inf ball, so the factory turns the final projection on unless the
+// caller set "project_linf" explicitly (0 restores the paper's behavior, as
+// does constructing CarliniWagner directly).
+std::unique_ptr<Attack> construct_cw(const AttackConfig& c) {
+  AttackConfig cfg = c;
+  cfg.params.emplace("project_linf", 1.0f);
+  return std::make_unique<CarliniWagner>(cfg);
+}
+
+// Sorted by key.
+constexpr Entry kAttacks[] = {
+    {"cw", "C&W-L2", construct_cw},
+    {"feature_match", "FeatureMatch", construct<FeatureMatch>},
+    {"fgsm", "FGSM", construct<Fgsm>},
+    {"mim", "MIM", construct<Mim>},
+    {"pgd", "PGD", construct<Pgd>},
+};
+
+const Entry& lookup(const std::string& key, const char* caller) {
+  for (const Entry& e : kAttacks) {
+    if (key == e.key) return e;
   }
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  return r.entries.emplace(key, RegistryEntry{display_name, std::move(factory)})
-      .second;
-}
-
-// The built-ins are registered centrally (not via per-TU static
-// initializers, which a static-library link would happily dead-strip).
-void ensure_builtins() {
-  static const bool once = [] {
-    register_entry("fgsm", "FGSM", [](const AttackConfig& c) {
-      return std::unique_ptr<Attack>(std::make_unique<Fgsm>(c));
-    });
-    register_entry("pgd", "PGD", [](const AttackConfig& c) {
-      return std::unique_ptr<Attack>(std::make_unique<Pgd>(c));
-    });
-    register_entry("mim", "MIM", [](const AttackConfig& c) {
-      return std::unique_ptr<Attack>(std::make_unique<Mim>(c));
-    });
-    // The paper's C&W is unconstrained-L2; the registry contract promises
-    // an l_inf ball, so the factory turns the final projection on unless
-    // the caller set "project_linf" explicitly (0 restores the paper's
-    // behavior, as does constructing CarliniWagner directly).
-    register_entry("cw", "C&W-L2", [](const AttackConfig& c) {
-      AttackConfig cfg = c;
-      cfg.params.emplace("project_linf", 1.0f);
-      return std::unique_ptr<Attack>(std::make_unique<CarliniWagner>(cfg));
-    });
-    register_entry("feature_match", "FeatureMatch", [](const AttackConfig& c) {
-      return std::unique_ptr<Attack>(std::make_unique<FeatureMatch>(c));
-    });
-    return true;
-  }();
-  (void)once;
+  std::string known;
+  for (const Entry& e : kAttacks) {
+    if (!known.empty()) known += ", ";
+    known += e.key;
+  }
+  throw std::invalid_argument(std::string(caller) + ": unknown attack '" + key +
+                              "' (registered: " + known + ")");
 }
 
 }  // namespace
 
-bool register_attack(const std::string& key, const std::string& display_name,
-                     Factory factory) {
-  ensure_builtins();  // built-ins keep priority over later registrations
-  return register_entry(key, display_name, std::move(factory));
-}
-
 std::unique_ptr<Attack> make(const std::string& key, AttackConfig config) {
-  ensure_builtins();
-  Factory factory;
-  {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.entries.find(key);
-    if (it == r.entries.end()) {
-      std::string known;
-      for (const auto& [k, e] : r.entries) {
-        if (!known.empty()) known += ", ";
-        known += k;
-      }
-      throw std::invalid_argument("attack::make: unknown attack '" + key +
-                                  "' (registered: " + known + ")");
-    }
-    factory = it->second.factory;
-  }
-  return factory(config);
+  return lookup(key, "attack::make").factory(config);
 }
 
 std::vector<std::string> registered() {
-  ensure_builtins();
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<std::string> keys;
-  keys.reserve(r.entries.size());
-  for (const auto& [k, e] : r.entries) keys.push_back(k);
+  for (const Entry& e : kAttacks) keys.emplace_back(e.key);
   return keys;
 }
 
 std::string display_name(const std::string& key) {
-  ensure_builtins();
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.entries.find(key);
-  if (it == r.entries.end()) {
-    throw std::invalid_argument("attack::display_name: unknown attack '" + key + "'");
-  }
-  return it->second.display;
+  return lookup(key, "attack::display_name").display;
 }
 
 }  // namespace taamr::attack

@@ -8,7 +8,7 @@
 //  - `labels` are target classes for targeted attacks (loss is *descended*)
 //    and true classes for untargeted attacks (loss is *ascended*).
 //
-// Attacks are created through a string-keyed registry:
+// Attacks are created through a fixed string-keyed table:
 //
 //   auto atk = attack::make("pgd", config);
 //
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -89,18 +88,11 @@ class Attack {
   AttackConfig config_;
 };
 
-// ---- string-keyed factory/registry ------------------------------------------
-
-using Factory = std::function<std::unique_ptr<Attack>(const AttackConfig&)>;
+// ---- string-keyed factory table ---------------------------------------------
 
 // Instantiates the attack registered under `key` ("pgd", "cw", ...). Throws
 // std::invalid_argument for unknown keys, listing the registered ones.
 std::unique_ptr<Attack> make(const std::string& key, AttackConfig config = {});
-
-// Registers an attack under `key` with a human-readable display name (the
-// string tables and reports print). Returns false if the key is taken.
-bool register_attack(const std::string& key, const std::string& display_name,
-                     Factory factory);
 
 // Sorted keys of every registered attack.
 std::vector<std::string> registered();

@@ -95,35 +95,35 @@ Tensor CarliniWagner::perturb(nn::Classifier& classifier, const Tensor& images,
     for (std::int64_t it = 0; it < config_.iterations; ++it) {
       const Tensor x = to_image_space(w);
 
-      // Logits and the margin loss cotangent.
-      Tensor logits;
-      Tensor cot({n, classes}, 0.0f);
-      {
-        // First pass to read logits (cheap reuse: the pullback call below
-        // recomputes the forward; acceptable at our scales and keeps the
-        // Classifier API minimal).
-        logits = classifier.logits(x);
-      }
+      // One forward + backward per iteration: the margin cotangent is built
+      // from each chunk's logits inside the pullback.
       std::vector<float> margins(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t t = labels[static_cast<std::size_t>(i)];
-        std::int64_t runner_up = t == 0 ? 1 : 0;
-        for (std::int64_t j = 0; j < classes; ++j) {
-          if (j != t && logits.at(i, j) > logits.at(i, runner_up)) runner_up = j;
-        }
-        const float margin = logits.at(i, runner_up) - logits.at(i, t);
-        margins[static_cast<std::size_t>(i)] = margin;
-        if (it == config_.iterations - 1) last_margin_sum += margin;
-        // d f / d logits, only while the margin constraint is active.
-        if (margin > -confidence_) {
-          cot.at(i, runner_up) = c[static_cast<std::size_t>(i)];
-          cot.at(i, t) = -c[static_cast<std::size_t>(i)];
-        }
+      Tensor grad_x = classifier.input_gradient(
+          x, classifier.network().size(), [&](const Tensor& logits, std::int64_t begin) {
+            Tensor cot(logits.shape(), 0.0f);
+            for (std::int64_t b = 0; b < logits.dim(0); ++b) {
+              const std::size_t i = static_cast<std::size_t>(begin + b);
+              const std::int64_t t = labels[i];
+              std::int64_t runner_up = t == 0 ? 1 : 0;
+              for (std::int64_t j = 0; j < classes; ++j) {
+                if (j != t && logits.at(b, j) > logits.at(b, runner_up)) runner_up = j;
+              }
+              const float margin = logits.at(b, runner_up) - logits.at(b, t);
+              margins[i] = margin;
+              // d f / d logits, only while the margin constraint is active.
+              if (margin > -confidence_) {
+                cot.at(b, runner_up) = c[i];
+                cot.at(b, t) = -c[i];
+              }
+            }
+            return cot;
+          });
+      if (it == config_.iterations - 1) {
+        for (const float margin : margins) last_margin_sum += margin;
       }
 
       // Gradient in image space: 2 (x - x0) + c * d f/dx, then chain through
       // the tanh reparameterization.
-      Tensor grad_x = classifier.logits_input_gradient(x, cot);
       for (std::int64_t i = 0; i < images.numel(); ++i) {
         grad_x[i] += 2.0f * (x[i] - images[i]);
       }

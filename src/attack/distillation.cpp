@@ -1,7 +1,6 @@
 #include "attack/distillation.hpp"
 
-#include <cstring>
-#include <numeric>
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/loss.hpp"
@@ -27,8 +26,6 @@ void train_on_soft_targets(nn::Classifier& model, const Tensor& images,
                            const Tensor& targets, const DistillationConfig& config,
                            std::int64_t epochs, Rng& rng) {
   const std::int64_t n = images.dim(0);
-  const std::int64_t row_elems = images.numel() / n;
-  const std::int64_t classes = targets.dim(1);
   nn::Sgd optimizer(config.sgd);
   nn::SoftTargetCrossEntropy loss;
 
@@ -36,30 +33,12 @@ void train_on_soft_targets(nn::Classifier& model, const Tensor& images,
     // Note: the tempered softmax scales logit gradients by 1/T, so
     // distillation needs a longer schedule (or a larger base lr) than
     // hard-label training at the same architecture — callers choose.
-    float lr = config.sgd.learning_rate;
-    if (epoch >= (epochs * 85) / 100) {
-      lr *= 0.01f;
-    } else if (epoch >= (epochs * 60) / 100) {
-      lr *= 0.1f;
-    }
-    optimizer.set_learning_rate(lr);
-
-    std::vector<std::int64_t> order(static_cast<std::size_t>(n));
-    std::iota(order.begin(), order.end(), 0);
-    rng.shuffle(order);
+    optimizer.set_learning_rate(nn::step_decay_lr(config.sgd.learning_rate, epoch, epochs));
+    const std::vector<std::int64_t> order = nn::shuffled_order(n, rng);
     for (std::int64_t start = 0; start < n; start += config.batch_size) {
-      const std::int64_t bsz = std::min(config.batch_size, n - start);
-      Shape batch_shape = images.shape();
-      batch_shape[0] = bsz;
-      Tensor batch(batch_shape);
-      Tensor batch_targets({bsz, classes});
-      for (std::int64_t b = 0; b < bsz; ++b) {
-        const std::int64_t src = order[static_cast<std::size_t>(start + b)];
-        std::memcpy(batch.data() + b * row_elems, images.data() + src * row_elems,
-                    static_cast<std::size_t>(row_elems) * sizeof(float));
-        std::memcpy(batch_targets.data() + b * classes, targets.data() + src * classes,
-                    static_cast<std::size_t>(classes) * sizeof(float));
-      }
+      const std::int64_t end = std::min(n, start + config.batch_size);
+      const Tensor batch = nn::gather_rows(images, order, start, end);
+      const Tensor batch_targets = nn::gather_rows(targets, order, start, end);
       model.network().zero_grad();
       const Tensor logits = model.network().forward(batch, /*train=*/true);
       loss.forward(logits, batch_targets, config.temperature);

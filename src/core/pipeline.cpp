@@ -1,13 +1,10 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
 #include "data/categories.hpp"
-#include "tensor/cost.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -43,30 +40,6 @@ data::ImageGenConfig PipelineConfig::image_config() const {
 }
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)), rng_(config_.seed) {}
-
-Tensor Pipeline::extract_features_chunked(const Tensor& images, const char* stage) {
-  const std::int64_t n = images.dim(0);
-  const std::int64_t d = classifier_->feature_dim();
-  const std::int64_t batch = nn::kInferenceBatch;
-  Tensor out({n, d});
-  auto& chunks_total = obs::MetricsRegistry::global().counter(
-      "pipeline_feature_chunks_total", {{"stage", stage}});
-  for (std::int64_t start = 0; start < n; start += batch) {
-    const std::int64_t end = std::min(n, start + batch);
-    TAAMR_TRACE_SPAN("pipeline/feature_chunk");
-    const Tensor chunk = nn::slice_rows(images, start, end);
-    const Tensor feats = classifier_->features(chunk);
-    std::memcpy(out.data() + start * d, feats.data(),
-                static_cast<std::size_t>((end - start) * d) * sizeof(float));
-    chunks_total.increment();
-  }
-  // Allocator high-water after the stage: with chunking this tracks
-  // per-batch activations, not a catalog-sized mega-batch.
-  obs::MetricsRegistry::global()
-      .gauge("pipeline_feature_extract_high_water_bytes", {{"stage", stage}})
-      .set(static_cast<double>(cost::tensor_bytes_high_water()));
-  return out;
-}
 
 const data::ImplicitDataset& Pipeline::dataset() const {
   if (!dataset_) throw std::logic_error("Pipeline: call prepare() first");
@@ -159,7 +132,7 @@ void Pipeline::prepare() {
   Stopwatch feat_timer;
   {
     TAAMR_TRACE_SPAN("pipeline/extract_features");
-    clean_features_ = extract_features_chunked(catalog_->images, "clean");
+    clean_features_ = classifier_->features(catalog_->images);
   }
   log_info() << "extracted clean features [" << clean_features_.dim(0) << " x "
              << clean_features_.dim(1) << "] in " << feat_timer.seconds() << "s";
@@ -248,7 +221,7 @@ Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
   if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
   TAAMR_TRACE_SPAN("pipeline/re_extract_features");
   Stopwatch timer;
-  const Tensor attacked_features = extract_features_chunked(attacked_images, "attacked");
+  const Tensor attacked_features = classifier_->features(attacked_images);
   if (attacked_features.dim(0) != static_cast<std::int64_t>(items.size())) {
     throw std::invalid_argument("features_with_attack: items/images mismatch");
   }

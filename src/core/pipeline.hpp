@@ -98,12 +98,6 @@ class Pipeline {
  private:
   void train_or_load_classifier();
 
-  // Extracts CNN features of `images` in nn::kInferenceBatch-sized chunks
-  // (one trace span + counter tick per chunk, allocator high-water gauge
-  // per stage) so activations stay O(batch) instead of O(catalog). Conv
-  // lowering scratch is per thread and sized for one sample.
-  Tensor extract_features_chunked(const Tensor& images, const char* stage);
-
   PipelineConfig config_;
   bool prepared_ = false;
   std::optional<data::ImplicitDataset> dataset_;

@@ -1,6 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -25,52 +24,5 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 }
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(*this); }
-
-Tensor LeakyReLU::forward(const Tensor& x, bool /*train*/) {
-  cached_input_ = x;
-  Tensor y = x;
-  for (float& v : y.storage()) {
-    if (v < 0.0f) v *= slope_;
-  }
-  return y;
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_out) {
-  check_same_shape(grad_out, cached_input_, "LeakyReLU::backward");
-  Tensor g = grad_out;
-  const std::int64_t n = g.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (cached_input_[i] < 0.0f) g[i] *= slope_;
-  }
-  return g;
-}
-
-std::unique_ptr<Layer> LeakyReLU::clone() const {
-  return std::make_unique<LeakyReLU>(*this);
-}
-
-std::string LeakyReLU::name() const {
-  return "LeakyReLU(" + std::to_string(slope_) + ")";
-}
-
-Tensor Sigmoid::forward(const Tensor& x, bool /*train*/) {
-  Tensor y = x;
-  for (float& v : y.storage()) v = 1.0f / (1.0f + std::exp(-v));
-  cached_output_ = y;
-  return y;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  check_same_shape(grad_out, cached_output_, "Sigmoid::backward");
-  Tensor g = grad_out;
-  const std::int64_t n = g.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float s = cached_output_[i];
-    g[i] *= s * (1.0f - s);
-  }
-  return g;
-}
-
-std::unique_ptr<Layer> Sigmoid::clone() const { return std::make_unique<Sigmoid>(*this); }
 
 }  // namespace taamr::nn

@@ -1,4 +1,4 @@
-// Pointwise activation layers.
+// The pointwise activation layer of the MiniResNet.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -14,32 +14,6 @@ class ReLU : public Layer {
 
  private:
   Tensor cached_mask_;  // 1 where input > 0
-};
-
-class LeakyReLU : public Layer {
- public:
-  explicit LeakyReLU(float negative_slope = 0.01f) : slope_(negative_slope) {}
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> clone() const override;
-  std::string name() const override;
-  float slope() const { return slope_; }
-
- private:
-  float slope_;
-  Tensor cached_input_;
-};
-
-class Sigmoid : public Layer {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> clone() const override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace taamr::nn

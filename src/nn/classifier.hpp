@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,17 +47,21 @@ class Classifier {
   // Learned image features f_e(x) at the global-average-pool layer: [N, D].
   Tensor features(const Tensor& images);
 
-  // d/dx of the mean softmax cross-entropy of `labels` — the quantity both
-  // FGSM and PGD consume. For a targeted attack pass the *target* class
+  // Cotangent of one chunk's output: given the [rows, ...] output of layers
+  // [0, layer_end) for images [begin, begin + rows), returns dL/d(output).
+  using Cotangent = std::function<Tensor(const Tensor& out, std::int64_t begin)>;
+
+  // Pullback to the pixels: d(sum_i <cotangent_i, h(x_i)>)/dx, where h is
+  // layers [0, layer_end) in eval mode. Every attack gradient comes from here.
+  Tensor input_gradient(const Tensor& images, std::size_t layer_end,
+                        const Cotangent& cotangent);
+
+  // d/dx of the per-image softmax cross-entropy of `labels` — the quantity
+  // both FGSM and PGD consume. For a targeted attack pass the *target* class
   // as the label and descend; for untargeted pass the true class and ascend.
+  // out_loss receives the mean loss.
   Tensor loss_input_gradient(const Tensor& images, const std::vector<std::int64_t>& labels,
                              float* out_loss = nullptr);
-
-  // Pullback of an arbitrary logit cotangent: given grad_logits [N, C],
-  // returns d(sum_i grad_logits_i . Z(x_i))/dx. The building block for
-  // margin-based attacks (Carlini-Wagner). Optionally returns the logits.
-  Tensor logits_input_gradient(const Tensor& images, const Tensor& grad_logits,
-                               Tensor* out_logits = nullptr);
 
   // d/dx of the per-image squared feature distance ||f_e(x) - target||^2 —
   // the objective of the feature-matching attack (the paper's future-work
@@ -86,9 +91,11 @@ class Classifier {
   friend void save_classifier(std::ostream& os, const Classifier& c);
   explicit Classifier(MiniResNet model) : model_(std::move(model)) {}
 
-  // Batched apply of `fn` over row-blocks of images to bound peak memory.
+  // The one chunk loop of nn/: runs fn(chunk, begin) over kInferenceBatch-row
+  // blocks of images (bounding peak memory) and stacks the returned
+  // [rows, ...] blocks into a tensor of out_shape ([N, ...]).
   template <typename Fn>
-  Tensor batched(const Tensor& images, std::int64_t batch, std::int64_t out_cols, Fn fn);
+  Tensor batched(const Tensor& images, const Shape& out_shape, Fn fn);
 
   MiniResNet model_;
 };
@@ -96,8 +103,20 @@ class Classifier {
 // Slices rows [begin, end) of a [N, ...] tensor into a new tensor.
 Tensor slice_rows(const Tensor& t, std::int64_t begin, std::int64_t end);
 
-// Batch size of every inference pass (logits, features, input gradients)
-// and of the pipeline's catalog extraction. Peak activation memory is
+// The training loops' batch gather: rows order[begin, end) of a [N, ...]
+// tensor (images or soft targets) stacked into a new tensor.
+Tensor gather_rows(const Tensor& t, const std::vector<std::int64_t>& order,
+                   std::int64_t begin, std::int64_t end);
+
+// 0..n-1 in a fresh random order: one epoch's sample order.
+std::vector<std::int64_t> shuffled_order(std::int64_t n, Rng& rng);
+
+// The step schedule of every CNN training loop: `base` decayed 10x at 60%
+// and 100x at 85% of `epochs`.
+float step_decay_lr(float base, std::int64_t epoch, std::int64_t epochs);
+
+// Batch size of every inference pass (logits, features, input gradients),
+// the pipeline's catalog extraction included. Peak activation memory is
 // O(this), independent of catalog size; Conv2d's im2col scratch is per
 // thread and sized for one sample.
 constexpr std::int64_t kInferenceBatch = 64;

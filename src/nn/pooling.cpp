@@ -6,67 +6,6 @@
 
 namespace taamr::nn {
 
-Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
-  if (x.ndim() != 4) throw std::invalid_argument("MaxPool2d: expected [N, C, H, W]");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (h % window_ != 0 || w % window_ != 0) {
-    throw std::invalid_argument("MaxPool2d: spatial dims must be divisible by window");
-  }
-  const std::int64_t oh = h / window_, ow = w / window_;
-  cached_in_shape_ = x.shape();
-  cached_argmax_.assign(static_cast<std::size_t>(n * c * oh * ow), 0);
-
-  Tensor y({n, c, oh, ow});
-  std::int64_t out_idx = 0;
-  for (std::int64_t s = 0; s < n; ++s) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const std::int64_t plane_base = (s * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-          float best = -3.4e38f;
-          std::int64_t best_idx = 0;
-          for (std::int64_t ky = 0; ky < window_; ++ky) {
-            for (std::int64_t kx = 0; kx < window_; ++kx) {
-              const std::int64_t iy = oy * window_ + ky;
-              const std::int64_t ix = ox * window_ + kx;
-              const std::int64_t idx = plane_base + iy * w + ix;
-              if (x[idx] > best) {
-                best = x[idx];
-                best_idx = idx;
-              }
-            }
-          }
-          y[out_idx] = best;
-          cached_argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
-        }
-      }
-    }
-  }
-  return y;
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  if (cached_in_shape_.empty()) {
-    throw std::logic_error("MaxPool2d::backward called before forward");
-  }
-  if (grad_out.numel() != static_cast<std::int64_t>(cached_argmax_.size())) {
-    throw std::invalid_argument("MaxPool2d::backward: grad size mismatch");
-  }
-  Tensor grad_in(cached_in_shape_);
-  for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
-    grad_in[cached_argmax_[static_cast<std::size_t>(i)]] += grad_out[i];
-  }
-  return grad_in;
-}
-
-std::unique_ptr<Layer> MaxPool2d::clone() const {
-  return std::make_unique<MaxPool2d>(*this);
-}
-
-std::string MaxPool2d::name() const {
-  return "MaxPool2d(" + std::to_string(window_) + ")";
-}
-
 Tensor GlobalAvgPool2d::forward(const Tensor& x, bool /*train*/) {
   if (x.ndim() != 4) throw std::invalid_argument("GlobalAvgPool2d: expected [N, C, H, W]");
   const std::int64_t n = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
@@ -109,20 +48,5 @@ Tensor GlobalAvgPool2d::backward(const Tensor& grad_out) {
 std::unique_ptr<Layer> GlobalAvgPool2d::clone() const {
   return std::make_unique<GlobalAvgPool2d>(*this);
 }
-
-Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
-  if (x.ndim() < 2) throw std::invalid_argument("Flatten: expected at least 2-d input");
-  cached_in_shape_ = x.shape();
-  return x.reshaped({x.dim(0), x.numel() / x.dim(0)});
-}
-
-Tensor Flatten::backward(const Tensor& grad_out) {
-  if (cached_in_shape_.empty()) {
-    throw std::logic_error("Flatten::backward called before forward");
-  }
-  return grad_out.reshaped(cached_in_shape_);
-}
-
-std::unique_ptr<Layer> Flatten::clone() const { return std::make_unique<Flatten>(*this); }
 
 }  // namespace taamr::nn

@@ -1,29 +1,9 @@
-// Spatial pooling and shape plumbing layers.
+// Spatial pooling.
 #pragma once
-
-#include <vector>
 
 #include "nn/layer.hpp"
 
 namespace taamr::nn {
-
-// Max pooling with square window; window == stride (non-overlapping), the
-// only configuration the MiniResNet uses.
-class MaxPool2d : public Layer {
- public:
-  explicit MaxPool2d(std::int64_t window) : window_(window) {}
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> clone() const override;
-  std::string name() const override;
-  std::int64_t window() const { return window_; }
-
- private:
-  std::int64_t window_;
-  Shape cached_in_shape_;
-  std::vector<std::int64_t> cached_argmax_;  // flat input index per output cell
-};
 
 // Global average pooling: [N, C, H, W] -> [N, C]. Its output is the paper's
 // feature layer *e* ("the output of the global average pooling right after
@@ -34,18 +14,6 @@ class GlobalAvgPool2d : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "GlobalAvgPool2d"; }
-
- private:
-  Shape cached_in_shape_;
-};
-
-// [N, ...] -> [N, prod(...)], a no-op on data.
-class Flatten : public Layer {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> clone() const override;
-  std::string name() const override { return "Flatten"; }
 
  private:
   Shape cached_in_shape_;

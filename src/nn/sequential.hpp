@@ -1,6 +1,7 @@
-// Ordered composition of layers. Also provides partial execution
-// (forward_to / forward_from), which is how Classifier exposes the paper's
-// feature layer *e* and how backward-from-features is computed for PSM.
+// Ordered composition of layers. Also provides partial execution of a
+// prefix (forward_to / backward_to), which is how Classifier exposes the
+// paper's feature layer *e* and pulls feature-space cotangents back to
+// the pixels.
 #pragma once
 
 #include <memory>
@@ -30,12 +31,8 @@ class Sequential : public Layer {
 
   // Runs layers [0, layer_end) only. forward(x, t) == forward_to(x, size(), t).
   Tensor forward_to(const Tensor& x, std::size_t layer_end, bool train);
-  // Runs layers [layer_begin, size()).
-  Tensor forward_from(const Tensor& x, std::size_t layer_begin, bool train);
-  // Backpropagates through layers [layer_begin, size()) only, returning the
-  // gradient w.r.t. the input of layer layer_begin.
-  Tensor backward_from(const Tensor& grad_out, std::size_t layer_begin);
   // Backpropagates through layers [0, layer_end).
+  // backward(g) == backward_to(g, size()).
   Tensor backward_to(const Tensor& grad_out, std::size_t layer_end);
 
   std::vector<Param*> params() override;

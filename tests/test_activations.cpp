@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "nn/activations.hpp"
 #include "test_helpers.hpp"
 
@@ -9,7 +7,6 @@ namespace taamr {
 namespace {
 
 using testing::check_input_gradient;
-using testing::fill_uniform;
 
 TEST(ReLU, ForwardClampsNegatives) {
   nn::ReLU relu;
@@ -42,41 +39,6 @@ TEST(ReLU, GradientCheckAwayFromKink) {
   check_input_gradient(relu, x, rng);
 }
 
-TEST(LeakyReLU, ForwardAppliesSlope) {
-  nn::LeakyReLU leaky(0.1f);
-  Tensor x({2}, std::vector<float>{-2, 3});
-  const Tensor y = leaky.forward(x, true);
-  EXPECT_FLOAT_EQ(y[0], -0.2f);
-  EXPECT_FLOAT_EQ(y[1], 3.0f);
-}
-
-TEST(LeakyReLU, GradientCheck) {
-  Rng rng(32);
-  nn::LeakyReLU leaky(0.05f);
-  Tensor x({3, 3});
-  for (float& v : x.storage()) {
-    v = rng.uniform_f(0.2f, 1.0f) * (rng.bernoulli(0.5) ? 1.0f : -1.0f);
-  }
-  check_input_gradient(leaky, x, rng);
-}
-
-TEST(Sigmoid, ForwardValues) {
-  nn::Sigmoid sig;
-  Tensor x({3}, std::vector<float>{0, 100, -100});
-  const Tensor y = sig.forward(x, true);
-  EXPECT_NEAR(y[0], 0.5f, 1e-6f);
-  EXPECT_NEAR(y[1], 1.0f, 1e-6f);
-  EXPECT_NEAR(y[2], 0.0f, 1e-6f);
-}
-
-TEST(Sigmoid, GradientCheck) {
-  Rng rng(33);
-  nn::Sigmoid sig;
-  Tensor x({2, 4});
-  fill_uniform(x, rng, -2.0f, 2.0f);
-  check_input_gradient(sig, x, rng);
-}
-
 TEST(Activations, BackwardShapeChecked) {
   nn::ReLU relu;
   relu.forward(Tensor({2, 2}), true);
@@ -85,11 +47,7 @@ TEST(Activations, BackwardShapeChecked) {
 
 TEST(Activations, HaveNoParams) {
   nn::ReLU relu;
-  nn::LeakyReLU leaky;
-  nn::Sigmoid sig;
   EXPECT_TRUE(relu.params().empty());
-  EXPECT_TRUE(leaky.params().empty());
-  EXPECT_TRUE(sig.params().empty());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "nn/classifier.hpp"
 #include "nn/linear.hpp"
@@ -153,6 +155,55 @@ TEST(Classifier, InputGradientIndependentOfBatching) {
   const Tensor g0 = c.loss_input_gradient(x0, {0});
   for (std::int64_t i = 0; i < g0.numel(); ++i) {
     ASSERT_NEAR(g_all[i], g0[i], 1e-4f);
+  }
+}
+
+TEST(Classifier, InputGradientAcrossChunkBoundary) {
+  // N = 70 runs as chunks of 64 + 6; the second chunk's gradient rows must be
+  // bit for bit those of a call on its 6 images alone, for both the loss and
+  // the feature cotangent.
+  Rng rng(91);
+  nn::Classifier c(tiny_config(), rng);
+  Tensor x({70, 3, 8, 8});
+  testing::fill_uniform(x, rng, 0.0f, 1.0f);
+  std::vector<std::int64_t> labels(70);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<std::int64_t>(i % 3);
+  Tensor targets({70, c.feature_dim()});
+  testing::fill_uniform(targets, rng, -1.0f, 1.0f);
+
+  const Tensor tail = nn::slice_rows(x, 64, 70);
+  const std::vector<std::int64_t> tail_labels(labels.begin() + 64, labels.end());
+  const std::size_t tail_bytes = static_cast<std::size_t>(tail.numel()) * sizeof(float);
+  const std::int64_t tail_offset = 64 * (x.numel() / 70);
+
+  const Tensor g_loss = c.loss_input_gradient(x, labels);
+  const Tensor g_loss_tail = c.loss_input_gradient(tail, tail_labels);
+  EXPECT_EQ(std::memcmp(g_loss.data() + tail_offset, g_loss_tail.data(), tail_bytes), 0);
+
+  const Tensor g_feat = c.feature_input_gradient(x, targets);
+  const Tensor g_feat_tail = c.feature_input_gradient(tail, nn::slice_rows(targets, 64, 70));
+  EXPECT_EQ(std::memcmp(g_feat.data() + tail_offset, g_feat_tail.data(), tail_bytes), 0);
+}
+
+TEST(TrainingHelpers, StepDecayAndShuffledGather) {
+  EXPECT_EQ(nn::step_decay_lr(0.5f, 0, 20), 0.5f);
+  EXPECT_EQ(nn::step_decay_lr(0.5f, 11, 20), 0.5f);
+  EXPECT_EQ(nn::step_decay_lr(0.5f, 12, 20), 0.5f * 0.1f);
+  EXPECT_EQ(nn::step_decay_lr(0.5f, 17, 20), 0.5f * 0.01f);
+
+  Rng rng(92);
+  const std::vector<std::int64_t> order = nn::shuffled_order(5, rng);
+  std::vector<std::int64_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+
+  Tensor t({5, 2}, std::vector<float>{0, 1, 10, 11, 20, 21, 30, 31, 40, 41});
+  const Tensor g = nn::gather_rows(t, order, 1, 4);
+  ASSERT_EQ(g.shape(), (Shape{3, 2}));
+  for (std::int64_t b = 0; b < 3; ++b) {
+    const float row = static_cast<float>(order[static_cast<std::size_t>(b + 1)]);
+    EXPECT_EQ(g.at(b, 0), 10.0f * row);
+    EXPECT_EQ(g.at(b, 1), 10.0f * row + 1.0f);
   }
 }
 

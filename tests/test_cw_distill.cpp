@@ -8,6 +8,7 @@
 #include "attack/distillation.hpp"
 #include "attack/fgsm.hpp"
 #include "metrics/success.hpp"
+#include "tensor/cost.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
 
@@ -254,8 +255,8 @@ TEST(Distillation, Validation) {
 }
 
 TEST(LogitsInputGradient, AgreesWithCrossEntropyPath) {
-  // The CE input gradient must equal the logit pullback of the CE logit
-  // gradient — ties the two Classifier APIs together.
+  // The CE input gradient must equal the input_gradient pullback of the
+  // per-image CE logit gradient — ties the two Classifier APIs together.
   nn::Classifier& c = trained_classifier();
   Rng rng(311);
   Tensor x({2, 3, 8, 8});
@@ -263,13 +264,41 @@ TEST(LogitsInputGradient, AgreesWithCrossEntropyPath) {
   const std::vector<std::int64_t> labels = {0, 2};
   const Tensor g_ce = c.loss_input_gradient(x, labels);
 
-  Tensor logits;
-  // Compute softmax-CE logit gradient by hand (per-image, not averaged).
-  logits = c.logits(x);
-  Tensor cot = ops::softmax_rows(logits);
-  for (std::int64_t i = 0; i < 2; ++i) cot.at(i, labels[static_cast<std::size_t>(i)]) -= 1.0f;
-  const Tensor g_pullback = c.logits_input_gradient(x, cot);
+  // Softmax-CE logit gradient by hand (per-image, not averaged).
+  const Tensor g_pullback = c.input_gradient(
+      x, c.network().size(), [&](const Tensor& logits, std::int64_t begin) {
+        Tensor cot = ops::softmax_rows(logits);
+        for (std::int64_t b = 0; b < cot.dim(0); ++b) {
+          cot.at(b, labels[static_cast<std::size_t>(begin + b)]) -= 1.0f;
+        }
+        return cot;
+      });
   testing::expect_tensor_near(g_ce, g_pullback, 1e-4f, "CE vs pullback");
+}
+
+TEST(CarliniWagner, OneForwardPerIteration) {
+  // Each C&W iteration is one forward + backward pass: the margin cotangent
+  // comes from the pullback's own logits, not from a second forward.
+  cost::enable();
+  nn::Classifier& c = trained_classifier();
+  Rng rng(312);
+  Tensor x({4, 3, 8, 8});
+  testing::fill_uniform(x, rng, 0.2f, 0.8f);
+  const std::vector<std::int64_t> targets = {1, 2, 0, 1};
+
+  double before = cost::totals(cost::Kernel::kGemm).flops;
+  c.loss_input_gradient(x, targets);
+  const double one_pass = cost::totals(cost::Kernel::kGemm).flops - before;
+  ASSERT_GT(one_pass, 0.0);
+
+  attack::AttackConfig cfg;
+  cfg.iterations = 2;
+  cfg.params["binary_search_steps"] = 1.0f;
+  attack::CarliniWagner cw(cfg);
+  Rng arng(313);
+  before = cost::totals(cost::Kernel::kGemm).flops;
+  cw.perturb(c, x, targets, arng);
+  EXPECT_EQ(cost::totals(cost::Kernel::kGemm).flops - before, 2.0 * one_pass);
 }
 
 }  // namespace

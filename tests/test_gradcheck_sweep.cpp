@@ -4,11 +4,9 @@
 // the whole reproduction stands on.
 #include <gtest/gtest.h>
 
-#include "nn/activations.hpp"
 #include "nn/batchnorm2d.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
-#include "nn/pooling.hpp"
 #include "nn/residual_block.hpp"
 #include "test_helpers.hpp"
 
@@ -115,28 +113,6 @@ INSTANTIATE_TEST_SUITE_P(Grid, ResidualGrid,
                                            std::make_tuple(2, 4, 2),   // downsampling
                                            std::make_tuple(3, 3, 2),   // stride-only proj
                                            std::make_tuple(4, 2, 1))); // channel-only proj
-
-// ---- Pointwise layers over input ranges --------------------------------------
-
-class PointwiseGrid : public ::testing::TestWithParam<int> {};
-
-TEST_P(PointwiseGrid, SigmoidAndLeakyGradients) {
-  Rng rng(800 + static_cast<std::uint64_t>(GetParam()));
-  Tensor x({2, 6});
-  // Sweep different magnitude regimes (tiny to saturating).
-  const float scale = 0.25f * static_cast<float>(1 << GetParam());
-  fill_uniform(x, rng, -scale, scale);
-  nn::Sigmoid sigmoid;
-  check_input_gradient(sigmoid, x, rng);
-  // Keep LeakyReLU inputs away from its kink for a clean finite difference.
-  for (float& v : x.storage()) {
-    if (std::fabs(v) < 0.05f) v = 0.1f;
-  }
-  nn::LeakyReLU leaky(0.1f);
-  check_input_gradient(leaky, x, rng);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranges, PointwiseGrid, ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace taamr
