@@ -8,9 +8,8 @@
 //   TAAMR_SEED         master seed            (default 42)
 //   TAAMR_METRICS_OUT  metrics JSON path — every bench binary dumps the
 //                      registry snapshot (per-stage wall-time counters,
-//                      thread-pool gauges, epoch-loss histograms, the
-//                      bench_results_seconds_total timing below) there at
-//                      exit, next to its stdout table output
+//                      epoch-loss histograms) there at exit, next to its
+//                      stdout table output
 //   TAAMR_TRACE        Chrome trace-event JSON path (chrome://tracing)
 //   TAAMR_THREADS      global thread-pool size (default: hardware)
 //   TAAMR_BENCH_DIR    directory for the BENCH_<name>.json artifact each
@@ -68,13 +67,7 @@ inline core::ExperimentConfig experiment_config(const std::string& dataset) {
 
 inline core::DatasetResults results_for(const std::string& dataset) {
   TAAMR_TRACE_SPAN("bench/results_for");
-  Stopwatch timer;
-  core::DatasetResults results =
-      core::run_or_load_experiment(experiment_config(dataset), env_cache_dir());
-  obs::MetricsRegistry::global()
-      .counter("bench_results_seconds_total", {{"dataset", dataset}})
-      .add(timer.seconds());
-  return results;
+  return core::run_or_load_experiment(experiment_config(dataset), env_cache_dir());
 }
 
 inline std::string env_bench_dir() {

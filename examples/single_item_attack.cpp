@@ -56,7 +56,7 @@ int main() {
   auto median_rank = [&](recsys::Vbpr& model) {
     std::vector<double> ranks;
     for (std::int64_t u = 0; u < std::min<std::int64_t>(dataset.num_users, 20); ++u) {
-      const std::int64_t r = recsys::item_rank(model, dataset, u, victim);
+      const std::int64_t r = recsys::item_ranks(model, dataset, u, victim_vec).front();
       if (r > 0) ranks.push_back(static_cast<double>(r));
     }
     std::sort(ranks.begin(), ranks.end());

@@ -75,10 +75,11 @@ int main() {
     if (probs.at(i, data::kRunningShoe) > probs.at(best, data::kRunningShoe)) best = i;
   }
   const std::int32_t item = batch.items[static_cast<std::size_t>(best)];
-  const std::int64_t rank_before = recsys::item_rank(*vbpr, dataset, 0, item);
+  const std::int32_t probed[1] = {item};
+  const std::int64_t rank_before = recsys::item_ranks(*vbpr, dataset, 0, probed).front();
   vbpr->set_item_features(
       pipeline.features_with_attack(batch.items, batch.attacked_images));
-  const std::int64_t rank_after = recsys::item_rank(*vbpr, dataset, 0, item);
+  const std::int64_t rank_after = recsys::item_ranks(*vbpr, dataset, 0, probed).front();
   vbpr->set_item_features(pipeline.clean_features());
   std::cout << "\nExample item #" << item << " (Sock): P[Running Shoe] after attack = "
             << Table::pct(probs.at(best, data::kRunningShoe), 1)

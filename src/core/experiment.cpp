@@ -47,27 +47,20 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
   ex.target_category = scenario.target_category;
 
   const auto& dataset = pipeline.dataset();
-  const std::int64_t num_items = dataset.num_items;
   const std::int64_t sample_users = std::min<std::int64_t>(dataset.num_users, 60);
   const std::int64_t num_attacked = static_cast<std::int64_t>(products.batch.items.size());
 
-  // Median recommendation position of every attacked item across a user
-  // sample, before and after the attack (one score_all pass per user and
-  // state; ranks by counting strictly-better scores).
+  // Median recommendation position (recsys::item_ranks) of every attacked
+  // item across a user sample, before and after the attack.
   std::vector<std::vector<double>> ranks_before(static_cast<std::size_t>(num_attacked));
   std::vector<std::vector<double>> ranks_after(static_cast<std::size_t>(num_attacked));
-  std::vector<float> scores(static_cast<std::size_t>(num_items));
   auto collect = [&](std::vector<std::vector<double>>& out) {
     for (std::int64_t u = 0; u < sample_users; ++u) {
-      vbpr.score_all(u, scores);
+      const std::vector<std::int64_t> ranks =
+          recsys::item_ranks(vbpr, dataset, u, products.batch.items);
       for (std::int64_t a = 0; a < num_attacked; ++a) {
-        const std::int32_t item = products.batch.items[static_cast<std::size_t>(a)];
-        if (dataset.user_interacted(u, item)) continue;
-        const float s = scores[static_cast<std::size_t>(item)];
-        std::int64_t rank = 1;
-        for (std::int64_t i = 0; i < num_items; ++i) {
-          if (scores[static_cast<std::size_t>(i)] > s) ++rank;
-        }
+        const std::int64_t rank = ranks[static_cast<std::size_t>(a)];
+        if (rank < 0) continue;  // the user trained on this item
         out[static_cast<std::size_t>(a)].push_back(static_cast<double>(rank));
       }
     }
@@ -239,7 +232,9 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
 
 namespace {
 constexpr std::uint32_t kResultsMagic = 0x54414d52;  // "TAMR"
-constexpr std::uint32_t kResultsVersion = 2;
+// Part of the cache file name: bump it whenever saved results change
+// meaning, so stale cache files are not loaded.
+constexpr std::uint32_t kResultsVersion = 3;
 
 void write_cell(std::ostream& os, const CellResult& c) {
   io::write_string(os, c.model);

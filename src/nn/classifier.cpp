@@ -98,13 +98,11 @@ void Classifier::fit(const Tensor& images, const std::vector<std::int64_t>& labe
   Sgd optimizer(sgd_config);
   auto& loss_hist = obs::MetricsRegistry::global().histogram(
       "cnn_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
-  auto& epochs_total = obs::MetricsRegistry::global().counter("cnn_epochs_total");
   for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
     TAAMR_TRACE_SPAN("cnn/epoch");
     optimizer.set_learning_rate(step_decay_lr(sgd_config.learning_rate, epoch, epochs));
     const TrainStats stats = train_epoch(images, labels, batch_size, optimizer, rng);
     loss_hist.observe(static_cast<double>(stats.loss));
-    epochs_total.increment();
     if (verbose) {
       log_info() << "cnn epoch " << (epoch + 1) << "/" << epochs << " loss=" << stats.loss
                  << " acc=" << stats.accuracy;

@@ -32,7 +32,7 @@
 
 namespace taamr::obs {
 
-// Where the updated item ranks for one probe user: recsys::item_rank minus
+// Where the updated item ranks for one probe user: recsys::item_ranks minus
 // one (0-based, training items excluded), or -1 on both sides when the
 // probe user trained on the item.
 struct RankShift {

@@ -201,7 +201,7 @@ void append_labels(std::ostringstream& os, const Labels& labels) {
 
 }  // namespace
 
-std::string MetricsRegistry::snapshot_json() const {
+std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
   os << "{\n\"counters\":[";
@@ -347,7 +347,7 @@ void MetricsRegistry::write_json_file(const std::string& path) const {
   if (!os) {
     throw std::runtime_error("MetricsRegistry: cannot open " + path);
   }
-  os << snapshot_json();
+  os << to_json();
 }
 
 }  // namespace taamr::obs

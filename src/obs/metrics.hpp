@@ -76,8 +76,7 @@ class Counter {
   std::atomic<double> value_{0.0};
 };
 
-// Last-write-wins instantaneous value, with add() for up/down tracking
-// (queue depths, busy-worker counts).
+// Last-write-wins instantaneous value, with add() for up/down tracking.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -152,9 +151,7 @@ class MetricsRegistry {
   // Weakly consistent snapshot of every registered instrument, safe to call
   // mid-run from any thread (the serving stats/metrics ops read it on live
   // traffic); the atexit dump reuses it.
-  std::string snapshot_json() const;
-  // Legacy spelling of snapshot_json().
-  std::string to_json() const { return snapshot_json(); }
+  std::string to_json() const;
   // Prometheus-style text exposition of the same snapshot: counters and
   // gauges as single samples, histograms as cumulative _bucket{le=...}
   // series plus _sum/_count. Ends with "# EOF" (OpenMetrics-style), which

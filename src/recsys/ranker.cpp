@@ -84,22 +84,40 @@ std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
   return lists;
 }
 
-std::int64_t item_rank(const Recommender& model, const data::ImplicitDataset& dataset,
-                       std::int64_t user, std::int32_t item) {
-  if (user < 0 || user >= dataset.num_users || item < 0 || item >= dataset.num_items) {
-    throw std::invalid_argument("item_rank: user/item out of range");
+std::vector<std::int64_t> item_ranks(const Recommender& model,
+                                     const data::ImplicitDataset& dataset,
+                                     std::int64_t user,
+                                     std::span<const std::int32_t> items) {
+  if (user < 0 || user >= dataset.num_users) {
+    throw std::invalid_argument("item_ranks: user out of range");
   }
-  if (dataset.user_interacted(user, item)) return -1;
+  for (const std::int32_t item : items) {
+    if (item < 0 || item >= dataset.num_items) {
+      throw std::invalid_argument("item_ranks: item out of range");
+    }
+  }
   std::vector<float> scores(static_cast<std::size_t>(dataset.num_items));
   model.score_all(user, scores);
-  const float target = scores[static_cast<std::size_t>(item)];
-  std::int64_t rank = 1;
-  for (std::int64_t i = 0; i < dataset.num_items; ++i) {
-    if (i == item || dataset.user_interacted(user, static_cast<std::int32_t>(i))) continue;
-    const float s = scores[static_cast<std::size_t>(i)];
-    if (s > target || (s == target && i < item)) ++rank;
+  // Masked like rank_users: a training item never outranks a servable one.
+  for (const std::int32_t item : dataset.train[static_cast<std::size_t>(user)]) {
+    scores[static_cast<std::size_t>(item)] = -std::numeric_limits<float>::infinity();
   }
-  return rank;
+  std::vector<std::int64_t> ranks;
+  ranks.reserve(items.size());
+  for (const std::int32_t item : items) {
+    if (dataset.user_interacted(user, item)) {
+      ranks.push_back(-1);
+      continue;
+    }
+    const float target = scores[static_cast<std::size_t>(item)];
+    std::int64_t rank = 1;
+    for (std::int32_t i = 0; i < dataset.num_items; ++i) {
+      const float s = scores[static_cast<std::size_t>(i)];
+      if (s > target || (s == target && i < item)) ++rank;
+    }
+    ranks.push_back(rank);
+  }
+  return ranks;
 }
 
 }  // namespace taamr::recsys

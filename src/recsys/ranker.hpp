@@ -41,10 +41,14 @@ std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
                                                    const data::ImplicitDataset& dataset,
                                                    std::int64_t n);
 
-// 1-based rank of `item` in user's full ranking (training items excluded),
-// i.e. the "rec. position" reported in the paper's Fig. 2. Returns -1 when
-// the item is in the user's training set.
-std::int64_t item_rank(const Recommender& model, const data::ImplicitDataset& dataset,
-                       std::int64_t user, std::int32_t item);
+// 1-based rank of each of `items` in the user's full ranking, i.e. the
+// "rec. position" reported in the paper's Fig. 2: the position rank_users
+// would list the item at, in the canonical score-desc / id-asc order with
+// training items excluded. -1 for an item in the user's training set. One
+// score_all pass serves every item.
+std::vector<std::int64_t> item_ranks(const Recommender& model,
+                                     const data::ImplicitDataset& dataset,
+                                     std::int64_t user,
+                                     std::span<const std::int32_t> items);
 
 }  // namespace taamr::recsys

@@ -21,7 +21,7 @@ class Recommender {
   virtual float score(std::int64_t user, std::int32_t item) const = 0;
 
   // Scores for every item; out.size() must equal num_items(). Amortizes
-  // per-user work; item_rank and the default score_users use it.
+  // per-user work; item_ranks and the default score_users use it.
   virtual void score_all(std::int64_t user, std::span<float> out) const = 0;
 
   // Scores for an arbitrary (not necessarily contiguous, possibly

@@ -39,15 +39,9 @@ EventLoop::EventLoop(EventLoopConfig config, std::size_t num_shards, Route route
     : config_(std::move(config)), route_(std::move(route)), handler_(std::move(handler)) {
   if (num_shards == 0) throw std::invalid_argument("EventLoop: zero shards");
   if (!route_ || !handler_) throw std::invalid_argument("EventLoop: null route/handler");
-  auto& metrics = obs::MetricsRegistry::global();
   shards_.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->depth = &metrics.gauge("serve_shard_queue_depth",
-                                  {{"shard", std::to_string(s)}});
-    shard->shed = &metrics.counter("serve_shard_shed_total",
-                                   {{"shard", std::to_string(s)}});
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -153,7 +147,6 @@ void EventLoop::worker_main(std::size_t shard_idx, std::size_t worker) {
       if (shard.queue.empty()) return;  // stop && drained
       job = std::move(shard.queue.front());
       shard.queue.pop_front();
-      shard.depth->set(static_cast<double>(shard.queue.size()));
     }
     std::string response;
     try {
@@ -204,12 +197,10 @@ void EventLoop::admit(const std::shared_ptr<Connection>& conn, std::string line)
     } else {
       inflight_.fetch_add(1, std::memory_order_acq_rel);
       shard.queue.push_back(Job{conn, seq, std::move(line)});
-      shard.depth->set(static_cast<double>(shard.queue.size()));
       shard.cv.notify_one();
     }
   }
   if (overloaded) {
-    shard.shed->increment();
     shed_.fetch_add(1, std::memory_order_relaxed);
     // Shed on the loop thread, through the same sequencing as real
     // responses — the client still gets one line per request, in order.
@@ -260,7 +251,6 @@ void EventLoop::accept_new() {
         // can never drain). Release the reserve fd so the pending
         // connection can be accepted, then hang up on it immediately.
         accept_shed_.fetch_add(1, std::memory_order_relaxed);
-        obs::MetricsRegistry::global().counter("serve_accept_shed_total").increment();
         if (reserve_fd_ >= 0) {
           ::close(reserve_fd_);
           reserve_fd_ = -1;
@@ -280,9 +270,6 @@ void EventLoop::accept_new() {
     conn->fd = fd;
     conns_.emplace(fd, conn);
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global()
-        .gauge("serve_open_connections")
-        .set(static_cast<double>(conns_.size()));
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLET;
     ev.data.fd = fd;
@@ -364,9 +351,6 @@ void EventLoop::maybe_close(const std::shared_ptr<Connection>& conn) {
   conns_.erase(conn->fd);
   pending_close_.push_back(conn->fd);
   conn->fd = -1;
-  obs::MetricsRegistry::global()
-      .gauge("serve_open_connections")
-      .set(static_cast<double>(conns_.size()));
 }
 
 bool EventLoop::drained() const {

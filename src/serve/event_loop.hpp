@@ -12,8 +12,7 @@
 // Admission control: each shard queue holds at most max_inflight jobs.
 // When a queue is full the loop thread sheds the request immediately with
 // {"ok":false,"error":"overloaded"} instead of buffering unboundedly or
-// blocking the loop — serve_shard_shed_total counts per shard,
-// serve_shard_queue_depth gauges expose pressure.
+// blocking the loop — Stats::shed counts the shed requests.
 //
 // Ordering: responses on a connection are delivered in request order even
 // though shards execute concurrently. Every request gets a per-connection
@@ -29,7 +28,7 @@
 //
 // EMFILE: the loop holds a reserve fd; when accept() hits the fd limit it
 // momentarily releases the reserve, accepts the pending connection and
-// closes it immediately (serve_accept_shed_total), so the server sheds
+// closes it immediately (Stats::accept_shed), so the server sheds
 // instead of exiting or spinning on a level-triggered accept storm.
 #pragma once
 
@@ -45,8 +44,6 @@
 #include <thread>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace taamr::serve {
 
@@ -123,8 +120,6 @@ class EventLoop {
     std::condition_variable cv;
     std::deque<Job> queue;
     bool stop = false;
-    obs::Gauge* depth = nullptr;
-    obs::Counter* shed = nullptr;
   };
 
   void loop_main();

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
 namespace taamr::serve {
 
 FeatureStore::FeatureStore(Tensor raw_features, std::size_t log_window)
@@ -50,7 +48,6 @@ std::uint64_t FeatureStore::update(std::int64_t item, std::span<const float> fea
   ++epoch_;
   log_.emplace_back(epoch_, static_cast<std::int32_t>(item));
   while (log_.size() > log_window_) log_.pop_front();
-  obs::MetricsRegistry::global().counter("serve_feature_updates_total").increment();
   return epoch_;
 }
 

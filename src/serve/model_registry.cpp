@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/bpr_mf.hpp"
 #include "recsys/vbpr.hpp"
@@ -26,9 +25,6 @@ void ModelRegistry::register_model(const std::string& name,
   e.model = std::move(model);
   ++e.version;
   e.visual = visual;
-  obs::MetricsRegistry::global()
-      .counter("serve_model_swaps_total", {{"model", name}})
-      .increment();
 }
 
 void ModelRegistry::swap(const std::string& name,
@@ -41,9 +37,6 @@ void ModelRegistry::swap(const std::string& name,
   }
   it->second.model = std::move(model);
   ++it->second.version;
-  obs::MetricsRegistry::global()
-      .counter("serve_model_swaps_total", {{"model", name}})
-      .increment();
 }
 
 void ModelRegistry::swap_features(const std::string& name,

@@ -13,6 +13,14 @@
 
 namespace taamr::serve {
 
+namespace {
+
+// Bucket edges of serve_request_seconds and of the rolling latency window,
+// so rolling and lifetime quantiles interpolate over identical edges.
+const std::vector<double> kRequestLatencyBounds = obs::exponential_bounds(1e-6, 2.0, 30);
+
+}  // namespace
+
 ServeConfig ServeConfig::from_env() {
   ServeConfig c;
   c.cache_capacity = env::get_int("TAAMR_SERVE_CACHE_CAP", c.cache_capacity);
@@ -39,11 +47,12 @@ RecommendService::RecommendService(const data::ImplicitDataset& dataset,
       config_(config),
       cache_(config.cache_capacity),
       update_mutex_(std::move(update_mutex)),
-      // One-second slots, same bucket layout as serve_request_seconds so
-      // rolling and lifetime quantiles interpolate over identical edges.
+      request_seconds_(obs::MetricsRegistry::global().histogram(
+          "serve_request_seconds", {}, kRequestLatencyBounds)),
+      // One-second slots.
       latency_window_(static_cast<std::uint64_t>(kWindowSeconds) * 1000000ull,
                       static_cast<std::size_t>(kWindowSeconds),
-                      obs::exponential_bounds(1e-6, 2.0, 30)) {
+                      kRequestLatencyBounds) {
   if (store_ == nullptr || update_mutex_ == nullptr) {
     throw std::invalid_argument("RecommendService: null store or update mutex");
   }
@@ -119,22 +128,13 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
 }
 
 void RecommendService::observe_request(double seconds) {
-  obs::MetricsRegistry::global()
-      .histogram("serve_request_seconds", {},
-                 obs::exponential_bounds(1e-6, 2.0, 30))
-      .observe(seconds);
+  request_seconds_.observe(seconds);
   latency_window_.observe(seconds);
   if (seconds > kSloSeconds) {
     slow_requests_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global()
-        .counter("serve_slow_requests_total")
-        .increment();
   }
   if (seconds > 2.0 * kSloSeconds) {
     deadline_breaches_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global()
-        .counter("serve_deadline_breach_total")
-        .increment();
   }
 }
 
@@ -148,9 +148,6 @@ Recommendation RecommendService::recommend(const std::string& model, std::int64_
   }
   const ModelRegistry::Snapshot snap = registry_.get(model);
   requests_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::global()
-      .counter("serve_requests_total", {{"model", model}})
-      .increment();
 
   Recommendation rec;
   rec.user = user;
@@ -209,9 +206,9 @@ std::uint64_t RecommendService::update_item_features(std::int64_t item,
       // Rank-shift sample against the first visual model: where did the
       // pushed item sit for a few probe users before and after this swap?
       // 0-based; -1 when the probe user trained on the item.
+      const std::int32_t probed[1] = {static_cast<std::int32_t>(item)};
       const auto probe_rank = [&](const recsys::Recommender& m, std::int64_t u) {
-        const std::int64_t r =
-            recsys::item_rank(m, dataset_, u, static_cast<std::int32_t>(item));
+        const std::int64_t r = recsys::item_ranks(m, dataset_, u, probed).front();
         return r < 0 ? r : r - 1;
       };
       const std::int64_t probes = std::min<std::int64_t>(3, dataset_.num_users);
@@ -276,7 +273,6 @@ RecommendService::Stats RecommendService::stats() const {
   st.rolling_p50_s = win.quantile(0.50);
   st.rolling_p90_s = win.quantile(0.90);
   st.rolling_p99_s = win.quantile(0.99);
-  st.rolling_window_requests = win.count;
   st.cache = cache_.stats();
   return st;
 }

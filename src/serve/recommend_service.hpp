@@ -16,7 +16,7 @@
 //     survives iff no changed item is in the cached list and none can
 //     enter it (per-item score vs the list's tail, using the canonical
 //     score-desc/id-asc tie-break). Surviving entries are re-stamped
-//     (serve_cache_revalidated_total) — this is what makes a hot feature
+//     (Stats::cache_revalidated) — this is what makes a hot feature
 //     swap invalidate only the affected lists.
 //
 // update_item_features serializes writers, pushes the new row into the
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "obs/audit.hpp"
+#include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "obs/sliding_window.hpp"
 #include "serve/feature_store.hpp"
@@ -130,7 +131,6 @@ class RecommendService {
     double rolling_p50_s = 0.0;  // over the last kWindowSeconds
     double rolling_p90_s = 0.0;
     double rolling_p99_s = 0.0;
-    std::uint64_t rolling_window_requests = 0;  // observations in the window
     TopNCache::Stats cache;
     double hit_rate() const {
       const double total = static_cast<double>(cache_hits + cache_misses);
@@ -149,7 +149,8 @@ class RecommendService {
   std::optional<CacheEntry> lookup(const CacheKey& key,
                                    const ModelRegistry::Snapshot& snap);
   // Latency bookkeeping shared by every recommend() exit: lifetime + rolling
-  // histograms, SLO counters.
+  // histograms, SLO counters. Touches no registry: the lifetime histogram's
+  // handle is fetched once, in the constructor.
   void observe_request(double seconds);
 
   const data::ImplicitDataset& dataset_;
@@ -162,6 +163,7 @@ class RecommendService {
   // store so rebuild+swap sequences from different shards cannot interleave.
   std::shared_ptr<std::mutex> update_mutex_;
 
+  obs::Histogram& request_seconds_;  // serve_request_seconds (global registry)
   obs::SlidingWindowHistogram latency_window_;
   obs::UpdateAnomalyScorer anomaly_scorer_;
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace taamr::serve {
@@ -35,16 +36,11 @@ ShardRouter::ShardRouter(const data::ImplicitDataset& dataset, ModelRegistry& re
   per_shard.cache_capacity =
       std::max<std::int64_t>(1, per_shard.cache_capacity / n);
 
-  auto& metrics = obs::MetricsRegistry::global();
   shards_.reserve(static_cast<std::size_t>(n));
-  shard_requests_.reserve(static_cast<std::size_t>(n));
   for (std::int64_t s = 0; s < n; ++s) {
     shards_.push_back(std::make_unique<RecommendService>(
         dataset_, registry_, store_, update_mutex, per_shard));
-    shard_requests_.push_back(&metrics.counter(
-        "serve_shard_requests_total", {{"shard", std::to_string(s)}}));
   }
-  metrics.gauge("serve_shards").set(static_cast<double>(n));
 }
 
 std::size_t ShardRouter::shard_of(std::int64_t user) const {
@@ -60,9 +56,7 @@ Recommendation ShardRouter::recommend(const std::string& model, std::int64_t use
   if (user < 0 || user >= dataset_.num_users) {
     throw std::invalid_argument("recommend: user out of range");
   }
-  const std::size_t s = shard_of(user);
-  shard_requests_[s]->increment();
-  return shards_[s]->recommend(model, user, n, ctx);
+  return shards_[shard_of(user)]->recommend(model, user, n, ctx);
 }
 
 std::uint64_t ShardRouter::update_item_features(std::int64_t item,
@@ -96,7 +90,6 @@ RecommendService::Stats ShardRouter::stats() const {
     total.slow_requests += st.slow_requests;
     total.deadline_breaches += st.deadline_breaches;
     total.suspect_updates += st.suspect_updates;
-    total.rolling_window_requests += st.rolling_window_requests;
     // Worst shard defines the SLO story; averaging would hide a hot shard.
     total.rolling_p50_s = std::max(total.rolling_p50_s, st.rolling_p50_s);
     total.rolling_p90_s = std::max(total.rolling_p90_s, st.rolling_p90_s);
@@ -114,10 +107,7 @@ std::string ShardRouter::metrics_text() const {
   auto& metrics = obs::MetricsRegistry::global();
   const RecommendService::Stats agg = stats();
   metrics.gauge("serve_rolling_p50_seconds").set(agg.rolling_p50_s);
-  metrics.gauge("serve_rolling_p90_seconds").set(agg.rolling_p90_s);
   metrics.gauge("serve_rolling_p99_seconds").set(agg.rolling_p99_s);
-  metrics.gauge("serve_rolling_window_requests")
-      .set(static_cast<double>(agg.rolling_window_requests));
   return metrics.to_prometheus();
 }
 

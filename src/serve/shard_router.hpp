@@ -11,8 +11,8 @@
 //     that shard's next touch (serve/recommend_service.hpp), so a swap
 //     never stalls sibling shards' request paths.
 //   * Each shard owns its TopNCache slice (total capacity split N ways) and
-//     its own rolling latency window — per-shard
-//     serve_shard_requests_total{shard=..} counters make imbalance visible.
+//     its own rolling latency window — shard_stats(s).requests makes
+//     imbalance visible.
 //   * Feature updates are funneled through shard 0's service: one shared
 //     update mutex serializes rebuild+swap sequences, and a single anomaly
 //     scorer sees the full update stream no matter which connection
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "serve/recommend_service.hpp"
 
 namespace taamr::serve {
@@ -67,7 +66,7 @@ class ShardRouter {
   // shards (the SLO question is "how bad is the worst shard right now").
   RecommendService::Stats stats() const;
   RecommendService::Stats shard_stats(std::size_t shard) const;
-  // Refreshes the serve_rolling_{p50,p90,p99}_seconds gauges from stats()
+  // Refreshes the serve_rolling_{p50,p99}_seconds gauges from stats()
   // and returns the full Prometheus exposition. Backs the protocol's
   // {"op":"metrics"}.
   std::string metrics_text() const;
@@ -83,7 +82,6 @@ class ShardRouter {
   ShardRouterConfig config_;
   std::shared_ptr<FeatureStore> store_;
   std::vector<std::unique_ptr<RecommendService>> shards_;
-  std::vector<obs::Counter*> shard_requests_;  // serve_shard_requests_total
 };
 
 }  // namespace taamr::serve

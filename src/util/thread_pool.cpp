@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -53,34 +54,19 @@ void run_chunks(ParallelForState& st) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads, bool force_telemetry) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Touch the obs singletons before spawning workers: they are constructed
+  // Touch the trace singleton before spawning workers: it is constructed
   // before this pool finishes constructing, hence destroyed after it, so
-  // worker threads may safely record into them right up to join().
+  // worker threads may safely record into it right up to join().
   obs::Trace& trace = obs::Trace::global();
   (void)trace;
-  // Every pool gets an id (not just telemetered ones): worker thread names
-  // — "taamr-p<pool>-w<i>" — carry it into logs, traces and profiles.
+  // Every pool gets an id: worker thread names — "taamr-p<pool>-w<i>" —
+  // carry it into logs, traces and profiles.
   static std::atomic<int> next_pool_id{0};
   const int pool_id = next_pool_id.fetch_add(1);
-  telemetry_ = force_telemetry || obs::telemetry_enabled();
-  if (telemetry_) {
-    const obs::Labels labels = {{"pool", std::to_string(pool_id)}};
-    auto& reg = obs::MetricsRegistry::global();
-    tasks_total_ = &reg.counter("thread_pool_tasks_total", labels);
-    queue_depth_ = &reg.gauge("thread_pool_queue_depth", labels);
-    busy_workers_ = &reg.gauge("thread_pool_busy_workers", labels);
-    utilization_ = &reg.gauge("thread_pool_utilization", labels);
-    pool_size_ = &reg.gauge("thread_pool_size", labels);
-    task_wait_seconds_ = &reg.histogram("thread_pool_task_wait_seconds", labels);
-    task_run_seconds_ = &reg.histogram("thread_pool_task_run_seconds", labels);
-    chunk_size_ = &reg.histogram("parallel_for_chunk_size", labels,
-                                 obs::exponential_bounds(1.0, 4.0, 12));
-    pool_size_->set(static_cast<double>(num_threads));
-  }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, pool_id, i] {
@@ -102,58 +88,25 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::in_worker_thread() const { return tls_worker_pool == this; }
 
-void ThreadPool::publish_busy_delta(int delta) {
-  std::lock_guard<std::mutex> lock(gauge_mutex_);
-  busy_ += delta;
-  const double busy = static_cast<double>(busy_);
-  busy_workers_->set(busy);
-  utilization_->set(busy / static_cast<double>(workers_.size()));
-}
-
-double ThreadPool::busy_workers_value() const {
-  return busy_workers_ != nullptr ? busy_workers_->value() : 0.0;
-}
-
-double ThreadPool::utilization_value() const {
-  return utilization_ != nullptr ? utilization_->value() : 0.0;
-}
-
 void ThreadPool::worker_loop() {
   tls_worker_pool = this;
   for (;;) {
-    Task task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      if (telemetry_) queue_depth_->set(static_cast<double>(tasks_.size()));
     }
-    if (telemetry_) {
-      const std::uint64_t start_us = obs::monotonic_us();
-      task_wait_seconds_->observe(
-          static_cast<double>(start_us - task.enqueue_us) * 1e-6);
-      publish_busy_delta(+1);
-      task.fn();
-      task_run_seconds_->observe(
-          static_cast<double>(obs::monotonic_us() - start_us) * 1e-6);
-      tasks_total_->increment();
-      publish_busy_delta(-1);
-    } else {
-      task.fn();
-    }
+    task();
   }
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
-  Task t;
-  t.fn = std::move(task);
-  if (telemetry_) t.enqueue_us = obs::monotonic_us();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(t));
-    if (telemetry_) queue_depth_->set(static_cast<double>(tasks_.size()));
+    tasks_.push(std::move(task));
   }
   cv_.notify_one();
 }
@@ -171,7 +124,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   const std::size_t max_chunks = std::min(n, (workers_.size() + 1) * 4);
   const std::size_t chunk = (n + max_chunks - 1) / max_chunks;
-  if (telemetry_) chunk_size_->observe(static_cast<double>(chunk));
   TAAMR_TRACE_SPAN("util/parallel_for");
 
   auto st = std::make_shared<ParallelForState>();

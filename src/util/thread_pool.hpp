@@ -12,32 +12,25 @@
 //     there is how nested waits used to starve their own queued chunks and
 //     deadlock the pool.
 //
-// When any observability knob is set (obs::telemetry_enabled()) each pool
-// publishes queue-depth / busy-worker / utilization gauges, task wait/run
-// latency histograms and parallel_for chunk-size histograms to the metrics
-// registry under a {"pool": "<id>"} label, so GEMM/im2col/attack loops show
-// up in metrics dumps without per-callsite changes. On plain runs the
-// instrumentation reduces to a single branch per task.
+// Each parallel_for records a "util/parallel_for" trace span, and worker
+// threads are named "taamr-p<pool>-w<i>" so logs, traces and profiles can
+// tell them apart.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace taamr {
 
 class ThreadPool {
  public:
-  // 0 means hardware_concurrency (at least 1). force_telemetry publishes
-  // the pool gauges even when no observability env knob is set (tests).
-  explicit ThreadPool(std::size_t num_threads = 0, bool force_telemetry = false);
+  // 0 means hardware_concurrency (at least 1).
+  explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -56,46 +49,18 @@ class ThreadPool {
   // True when the calling thread is one of this pool's workers.
   bool in_worker_thread() const;
 
-  // Current values of the busy-worker / utilization gauges (0 when
-  // telemetry is off). Publication is serialized, so once the pool is idle
-  // these read exactly 0.
-  double busy_workers_value() const;
-  double utilization_value() const;
-
   // Process-wide shared pool.
   static ThreadPool& global();
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    std::uint64_t enqueue_us = 0;  // only stamped when telemetry is on
-  };
-
   void worker_loop();
   void enqueue(std::function<void()> task);
-  void publish_busy_delta(int delta);
 
   std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-
-  // Telemetry (null/unused unless obs::telemetry_enabled() or forced).
-  bool telemetry_ = false;
-  // Serializes busy/utilization publication so the gauges always reflect
-  // the post-update count; lock-free publication let two workers publish
-  // out of order and stick the gauge nonzero at idle.
-  std::mutex gauge_mutex_;
-  std::int64_t busy_ = 0;  // guarded by gauge_mutex_
-  obs::Counter* tasks_total_ = nullptr;
-  obs::Gauge* queue_depth_ = nullptr;
-  obs::Gauge* busy_workers_ = nullptr;
-  obs::Gauge* utilization_ = nullptr;
-  obs::Gauge* pool_size_ = nullptr;
-  obs::Histogram* task_wait_seconds_ = nullptr;
-  obs::Histogram* task_run_seconds_ = nullptr;
-  obs::Histogram* chunk_size_ = nullptr;
 };
 
 // Convenience wrapper over the global pool. Falls back to serial execution

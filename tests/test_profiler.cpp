@@ -186,7 +186,7 @@ TEST(ProfilerStress, ParallelForStormUnderHighRate) {
   // handler/collector race on the rings or thread-name registry surfaces
   // here.
   Profiler profiler(cpu_config(5000));
-  ThreadPool pool(4, /*force_telemetry=*/true);
+  ThreadPool pool(4);
   std::atomic<std::uint64_t> work{0};
   for (int round = 0; round < 20; ++round) {
     pool.parallel_for(0, 256, [&work](std::size_t i) {

@@ -48,6 +48,13 @@ data::ImplicitDataset two_user_dataset() {
   return ds;
 }
 
+// item_ranks for a single item.
+std::int64_t rank_of(const recsys::Recommender& model, const data::ImplicitDataset& ds,
+                     std::int64_t user, std::int32_t item) {
+  const std::int32_t items[1] = {item};
+  return recsys::item_ranks(model, ds, user, items).front();
+}
+
 TEST(Ranker, TopNOrdersByScore) {
   const auto ds = two_user_dataset();
   // The training items (0 for user 0, 4 for user 1) score below the cut.
@@ -153,12 +160,26 @@ TEST(Ranker, ItemRankCountsStrictlyBetter) {
   const auto ds = two_user_dataset();
   MockRecommender model(2, {0.1f, 0.9f, 0.5f, 0.7f, 0.3f});
   // User 0, excluding train item 0: order is 1 (0.9), 3 (0.7), 2 (0.5), 4 (0.3).
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 1), 1);
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 3), 2);
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 4), 4);
+  EXPECT_EQ(rank_of(model, ds, 0, 1), 1);
+  EXPECT_EQ(rank_of(model, ds, 0, 3), 2);
+  EXPECT_EQ(rank_of(model, ds, 0, 4), 4);
   // Training items have no rank.
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 0), -1);
-  EXPECT_THROW(recsys::item_rank(model, ds, 0, 99), std::invalid_argument);
+  EXPECT_EQ(rank_of(model, ds, 0, 0), -1);
+  EXPECT_THROW(rank_of(model, ds, 0, 99), std::invalid_argument);
+}
+
+TEST(Ranker, ItemRanksExcludeTrainingAndBreakTies) {
+  // User 0 trains on item 0, the best-scored item; items 1-3 tie.
+  const auto ds = two_user_dataset();
+  MockRecommender model(2, {0.9f, 0.5f, 0.5f, 0.5f, 0.3f});
+  const std::int32_t items[] = {3, 0, 1, 4};
+  // Item 3 ranks behind the tied, lower-id items 1 and 2; the training
+  // item 0 does not count against it and has no rank itself.
+  EXPECT_EQ(recsys::item_ranks(model, ds, 0, items),
+            (std::vector<std::int64_t>{3, -1, 1, 4}));
+  const std::int32_t out_of_range[] = {1, 5};
+  EXPECT_THROW(recsys::item_ranks(model, ds, 0, out_of_range), std::invalid_argument);
+  EXPECT_THROW(rank_of(model, ds, 2, 1), std::invalid_argument);
 }
 
 TEST(Ranker, TopNFromRowCanonicalOrder) {
@@ -204,10 +225,10 @@ TEST(Ranker, ItemRankDeterministicTieBreak) {
   // tied catalog still ranks deterministically. User 0 trains on item 0.
   const auto ds = two_user_dataset();
   MockRecommender model(2, {1, 1, 1, 1, 1});
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 1), 1);
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 2), 2);
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 3), 3);
-  EXPECT_EQ(recsys::item_rank(model, ds, 0, 4), 4);
+  EXPECT_EQ(rank_of(model, ds, 0, 1), 1);
+  EXPECT_EQ(rank_of(model, ds, 0, 2), 2);
+  EXPECT_EQ(rank_of(model, ds, 0, 3), 3);
+  EXPECT_EQ(rank_of(model, ds, 0, 4), 4);
 }
 
 TEST(Ranker, ItemRankConsistentWithTopN) {
@@ -215,7 +236,7 @@ TEST(Ranker, ItemRankConsistentWithTopN) {
   MockRecommender model(2, {0.2f, 0.8f, 0.6f, 0.4f, 0.1f});
   const auto lists = recsys::top_n_lists(model, ds, 4);
   for (std::size_t pos = 0; pos < lists[0].size(); ++pos) {
-    EXPECT_EQ(recsys::item_rank(model, ds, 0, lists[0][pos]),
+    EXPECT_EQ(rank_of(model, ds, 0, lists[0][pos]),
               static_cast<std::int64_t>(pos + 1));
   }
 }

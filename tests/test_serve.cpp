@@ -11,6 +11,7 @@
 
 #include "data/amazon_synth.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "recsys/bpr_mf.hpp"
 #include "recsys/vbpr.hpp"
 #include "serve/feature_store.hpp"
@@ -117,6 +118,34 @@ TEST(ServeRegistry, LoadsCheckpointsFromDisk) {
   EXPECT_THROW(registry.load_vbpr("x", "/nonexistent/ckpt.bin"), std::runtime_error);
   std::remove(vbpr_path.c_str());
   std::remove(bpr_path.c_str());
+}
+
+// Series in the global registry: the array lengths of its JSON snapshot.
+std::size_t metric_series() {
+  const obs::json::Value doc = obs::json::parse(obs::MetricsRegistry::global().to_json());
+  std::size_t n = 0;
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    n += doc.find(kind)->array.size();
+  }
+  return n;
+}
+
+TEST(ServeRegistry, ModelNamesAddNoMetricSeries) {
+  // Model names arrive on the wire ({"op":"swap_model"}), so no metric may
+  // take one as a label value: each new name would add series unboundedly.
+  const auto ds = make_dataset();
+  Rng rng(35);
+  serve::ModelRegistry registry(ds);
+  registry.register_model("vbpr", make_vbpr(ds, rng), true);
+  serve::RecommendService service(ds, registry, make_features(ds, rng));
+  service.recommend("vbpr", 0, 5);  // registers whatever a request touches
+  const std::size_t before = metric_series();
+
+  const std::string fresh = "client-chosen-name";
+  registry.register_model(fresh, make_vbpr(ds, rng), true);
+  registry.swap(fresh, make_vbpr(ds, rng));
+  for (std::int64_t u = 0; u < 3; ++u) service.recommend(fresh, u, 5);
+  EXPECT_EQ(metric_series(), before) << obs::MetricsRegistry::global().to_json();
 }
 
 // ---- FeatureStore ----

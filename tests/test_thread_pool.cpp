@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -104,25 +103,6 @@ TEST(ThreadPool, CallerRunsWhenWorkersAreBlocked) {
 
   release.store(true);
   blocker.join();
-}
-
-TEST(ThreadPool, BusyGaugesSettleToZeroAtIdle) {
-  ThreadPool pool(2, /*force_telemetry=*/true);
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<int> count{0};
-    pool.parallel_for(0, 64, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 64);
-    EXPECT_LE(pool.utilization_value(), 1.0);
-  }
-  // Workers may still be between "body done" and "busy-- published"; give
-  // them a bounded grace period, then the gauges must read exactly zero.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while ((pool.busy_workers_value() != 0.0 || pool.utilization_value() != 0.0) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(pool.busy_workers_value(), 0.0);
-  EXPECT_EQ(pool.utilization_value(), 0.0);
 }
 
 }  // namespace
