@@ -57,13 +57,15 @@ int main() {
               << ")\n";
   }
 
-  const auto lists = recsys::top_n_lists(*vbpr, dataset, 5);
+  // Each listed item carries the score it was ranked with.
+  const std::int64_t users[1] = {user};
+  const auto top = recsys::rank_users(*vbpr, dataset, users, 5).front();
   std::cout << "\nTop-5 recommendations for user " << user << ":\n";
   int rank = 1;
-  for (std::int32_t item : lists[static_cast<std::size_t>(user)]) {
-    std::cout << "  " << rank++ << ". item #" << item << "  ("
-              << data::category_name(dataset.item_category[static_cast<std::size_t>(item)])
-              << ")  score=" << vbpr->score(user, item) << "\n";
+  for (const recsys::ScoredItem& s : top) {
+    std::cout << "  " << rank++ << ". item #" << s.item << "  ("
+              << data::category_name(dataset.item_category[static_cast<std::size_t>(s.item)])
+              << ")  score=" << s.score << "\n";
   }
 
   // Stage 5: a small targeted attack — push every Sock toward Running Shoe.

@@ -91,8 +91,14 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse: uncapped, one line of '[' overflows the stack.
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -233,8 +239,10 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 64;
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

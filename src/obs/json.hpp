@@ -39,7 +39,8 @@ struct Value {
 };
 
 // Parses a complete JSON document. Throws std::runtime_error (with a byte
-// offset) on malformed input or trailing garbage.
+// offset) on malformed input, trailing garbage or arrays/objects nested
+// more than 64 deep.
 Value parse(std::string_view text);
 
 }  // namespace taamr::obs::json

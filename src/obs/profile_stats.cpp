@@ -200,8 +200,7 @@ std::string kernel_family_for_stack(const std::string& stack) {
         lower.find("dot") != std::string::npos) {
       return "reduction";
     }
-    if (lower.find("score_all") != std::string::npos ||
-        lower.find("recsys") != std::string::npos ||
+    if (lower.find("recsys") != std::string::npos ||
         lower.find("rank") != std::string::npos) {
       return "recsys_score";
     }

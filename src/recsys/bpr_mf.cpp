@@ -27,21 +27,19 @@ BprMf::BprMf(const data::ImplicitDataset& dataset, BprMfConfig config, Rng& rng)
   for (float& v : item_factors_.storage()) v = rng.gaussian_f(0.0f, config.init_stddev);
 }
 
-float BprMf::score(std::int64_t user, std::int32_t item) const {
-  const std::int64_t k = config_.factors;
-  const float* p = user_factors_.data() + user * k;
-  const float* q = item_factors_.data() + item * k;
-  float s = item_bias_[item];
-  for (std::int64_t f = 0; f < k; ++f) s += p[f] * q[f];
-  return s;
-}
-
-void BprMf::score_all(std::int64_t user, std::span<float> out) const {
-  if (static_cast<std::int64_t>(out.size()) != num_items()) {
-    throw std::invalid_argument("BprMf::score_all: bad output size");
-  }
-  for (std::int64_t i = 0; i < num_items(); ++i) {
-    out[static_cast<std::size_t>(i)] = score(user, static_cast<std::int32_t>(i));
+void BprMf::score_users(std::span<const std::int64_t> users,
+                        std::span<float> out) const {
+  check_score_users(users, out, "BprMf::score_users");
+  const std::int64_t k = config_.factors, items = num_items();
+  for (std::size_t r = 0; r < users.size(); ++r) {
+    const float* p = user_factors_.data() + users[r] * k;
+    float* row = out.data() + static_cast<std::int64_t>(r) * items;
+    for (std::int64_t i = 0; i < items; ++i) {
+      const float* q = item_factors_.data() + i * k;
+      float s = item_bias_[i];
+      for (std::int64_t f = 0; f < k; ++f) s += p[f] * q[f];
+      row[i] = s;
+    }
   }
 }
 

@@ -33,8 +33,9 @@ class BprMf : public Recommender {
 
   std::int64_t num_users() const override { return user_factors_.dim(0); }
   std::int64_t num_items() const override { return item_factors_.dim(0); }
-  float score(std::int64_t user, std::int32_t item) const override;
-  void score_all(std::int64_t user, std::span<float> out) const override;
+  // One dot per (user, item), bias first.
+  void score_users(std::span<const std::int64_t> users,
+                   std::span<float> out) const override;
   std::string name() const override { return "BPR-MF"; }
 
   const BprMfConfig& config() const { return config_; }

@@ -62,26 +62,19 @@ const std::vector<std::pair<std::int32_t, float>>& ItemKnn::neighbors(
   return neighbors_.at(static_cast<std::size_t>(item));
 }
 
-float ItemKnn::score(std::int64_t user, std::int32_t item) const {
-  // score(u, i) = sum of similarities between i and the user's history.
-  float s = 0.0f;
-  for (const auto& [j, sim] : neighbors_.at(static_cast<std::size_t>(item))) {
-    if (dataset_->user_interacted(user, j)) s += sim;
-  }
-  return s;
-}
-
-void ItemKnn::score_all(std::int64_t user, std::span<float> out) const {
-  if (static_cast<std::int64_t>(out.size()) != num_items_) {
-    throw std::invalid_argument("ItemKnn::score_all: bad output size");
-  }
-  // Scatter over the inverse index from the user's history: a |I_u| * k
-  // pass that is exactly equivalent to calling score() per item (the
-  // top-k truncation is asymmetric, so the inverse lists are required).
+void ItemKnn::score_users(std::span<const std::int64_t> users,
+                          std::span<float> out) const {
+  check_score_users(users, out, "ItemKnn::score_users");
+  // score(u, i) = sum of similarities between i and the user's history,
+  // scattered over the inverse index from that history: a |I_u| * k pass
+  // per user instead of an |I| * k one.
   std::fill(out.begin(), out.end(), 0.0f);
-  for (std::int32_t seen : dataset_->train[static_cast<std::size_t>(user)]) {
-    for (const auto& [i, sim] : inverse_[static_cast<std::size_t>(seen)]) {
-      out[static_cast<std::size_t>(i)] += sim;
+  for (std::size_t r = 0; r < users.size(); ++r) {
+    float* row = out.data() + static_cast<std::int64_t>(r) * num_items_;
+    for (std::int32_t seen : dataset_->train[static_cast<std::size_t>(users[r])]) {
+      for (const auto& [i, sim] : inverse_[static_cast<std::size_t>(seen)]) {
+        row[i] += sim;
+      }
     }
   }
 }

@@ -22,8 +22,8 @@ class ItemKnn : public Recommender {
 
   std::int64_t num_users() const override { return num_users_; }
   std::int64_t num_items() const override { return num_items_; }
-  float score(std::int64_t user, std::int32_t item) const override;
-  void score_all(std::int64_t user, std::span<float> out) const override;
+  void score_users(std::span<const std::int64_t> users,
+                   std::span<float> out) const override;
   std::string name() const override { return "ItemKNN"; }
 
   // Top-k neighbour list of an item: (neighbour, similarity), best first.
@@ -36,8 +36,8 @@ class ItemKnn : public Recommender {
   // Per item: truncated similarity list, sorted by similarity descending.
   std::vector<std::vector<std::pair<std::int32_t, float>>> neighbors_;
   // Inverse index: inverse_[j] = {(i, sim) : j in neighbors_(i)} — lets
-  // score_all scatter from the user's history while staying exactly
-  // equivalent to score() under the asymmetric top-k truncation.
+  // score_users scatter from the user's history. The top-k truncation is
+  // asymmetric, so neighbors_(j) is not the same list.
   std::vector<std::vector<std::pair<std::int32_t, float>>> inverse_;
 };
 

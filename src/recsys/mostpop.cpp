@@ -1,6 +1,6 @@
 #include "recsys/mostpop.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace taamr::recsys {
 
@@ -11,15 +11,13 @@ MostPop::MostPop(const data::ImplicitDataset& dataset)
   for (std::int64_t c : counts) popularity_.push_back(static_cast<float>(c));
 }
 
-float MostPop::score(std::int64_t /*user*/, std::int32_t item) const {
-  return popularity_.at(static_cast<std::size_t>(item));
-}
-
-void MostPop::score_all(std::int64_t /*user*/, std::span<float> out) const {
-  if (out.size() != popularity_.size()) {
-    throw std::invalid_argument("MostPop::score_all: bad output size");
+void MostPop::score_users(std::span<const std::int64_t> users,
+                          std::span<float> out) const {
+  check_score_users(users, out, "MostPop::score_users");
+  for (std::size_t r = 0; r < users.size(); ++r) {
+    std::copy(popularity_.begin(), popularity_.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(r * popularity_.size()));
   }
-  std::copy(popularity_.begin(), popularity_.end(), out.begin());
 }
 
 }  // namespace taamr::recsys

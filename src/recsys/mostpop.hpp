@@ -16,8 +16,9 @@ class MostPop : public Recommender {
   std::int64_t num_items() const override {
     return static_cast<std::int64_t>(popularity_.size());
   }
-  float score(std::int64_t user, std::int32_t item) const override;
-  void score_all(std::int64_t user, std::span<float> out) const override;
+  // Every row is the popularity vector.
+  void score_users(std::span<const std::int64_t> users,
+                   std::span<float> out) const override;
   std::string name() const override { return "MostPop"; }
 
  private:

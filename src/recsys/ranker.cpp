@@ -96,8 +96,9 @@ std::vector<std::int64_t> item_ranks(const Recommender& model,
       throw std::invalid_argument("item_ranks: item out of range");
     }
   }
+  // The row rank_users would score for this user, bit for bit.
   std::vector<float> scores(static_cast<std::size_t>(dataset.num_items));
-  model.score_all(user, scores);
+  model.score_users({&user, 1}, scores);
   // Masked like rank_users: a training item never outranks a servable one.
   for (const std::int32_t item : dataset.train[static_cast<std::size_t>(user)]) {
     scores[static_cast<std::size_t>(item)] = -std::numeric_limits<float>::infinity();

@@ -45,7 +45,8 @@ std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
 // "rec. position" reported in the paper's Fig. 2: the position rank_users
 // would list the item at, in the canonical score-desc / id-asc order with
 // training items excluded. -1 for an item in the user's training set. One
-// score_all pass serves every item.
+// score_users row serves every item, so the rank agrees with rank_users
+// exactly, ties included.
 std::vector<std::int64_t> item_ranks(const Recommender& model,
                                      const data::ImplicitDataset& dataset,
                                      std::int64_t user,

@@ -101,13 +101,6 @@ void Vbpr::rebuild_caches() {
   caches_fresh_ = true;
 }
 
-void Vbpr::require_fresh_caches() const {
-  if (!caches_fresh_) {
-    throw std::logic_error(
-        "Vbpr: scoring caches are stale (call fit/set_item_features first)");
-  }
-}
-
 void Vbpr::set_item_features(const Tensor& raw_features) {
   if (raw_features.ndim() != 2 || raw_features.dim(0) != num_items() ||
       raw_features.dim(1) != feature_dim()) {
@@ -117,58 +110,21 @@ void Vbpr::set_item_features(const Tensor& raw_features) {
   rebuild_caches();
 }
 
-float Vbpr::score(std::int64_t user, std::int32_t item) const {
-  require_fresh_caches();
-  const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
-  const float* p = user_factors_.data() + user * k;
-  const float* q = item_factors_.data() + item * k;
-  const float* alpha = user_visual_.data() + user * a;
-  const float* theta = theta_cache_.data() + item * a;
-  float s = item_bias_[item] + visual_bias_cache_[item];
-  for (std::int64_t f = 0; f < k; ++f) s += p[f] * q[f];
-  for (std::int64_t f = 0; f < a; ++f) s += alpha[f] * theta[f];
-  return s;
-}
-
-void Vbpr::score_all(std::int64_t user, std::span<float> out) const {
-  require_fresh_caches();
-  if (static_cast<std::int64_t>(out.size()) != num_items()) {
-    throw std::invalid_argument("Vbpr::score_all: bad output size");
-  }
-  const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
-  const float* p = user_factors_.data() + user * k;
-  const float* alpha = user_visual_.data() + user * a;
-  for (std::int64_t i = 0; i < num_items(); ++i) {
-    const float* q = item_factors_.data() + i * k;
-    const float* theta = theta_cache_.data() + i * a;
-    float s = item_bias_[i] + visual_bias_cache_[i];
-    for (std::int64_t f = 0; f < k; ++f) s += p[f] * q[f];
-    for (std::int64_t f = 0; f < a; ++f) s += alpha[f] * theta[f];
-    out[static_cast<std::size_t>(i)] = s;
-  }
-  // Two dots plus two bias adds per item; each score reads both factor rows.
-  cost::add(cost::Kernel::kRecsysScore,
-            static_cast<double>(num_items()) * static_cast<double>(2 * (k + a) + 2),
-            static_cast<double>(num_items()) * static_cast<double>(k + a) * 8.0);
-}
-
 void Vbpr::score_users(std::span<const std::int64_t> users,
                        std::span<float> out) const {
-  require_fresh_caches();
-  const std::int64_t items = num_items();
-  if (out.size() != users.size() * static_cast<std::size_t>(items)) {
-    throw std::invalid_argument("Vbpr::score_users: bad output size");
+  if (!caches_fresh_) {
+    throw std::logic_error(
+        "Vbpr: scoring caches are stale (call fit/set_item_features first)");
   }
+  check_score_users(users, out, "Vbpr::score_users");
   if (users.empty()) return;
+  const std::int64_t items = num_items();
   const std::int64_t rows = static_cast<std::int64_t>(users.size());
   const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
   Tensor p_block({rows, k});
   Tensor a_block({rows, a});
   for (std::int64_t r = 0; r < rows; ++r) {
     const std::int64_t u = users[static_cast<std::size_t>(r)];
-    if (u < 0 || u >= num_users()) {
-      throw std::invalid_argument("Vbpr::score_users: user out of range");
-    }
     std::memcpy(p_block.data() + r * k, user_factors_.data() + u * k,
                 static_cast<std::size_t>(k) * sizeof(float));
     std::memcpy(a_block.data() + r * a, user_visual_.data() + u * a,

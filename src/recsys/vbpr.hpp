@@ -65,12 +65,10 @@ class Vbpr : public Recommender {
 
   std::int64_t num_users() const override { return user_factors_.dim(0); }
   std::int64_t num_items() const override { return item_factors_.dim(0); }
-  float score(std::int64_t user, std::int32_t item) const override;
-  void score_all(std::int64_t user, std::span<float> out) const override;
-  // Batched scoring of an arbitrary user set as two GEMMs over the cached
-  // item matrices: the rows of P and alpha are gathered, then
-  // S = P_b Q^T + A_b Theta^T + (b_i + beta.f_i) broadcast. Routes ranking
-  // (recsys::rank_users) through the blocked GEMM kernel.
+  // Two GEMMs over the cached item matrices: the rows of P and alpha are
+  // gathered, then S = P_b Q^T + A_b Theta^T + (b_i + beta.f_i) broadcast.
+  // Each score is its own k-ordered chain, so a user's row is bitwise the
+  // same whatever other users share the call.
   void score_users(std::span<const std::int64_t> users,
                    std::span<float> out) const override;
   std::string name() const override { return "VBPR"; }
@@ -92,7 +90,6 @@ class Vbpr : public Recommender {
  protected:
   // Rebuilds theta_cache_ (= E f_i) and visual_bias_cache_ (= beta . f_i).
   void rebuild_caches();
-  void require_fresh_caches() const;
 
   VbprConfig config_;
   FeatureTransform transform_;

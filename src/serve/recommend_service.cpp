@@ -90,6 +90,9 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
     return std::nullopt;
   }
   const bool list_full = static_cast<std::int64_t>(entry->items.size()) >= key.n;
+  // Scored on first need by the one-user score_users call a miss makes
+  // through rank_users, so the comparison with the tail below is exact.
+  std::vector<float> row;
   for (const std::int32_t c : changed.value()) {
     if (dataset_.user_interacted(key.user, c)) {
       continue;  // never servable for this user
@@ -107,10 +110,12 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
       continue;
     }
     // Could the changed item displace the tail under the canonical
-    // score-desc / id-asc order? Known gap: score() and the score_users
-    // GEMM that built the tail can differ in the low bits, so a near tie
-    // is not decided exactly (DESIGN.md §8).
-    const float s = snap.model->score(key.user, c);
+    // score-desc / id-asc order?
+    if (row.empty()) {
+      row.resize(static_cast<std::size_t>(dataset_.num_items));
+      snap.model->score_users({&key.user, 1}, row);
+    }
+    const float s = row[static_cast<std::size_t>(c)];
     const recsys::ScoredItem& tail = entry->items.back();
     if (s > tail.score || (s == tail.score && c < tail.item)) {
       misses_.fetch_add(1, std::memory_order_relaxed);

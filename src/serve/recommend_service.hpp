@@ -14,8 +14,9 @@
 //   * entry.feature_epoch == current  -> hit;
 //   * else ask the FeatureStore which items changed in between; the entry
 //     survives iff no changed item is in the cached list and none can
-//     enter it (per-item score vs the list's tail, using the canonical
-//     score-desc/id-asc tie-break). Surviving entries are re-stamped
+//     enter it (its entry in the user's score_users row, scored as a miss
+//     would, vs the list's tail under the canonical score-desc/id-asc
+//     tie-break: an exact decision). Surviving entries are re-stamped
 //     (Stats::cache_revalidated) — this is what makes a hot feature
 //     swap invalidate only the affected lists.
 //

@@ -35,7 +35,7 @@ enum class Kernel : int {
   kIm2col,        // im2col + col2im data movement (zero FLOPs)
   kElementwise,   // add/sub/mul/scale/axpy/clamp/sign/apply
   kReduction,     // sum/dot/norms/distances/argmax/softmax
-  kRecsysScore,   // recommender score_all dot products
+  kRecsysScore,   // per-score work of Recommender::score_users outside GEMMs
   kCount,
 };
 

@@ -217,9 +217,10 @@ void project_linf(float* c, const float* o, float eps, float lo, float hi,
     _mm256_storeu_ps(c + i, _mm256_min_ps(_mm256_max_ps(v, l), h));
   }
   for (; i < n; ++i) {
-    const float l = std::max(o[i] - eps, lo);
-    const float h = std::min(o[i] + eps, hi);
-    c[i] = std::clamp(c[i], l, h);
+    // Not std::clamp: l > h when o is outside [lo, hi]. Operands as in maxps/minps.
+    const float l = std::max(lo, o[i] - eps);
+    const float h = std::min(hi, o[i] + eps);
+    c[i] = std::min(h, std::max(l, c[i]));
   }
 }
 

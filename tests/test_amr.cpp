@@ -87,9 +87,11 @@ TEST(Amr, AdversarialEpochChangesParametersDifferently) {
   adv.train_epoch(ds, tb, recsys::AdversarialOptions{0.5f, 1.0f});
   plain.set_item_features(f_a);
   adv.set_item_features(f_b);
+  const std::vector<float> plain_row = testing::score_row(plain, 0);
+  const std::vector<float> adv_row = testing::score_row(adv, 0);
   float diff = 0.0f;
-  for (std::int32_t i = 0; i < ds.num_items; i += 7) {
-    diff += std::abs(plain.score(0, i) - adv.score(0, i));
+  for (std::size_t i = 0; i < plain_row.size(); i += 7) {
+    diff += std::abs(plain_row[i] - adv_row[i]);
   }
   EXPECT_GT(diff, 1e-5f);
 }
@@ -112,8 +114,10 @@ TEST(Amr, ZeroGammaMatchesPlainVbprEpoch) {
   b.train_epoch(ds, tb, recsys::AdversarialOptions{0.0f, 1.0f});
   a.set_item_features(f);
   b.set_item_features(f);
-  for (std::int32_t i = 0; i < ds.num_items; i += 11) {
-    ASSERT_NEAR(a.score(1, i), b.score(1, i), 2e-4f);
+  const std::vector<float> a_row = testing::score_row(a, 1);
+  const std::vector<float> b_row = testing::score_row(b, 1);
+  for (std::size_t i = 0; i < a_row.size(); i += 11) {
+    ASSERT_NEAR(a_row[i], b_row[i], 2e-4f);
   }
 }
 
@@ -146,12 +150,10 @@ TEST(Amr, MoreRobustToFeaturePerturbationThanVbpr) {
   for (float& v : f_pert.storage()) v += prng.gaussian_f(0.0f, 0.3f);
 
   auto mean_abs_delta = [&](recsys::Vbpr& model) {
-    std::vector<float> clean(static_cast<std::size_t>(ds.num_items));
-    std::vector<float> pert(static_cast<std::size_t>(ds.num_items));
     model.set_item_features(f);
-    model.score_all(0, clean);
+    const std::vector<float> clean = testing::score_row(model, 0);
     model.set_item_features(f_pert);
-    model.score_all(0, pert);
+    const std::vector<float> pert = testing::score_row(model, 0);
     model.set_item_features(f);
     double delta = 0.0, scale = 0.0;
     for (std::size_t i = 0; i < clean.size(); ++i) {

@@ -3,6 +3,7 @@
 #include "data/amazon_synth.hpp"
 #include "recsys/bpr_mf.hpp"
 #include "recsys/trainer.hpp"
+#include "test_helpers.hpp"
 
 namespace taamr {
 namespace {
@@ -23,20 +24,29 @@ TEST(BprMf, ScoreMatchesManualComputation) {
   for (std::int64_t f = 0; f < 4; ++f) {
     expect += model.user_factors().at(u, f) * model.item_factors().at(i, f);
   }
-  EXPECT_NEAR(model.score(u, i), expect, 1e-6f);
+  EXPECT_NEAR(testing::score_row(model, u)[i], expect, 1e-6f);
 }
 
-TEST(BprMf, ScoreAllAgreesWithScore) {
+TEST(BprMf, ScoreUsersRowsMatchOneUserRows) {
+  // A row does not depend on the other users of the call: repeats and
+  // scattered ids give each user its one-user row, bit for bit.
   const auto ds = make_dataset();
   Rng rng(2);
   recsys::BprMf model(ds, {}, rng);
-  std::vector<float> all(static_cast<std::size_t>(ds.num_items));
-  model.score_all(5, all);
-  for (std::int32_t i = 0; i < ds.num_items; i += 13) {
-    EXPECT_EQ(all[static_cast<std::size_t>(i)], model.score(5, i));
+  const std::int64_t users[] = {5, 0, 5};
+  const std::size_t items = static_cast<std::size_t>(ds.num_items);
+  std::vector<float> all(3 * items);
+  model.score_users(users, all);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const std::vector<float> row(all.begin() + static_cast<std::ptrdiff_t>(r * items),
+                                 all.begin() + static_cast<std::ptrdiff_t>((r + 1) * items));
+    EXPECT_EQ(row, testing::score_row(model, users[r])) << "row " << r;
   }
   std::vector<float> wrong(3);
-  EXPECT_THROW(model.score_all(0, wrong), std::invalid_argument);
+  EXPECT_THROW(model.score_users(users, wrong), std::invalid_argument);
+  const std::int64_t bad_user[] = {ds.num_users};
+  std::vector<float> one(items);
+  EXPECT_THROW(model.score_users(bad_user, one), std::invalid_argument);
 }
 
 TEST(BprMf, TrainingImprovesAuc) {
@@ -73,8 +83,8 @@ TEST(BprMf, DeterministicGivenSeeds) {
   Rng ta(8), tb(8);
   a.train_epoch(ds, ta);
   b.train_epoch(ds, tb);
-  EXPECT_EQ(a.score(0, 0), b.score(0, 0));
-  EXPECT_EQ(a.score(3, 11), b.score(3, 11));
+  EXPECT_EQ(testing::score_row(a, 0), testing::score_row(b, 0));
+  EXPECT_EQ(testing::score_row(a, 3), testing::score_row(b, 3));
 }
 
 TEST(SampledAuc, ValidatesArguments) {

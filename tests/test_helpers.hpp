@@ -6,8 +6,10 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "nn/layer.hpp"
+#include "recsys/recommender.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -19,6 +21,13 @@ inline void fill_uniform(Tensor& t, Rng& rng, float lo = -1.0f, float hi = 1.0f)
 
 inline void fill_gaussian(Tensor& t, Rng& rng, float mean = 0.0f, float stddev = 1.0f) {
   for (float& v : t.storage()) v = rng.gaussian_f(mean, stddev);
+}
+
+// One user's score_users row: the scores every ranked list is built from.
+inline std::vector<float> score_row(const recsys::Recommender& model, std::int64_t user) {
+  std::vector<float> row(static_cast<std::size_t>(model.num_items()));
+  model.score_users({&user, 1}, row);
+  return row;
 }
 
 inline void expect_tensor_near(const Tensor& a, const Tensor& b, float tol,

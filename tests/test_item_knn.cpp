@@ -6,6 +6,7 @@
 #include "recsys/item_knn.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/trainer.hpp"
+#include "test_helpers.hpp"
 
 namespace taamr {
 namespace {
@@ -44,18 +45,24 @@ TEST(ItemKnn, ScoreSumsHistorySimilarities) {
   for (const auto& [j, sim] : knn.neighbors(2)) {
     if (j == 0 || j == 1) expected += sim;
   }
-  EXPECT_NEAR(knn.score(0, 2), expected, 1e-6f);
-  EXPECT_EQ(knn.score(3, 2), 0.0f);  // user 3 shares nothing with item 2
+  EXPECT_NEAR(testing::score_row(knn, 0)[2], expected, 1e-6f);
+  EXPECT_EQ(testing::score_row(knn, 3)[2], 0.0f);  // user 3 shares nothing with item 2
 }
 
-TEST(ItemKnn, ScoreAllAgreesWithScore) {
+TEST(ItemKnn, ScatterMatchesNeighbourSums) {
+  // The inverse-index scatter must equal the definition item by item —
+  // the sum of sim(i, j) over i's own (truncated) neighbours j the user
+  // saw — although the truncation is asymmetric.
   const auto ds = data::generate_synthetic_dataset(data::amazon_men_spec(data::kTestScale));
   recsys::ItemKnn knn(ds);
-  std::vector<float> all(static_cast<std::size_t>(ds.num_items));
   for (std::int64_t u = 0; u < std::min<std::int64_t>(ds.num_users, 4); ++u) {
-    knn.score_all(u, all);
+    const std::vector<float> row = testing::score_row(knn, u);
     for (std::int32_t i = 0; i < ds.num_items; i += 11) {
-      ASSERT_NEAR(all[static_cast<std::size_t>(i)], knn.score(u, i), 1e-5f)
+      float expected = 0.0f;
+      for (const auto& [j, sim] : knn.neighbors(i)) {
+        if (ds.user_interacted(u, j)) expected += sim;
+      }
+      ASSERT_NEAR(row[static_cast<std::size_t>(i)], expected, 1e-5f)
           << "user " << u << " item " << i;
     }
   }
@@ -91,7 +98,8 @@ TEST(ItemKnn, ValidatesConfig) {
                std::invalid_argument);
   recsys::ItemKnn knn(ds);
   std::vector<float> wrong(2);
-  EXPECT_THROW(knn.score_all(0, wrong), std::invalid_argument);
+  const std::int64_t user[] = {0};
+  EXPECT_THROW(knn.score_users(user, wrong), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "recsys/mostpop.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/trainer.hpp"
+#include "test_helpers.hpp"
 
 namespace taamr {
 namespace {
@@ -18,19 +19,25 @@ TEST(MostPop, ScoresEqualTrainCounts) {
   const auto ds = make_dataset();
   recsys::MostPop model(ds);
   const auto counts = ds.item_train_counts();
+  const std::vector<float> row = testing::score_row(model, 0);
   for (std::int32_t i = 0; i < ds.num_items; i += 7) {
-    EXPECT_EQ(model.score(0, i), static_cast<float>(counts[static_cast<std::size_t>(i)]));
+    EXPECT_EQ(row[static_cast<std::size_t>(i)],
+              static_cast<float>(counts[static_cast<std::size_t>(i)]));
   }
 }
 
 TEST(MostPop, IdenticalForAllUsers) {
   const auto ds = make_dataset();
   recsys::MostPop model(ds);
-  std::vector<float> a(static_cast<std::size_t>(ds.num_items));
-  std::vector<float> b(static_cast<std::size_t>(ds.num_items));
-  model.score_all(0, a);
-  model.score_all(ds.num_users - 1, b);
-  EXPECT_EQ(a, b);
+  // Both rows of one call, and a one-user row.
+  const std::size_t items = static_cast<std::size_t>(ds.num_items);
+  const std::int64_t users[] = {0, ds.num_users - 1};
+  std::vector<float> both(2 * items);
+  model.score_users(users, both);
+  const std::vector<float> first(both.begin(), both.begin() + static_cast<std::ptrdiff_t>(items));
+  const std::vector<float> last(both.begin() + static_cast<std::ptrdiff_t>(items), both.end());
+  EXPECT_EQ(first, last);
+  EXPECT_EQ(first, testing::score_row(model, 1));
 }
 
 TEST(MostPop, BeatsRandomOnHeldOut) {
@@ -53,7 +60,11 @@ TEST(MostPop, ValidatesOutputSize) {
   const auto ds = make_dataset();
   recsys::MostPop model(ds);
   std::vector<float> wrong(3);
-  EXPECT_THROW(model.score_all(0, wrong), std::invalid_argument);
+  const std::int64_t user[] = {0};
+  EXPECT_THROW(model.score_users(user, wrong), std::invalid_argument);
+  std::vector<float> row(static_cast<std::size_t>(ds.num_items));
+  const std::int64_t bad_user[] = {-1};
+  EXPECT_THROW(model.score_users(bad_user, row), std::invalid_argument);
 }
 
 }  // namespace

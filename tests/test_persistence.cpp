@@ -81,8 +81,10 @@ TEST(VbprSerialize, RoundtripPreservesScores) {
   model.save(ss);
   recsys::Vbpr restored = recsys::Vbpr::load(ss, ds);
   for (std::int64_t u = 0; u < std::min<std::int64_t>(ds.num_users, 5); ++u) {
-    for (std::int32_t i = 0; i < ds.num_items; i += 13) {
-      ASSERT_NEAR(restored.score(u, i), model.score(u, i), 1e-6f);
+    const std::vector<float> want = testing::score_row(model, u);
+    const std::vector<float> got = testing::score_row(restored, u);
+    for (std::size_t i = 0; i < want.size(); i += 13) {
+      ASSERT_NEAR(got[i], want[i], 1e-6f);
     }
   }
   EXPECT_EQ(restored.feature_dim(), model.feature_dim());
@@ -103,8 +105,10 @@ TEST(VbprSerialize, RestoredModelAcceptsNewFeatures) {
   for (float& v : f2.storage()) v += 0.3f;
   model.set_item_features(f2);
   restored.set_item_features(f2);
-  for (std::int32_t i = 0; i < ds.num_items; i += 17) {
-    ASSERT_NEAR(restored.score(2, i), model.score(2, i), 1e-6f);
+  const std::vector<float> want = testing::score_row(model, 2);
+  const std::vector<float> got = testing::score_row(restored, 2);
+  for (std::size_t i = 0; i < want.size(); i += 17) {
+    ASSERT_NEAR(got[i], want[i], 1e-6f);
   }
 }
 
@@ -128,7 +132,7 @@ TEST(VbprSerialize, FileRoundtrip) {
       (std::filesystem::temp_directory_path() / "taamr_vbpr_test.bin").string();
   model.save_file(path);
   recsys::Vbpr restored = recsys::Vbpr::load_file(path, ds);
-  EXPECT_NEAR(restored.score(0, 0), model.score(0, 0), 1e-6f);
+  EXPECT_NEAR(testing::score_row(restored, 0)[0], testing::score_row(model, 0)[0], 1e-6f);
   std::remove(path.c_str());
   EXPECT_THROW(recsys::Vbpr::load_file("/nonexistent/x.bin", ds), std::runtime_error);
 }
@@ -146,8 +150,10 @@ TEST(BprMfSerialize, RoundtripPreservesScores) {
   recsys::BprMf restored = recsys::BprMf::load(ss, ds);
   EXPECT_EQ(restored.config().factors, model.config().factors);
   for (std::int64_t u = 0; u < std::min<std::int64_t>(ds.num_users, 5); ++u) {
-    for (std::int32_t i = 0; i < ds.num_items; i += 13) {
-      ASSERT_NEAR(restored.score(u, i), model.score(u, i), 1e-6f);
+    const std::vector<float> want = testing::score_row(model, u);
+    const std::vector<float> got = testing::score_row(restored, u);
+    for (std::size_t i = 0; i < want.size(); i += 13) {
+      ASSERT_NEAR(got[i], want[i], 1e-6f);
     }
   }
 }
@@ -160,7 +166,7 @@ TEST(BprMfSerialize, FileRoundtrip) {
       (std::filesystem::temp_directory_path() / "taamr_bprmf_test.bin").string();
   model.save_file(path);
   recsys::BprMf restored = recsys::BprMf::load_file(path, ds);
-  EXPECT_NEAR(restored.score(0, 0), model.score(0, 0), 1e-6f);
+  EXPECT_NEAR(testing::score_row(restored, 0)[0], testing::score_row(model, 0)[0], 1e-6f);
   std::remove(path.c_str());
   EXPECT_THROW(recsys::BprMf::load_file("/nonexistent/x.bin", ds), std::runtime_error);
 }

@@ -205,8 +205,7 @@ TEST(BprBehaviour, RepeatedEpochsWidenThePreferenceGap) {
   recsys::Vbpr model(ds, f, cfg, rng);
 
   auto gap = [&](recsys::Vbpr& m) {
-    std::vector<float> scores(6);
-    m.score_all(0, scores);
+    const std::vector<float> scores = testing::score_row(m, 0);
     double rest = 0.0;
     for (int i = 1; i < 6; ++i) rest += scores[static_cast<std::size_t>(i)];
     return scores[0] - rest / 5.0;
@@ -243,10 +242,8 @@ TEST(BprBehaviour, RegularizationBoundsParameterGrowth) {
   m_strong.set_item_features(f);
   m_weak.set_item_features(f);
   // The strongly regularized model must end with smaller score magnitudes.
-  std::vector<float> s_strong(static_cast<std::size_t>(ds.num_items));
-  std::vector<float> s_weak(static_cast<std::size_t>(ds.num_items));
-  m_strong.score_all(0, s_strong);
-  m_weak.score_all(0, s_weak);
+  const std::vector<float> s_strong = testing::score_row(m_strong, 0);
+  const std::vector<float> s_weak = testing::score_row(m_weak, 0);
   double mag_strong = 0.0, mag_weak = 0.0;
   for (std::size_t i = 0; i < s_strong.size(); ++i) {
     mag_strong += std::fabs(s_strong[i]);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "data/amazon_synth.hpp"
@@ -11,7 +14,7 @@
 namespace taamr {
 namespace {
 
-// Deterministic mock: score(u, i) = fixed per-item value + small user shift.
+// Deterministic mock: every user's row is the same fixed per-item scores.
 class MockRecommender : public recsys::Recommender {
  public:
   MockRecommender(std::int64_t users, std::vector<float> item_scores)
@@ -21,12 +24,12 @@ class MockRecommender : public recsys::Recommender {
   std::int64_t num_items() const override {
     return static_cast<std::int64_t>(scores_.size());
   }
-  float score(std::int64_t /*user*/, std::int32_t item) const override {
-    return scores_[static_cast<std::size_t>(item)];
-  }
-  void score_all(std::int64_t user, std::span<float> out) const override {
-    for (std::size_t i = 0; i < scores_.size(); ++i) {
-      out[i] = score(static_cast<std::int64_t>(user), static_cast<std::int32_t>(i));
+  void score_users(std::span<const std::int64_t> users,
+                   std::span<float> out) const override {
+    check_score_users(users, out, "MockRecommender::score_users");
+    for (std::size_t r = 0; r < users.size(); ++r) {
+      std::copy(scores_.begin(), scores_.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(r * scores_.size()));
     }
   }
   std::string name() const override { return "mock"; }
@@ -46,6 +49,55 @@ data::ImplicitDataset two_user_dataset() {
   ds.train = {{0}, {4}};
   ds.test = {1, -1};
   return ds;
+}
+
+// A one-factor VBPR (K = A = D = 1) whose parameters the test sets, so
+// scores can be placed on exact float boundaries.
+class TinyVbpr : public recsys::Vbpr {
+ public:
+  TinyVbpr(const data::ImplicitDataset& ds, Rng& rng)
+      : Vbpr(ds, Tensor({ds.num_items, 1}), one_factor(), rng) {}
+
+  // Every user gets p = 1 and alpha; item i gets q[i] and feature f[i],
+  // with E = 1 and zero biases, so s(u, i) = q[i] + alpha * f[i].
+  void set(float alpha, const std::vector<float>& q, const std::vector<float>& f) {
+    for (float& v : user_factors_.storage()) v = 1.0f;
+    for (float& v : user_visual_.storage()) v = alpha;
+    item_factors_.storage() = q;
+    features_.storage() = f;
+    embedding_.storage() = {1.0f};
+    visual_bias_.storage() = {0.0f};
+    for (float& v : item_bias_.storage()) v = 0.0f;
+    rebuild_caches();
+  }
+
+ private:
+  static recsys::VbprConfig one_factor() {
+    recsys::VbprConfig cfg;
+    cfg.mf_factors = 1;
+    cfg.visual_factors = 1;
+    return cfg;
+  }
+};
+
+// Each item's 1-based position in rank_users' full-catalog list for
+// `user`, -1 for a training item.
+std::vector<std::int64_t> list_positions(const recsys::Recommender& model,
+                                         const data::ImplicitDataset& ds,
+                                         std::int64_t user) {
+  const std::int64_t users[1] = {user};
+  const auto list = recsys::rank_users(model, ds, users, ds.num_items).front();
+  std::vector<std::int64_t> pos(static_cast<std::size_t>(ds.num_items), -1);
+  for (std::size_t r = 0; r < list.size(); ++r) {
+    pos[static_cast<std::size_t>(list[r].item)] = static_cast<std::int64_t>(r + 1);
+  }
+  return pos;
+}
+
+std::vector<std::int32_t> all_items(const data::ImplicitDataset& ds) {
+  std::vector<std::int32_t> items(static_cast<std::size_t>(ds.num_items));
+  std::iota(items.begin(), items.end(), 0);
+  return items;
 }
 
 // item_ranks for a single item.
@@ -180,6 +232,34 @@ TEST(Ranker, ItemRanksExcludeTrainingAndBreakTies) {
   const std::int32_t out_of_range[] = {1, 5};
   EXPECT_THROW(recsys::item_ranks(model, ds, 0, out_of_range), std::invalid_argument);
   EXPECT_THROW(rank_of(model, ds, 2, 1), std::invalid_argument);
+}
+
+TEST(Ranker, ItemRanksEqualRankUsersPositions) {
+  // A VBPR fixture user: every item's rank is its position in the list.
+  const data::ImplicitDataset ds =
+      data::generate_synthetic_dataset(data::amazon_men_spec(data::kTestScale));
+  Rng rng(12);
+  Tensor features({ds.num_items, 8});
+  testing::fill_uniform(features, rng);
+  const recsys::Vbpr model(ds, features, recsys::VbprConfig{}, rng);
+  for (const std::int64_t user : {std::int64_t{0}, ds.num_users - 1}) {
+    EXPECT_EQ(recsys::item_ranks(model, ds, user, all_items(ds)),
+              list_positions(model, ds, user))
+        << "user " << user;
+  }
+
+  // Two items an ulp-level arithmetic difference reorders. Item 1 scores
+  // 1 + alpha * f with alpha * f just above half an ulp of 1: a fused
+  // multiply-add rounds the sum up to 1 + 2^-23, which item 2 scores
+  // exactly, while rounding alpha * f first lands on the tie and rounds to
+  // 1. Whatever the arithmetic, item_ranks must read the list's.
+  const auto tiny_ds = two_user_dataset();
+  TinyVbpr tiny(tiny_ds, rng);
+  const float one_ulp = std::ldexp(1.0f, -23);
+  tiny.set(1.0f + one_ulp, {0.0f, 1.0f, 1.0f + one_ulp, 0.5f, 0.25f},
+           {0.0f, std::ldexp(1.0f, -24) - std::ldexp(1.0f, -48), 0.0f, 0.0f, 0.0f});
+  EXPECT_EQ(recsys::item_ranks(tiny, tiny_ds, 0, all_items(tiny_ds)),
+            list_positions(tiny, tiny_ds, 0));
 }
 
 TEST(Ranker, TopNFromRowCanonicalOrder) {

@@ -111,8 +111,10 @@ TEST(ServeRegistry, LoadsCheckpointsFromDisk) {
   registry.load_vbpr("vbpr", vbpr_path);
   registry.load_bpr_mf("bpr_mf", bpr_path);
   EXPECT_EQ(registry.names().size(), 2u);
-  EXPECT_NEAR(registry.get("vbpr").model->score(0, 3), vbpr->score(0, 3), 1e-6f);
-  EXPECT_NEAR(registry.get("bpr_mf").model->score(1, 2), bpr.score(1, 2), 1e-6f);
+  EXPECT_NEAR(testing::score_row(*registry.get("vbpr").model, 0)[3],
+              testing::score_row(*vbpr, 0)[3], 1e-6f);
+  EXPECT_NEAR(testing::score_row(*registry.get("bpr_mf").model, 1)[2],
+              testing::score_row(bpr, 1)[2], 1e-6f);
   EXPECT_FALSE(registry.get("bpr_mf").visual);
 
   EXPECT_THROW(registry.load_vbpr("x", "/nonexistent/ckpt.bin"), std::runtime_error);
@@ -335,6 +337,21 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       serve::parse_request(R"({"op":"update_features","item":0,"features":["a"]})"),
       std::runtime_error);
+}
+
+TEST(ServeProtocol, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // One line of 200,000 '[' once recursed until the shard worker's stack
+  // overflowed. Nesting stops at 64 levels with the parser's usual error.
+  const std::string deep(200000, '[');
+  EXPECT_THROW(obs::json::parse(deep), std::runtime_error);
+  EXPECT_THROW(serve::parse_request(deep), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+  EXPECT_THROW(serve::parse_request(objects), std::runtime_error);
+  // 64 levels still parse; 65 do not.
+  EXPECT_NO_THROW(obs::json::parse(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_THROW(obs::json::parse(std::string(65, '[') + std::string(65, ']')),
+               std::runtime_error);
 }
 
 TEST(ServeProtocol, ResponsesAreValidJson) {

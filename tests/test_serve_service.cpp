@@ -4,6 +4,7 @@
 // scenario concurrency-clean).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -27,6 +28,21 @@ std::vector<recsys::ScoredItem> golden_topn(const data::ImplicitDataset& ds,
   const std::int64_t users[1] = {user};
   return recsys::rank_users(model, ds, users, n).front();
 }
+
+// A VBPR whose item q rows and biases a test can copy, so that two items
+// differ only through their features.
+class CloneableVbpr : public recsys::Vbpr {
+ public:
+  using recsys::Vbpr::Vbpr;
+
+  void clone_item(std::int32_t dst, std::int32_t src) {
+    for (std::int64_t f = 0; f < config_.mf_factors; ++f) {
+      item_factors_.at(dst, f) = item_factors_.at(src, f);
+    }
+    item_bias_[dst] = item_bias_[src];
+    rebuild_caches();
+  }
+};
 
 class ServeServiceTest : public ::testing::Test {
  protected:
@@ -137,13 +153,13 @@ TEST_F(ServeServiceTest, NoOpFeatureUpdateRevalidatesInsteadOfRecomputing) {
   // ...but an update to an item in NO cached list revalidates entries
   // cheaply instead of recomputing them: find an item outside the list that
   // scores strictly below the tail.
-  const auto snap = registry_.get("vbpr");
+  const std::vector<float> row = testing::score_row(*registry_.get("vbpr").model, 0);
   std::int32_t outside = -1;
   for (std::int32_t c = 0; c < dataset_.num_items; ++c) {
     if (dataset_.user_interacted(0, c)) continue;
     bool in = false;
     for (const auto& si : recomputed.items) in = in || si.item == c;
-    if (!in && snap.model->score(0, c) < recomputed.items.back().score - 1e-3f) {
+    if (!in && row[static_cast<std::size_t>(c)] < recomputed.items.back().score - 1e-3f) {
       outside = c;
       break;
     }
@@ -157,6 +173,60 @@ TEST_F(ServeServiceTest, NoOpFeatureUpdateRevalidatesInsteadOfRecomputing) {
   EXPECT_EQ(survived.items, recomputed.items);
   EXPECT_EQ(service.stats().cache_revalidated, revalidated_before + 1);
   EXPECT_EQ(survived.feature_epoch, service.feature_store().epoch());
+}
+
+TEST_F(ServeServiceTest, ExactTieWithTheTailInvalidates) {
+  // Item c (lower id than the tail t of a cached list, outside it) becomes
+  // t's exact score twin through a feature update: same q and bias from
+  // the start, same features after the push. The canonical order then
+  // lists c before t, so revalidation must drop the entry.
+  constexpr std::int64_t kN = 10;
+  int ties = 0;
+  for (std::int64_t user = 0; user < dataset_.num_users && ties < 8; ++user) {
+    auto model = std::make_shared<CloneableVbpr>(dataset_, features_,
+                                                 recsys::VbprConfig{}, rng_);
+    const auto list = golden_topn(dataset_, *model, user, kN);
+    const auto listed = [](const std::vector<recsys::ScoredItem>& l, std::int32_t i) {
+      return std::any_of(l.begin(), l.end(),
+                         [i](const recsys::ScoredItem& s) { return s.item == i; });
+    };
+    if (static_cast<std::int64_t>(list.size()) < kN) continue;
+    const std::int32_t t = list.back().item;
+    std::int32_t c = 0;
+    while (c < t && (listed(list, c) || dataset_.user_interacted(user, c))) ++c;
+    if (c == t) continue;
+
+    // Before the push c's features sit off t's, on the side that scores
+    // lower (the score is linear in them), so c stays out of the list.
+    model->clone_item(c, t);
+    Tensor raw = features_;
+    for (const float step : {0.5f, -0.5f}) {
+      for (std::int64_t j = 0; j < raw.dim(1); ++j) raw.at(c, j) = raw.at(t, j) + step;
+      model->set_item_features(raw);
+      if (golden_topn(dataset_, *model, user, kN) == list) break;
+    }
+    ASSERT_EQ(golden_topn(dataset_, *model, user, kN), list) << "user " << user;
+    // A registry and store of its own: the epochs start at 0 together.
+    serve::ModelRegistry registry(dataset_);
+    registry.register_model("tie", model, /*visual=*/true);
+    serve::RecommendService service(dataset_, registry, raw);
+    EXPECT_FALSE(service.recommend("tie", user, kN).cached);
+
+    const std::vector<float> twin(raw.data() + t * raw.dim(1),
+                                  raw.data() + (t + 1) * raw.dim(1));
+    service.update_item_features(c, {twin.data(), twin.size()});
+    const auto& swapped = *registry.get("tie").model;
+    const std::vector<float> row = testing::score_row(swapped, user);
+    ASSERT_EQ(row[static_cast<std::size_t>(c)], row[static_cast<std::size_t>(t)]);
+
+    const auto served = service.recommend("tie", user, kN);
+    EXPECT_FALSE(served.cached) << "user " << user;
+    EXPECT_EQ(served.items, golden_topn(dataset_, swapped, user, kN)) << "user " << user;
+    EXPECT_TRUE(listed(served.items, c));
+    EXPECT_FALSE(listed(served.items, t));
+    ++ties;
+  }
+  EXPECT_EQ(ties, 8);
 }
 
 TEST_F(ServeServiceTest, HotSwapChangesServedLists) {

@@ -5,6 +5,7 @@
 // partitioning. AVX2 cases skip on hosts (or builds) without AVX2+FMA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -163,6 +164,33 @@ TEST(SimdParity, SignHandlesZeroExactly) {
     EXPECT_EQ(s[i], expect[i]) << i;
     EXPECT_EQ(a[i], expect[i]) << i;
   }
+}
+
+TEST(SimdParity, ProjectLinfWithOriginsOutsideTheBox) {
+  // An origin below lo or above hi leaves an empty window (l > h): every
+  // element lands on h = min(hi, o + eps). Eleven elements put three of
+  // the outside origins in the AVX2 kernel's scalar tail; signed zeros sit
+  // on the lo bound.
+  const std::vector<float> origin = {-0.5f, 1.5f, 0.4f, -2.0f, 3.0f, -0.0f, 0.0f, 1.0f,
+                                     -0.35f, 1.4f, 0.6f};
+  const std::vector<float> start = {0.2f, 0.9f, 0.95f, -0.1f, 1.2f, 0.0f, -0.0f, 0.5f,
+                                    0.7f, -3.0f, 0.1f};
+  constexpr float kEps = 0.3f, kLo = 0.0f, kHi = 1.0f;
+  const std::int64_t n = static_cast<std::int64_t>(origin.size());
+  const auto project = [&](const simd::Kernels& k) {
+    std::vector<float> c = start;
+    k.project_linf(c.data(), origin.data(), kEps, kLo, kHi, n);
+    return c;
+  };
+  const std::vector<float> s = project(scalar());
+  for (std::size_t i = 0; i < origin.size(); ++i) {
+    const float l = std::max(kLo, origin[i] - kEps);
+    const float h = std::min(kHi, origin[i] + kEps);
+    if (l > h) EXPECT_EQ(s[i], h) << i;
+  }
+  REQUIRE_AVX2_OR_SKIP(avx2);
+  const std::vector<float> a = project(avx2);
+  EXPECT_EQ(std::memcmp(s.data(), a.data(), s.size() * sizeof(float)), 0);
 }
 
 TEST(SimdParity, ReductionsAreBitwiseIdentical) {

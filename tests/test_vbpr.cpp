@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/amazon_synth.hpp"
 #include "data/categories.hpp"
 #include "recsys/trainer.hpp"
@@ -27,6 +29,27 @@ Tensor make_features(const data::ImplicitDataset& ds, std::int64_t d, Rng& rng) 
   }
   return f;
 }
+
+// Evaluates Eq. 6-7 straight from the parameters, in double, bypassing
+// the scoring caches and the GEMMs.
+class VbprFormula : public recsys::Vbpr {
+ public:
+  using recsys::Vbpr::Vbpr;
+
+  double score(std::int64_t u, std::int64_t i) const {
+    const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
+    const std::int64_t d = feature_dim();
+    double s = item_bias_[i];
+    for (std::int64_t f = 0; f < k; ++f) s += user_factors_.at(u, f) * item_factors_.at(i, f);
+    for (std::int64_t r = 0; r < a; ++r) {
+      double theta = 0.0;
+      for (std::int64_t c = 0; c < d; ++c) theta += embedding_.at(r, c) * features_.at(i, c);
+      s += user_visual_.at(u, r) * theta;
+    }
+    for (std::int64_t c = 0; c < d; ++c) s += visual_bias_[c] * features_.at(i, c);
+    return s;
+  }
+};
 
 TEST(FeatureTransform, StandardizesToZeroMeanUnitScale) {
   Rng rng(1);
@@ -72,13 +95,26 @@ TEST(Vbpr, ScoreMatchesFormula) {
   recsys::VbprConfig cfg;
   cfg.mf_factors = 4;
   cfg.visual_factors = 3;
-  recsys::Vbpr model(ds, f, cfg, rng);
-  // score(u, i) computed via score_all must match score().
-  std::vector<float> all(static_cast<std::size_t>(ds.num_items));
-  model.score_all(2, all);
+  VbprFormula model(ds, f, cfg, rng);
+  const std::vector<float> row = testing::score_row(model, 2);
   for (std::int32_t i = 0; i < ds.num_items; i += 17) {
-    EXPECT_NEAR(all[static_cast<std::size_t>(i)], model.score(2, i), 1e-5f);
+    EXPECT_NEAR(row[static_cast<std::size_t>(i)], model.score(2, i), 1e-5f);
   }
+  // Scattered and repeated users in one call: each row is bitwise its
+  // one-user row (the GEMM computes every score as its own k-ordered chain).
+  const std::int64_t users[] = {2, 0, ds.num_users - 1, 2};
+  const std::size_t items = static_cast<std::size_t>(ds.num_items);
+  std::vector<float> all(4 * items);
+  model.score_users(users, all);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const std::vector<float> one = testing::score_row(model, users[r]);
+    EXPECT_EQ(std::memcmp(all.data() + r * items, one.data(), items * sizeof(float)), 0)
+        << "row " << r;
+  }
+  std::vector<float> wrong(3);
+  EXPECT_THROW(model.score_users(users, wrong), std::invalid_argument);
+  const std::int64_t bad_user[] = {ds.num_users};
+  EXPECT_THROW(model.score_users(bad_user, {all.data(), items}), std::invalid_argument);
 }
 
 TEST(Vbpr, TrainingImprovesAuc) {
@@ -105,9 +141,9 @@ TEST(Vbpr, StaleCachesAreRejected) {
   Tensor f = make_features(ds, 6, rng);
   recsys::Vbpr model(ds, f, {}, rng);
   model.train_epoch(ds, rng);  // leaves caches dirty
-  EXPECT_THROW(model.score(0, 0), std::logic_error);
+  EXPECT_THROW(testing::score_row(model, 0), std::logic_error);
   model.set_item_features(f);  // refreshes
-  EXPECT_NO_THROW(model.score(0, 0));
+  EXPECT_NO_THROW(testing::score_row(model, 0));
 }
 
 TEST(Vbpr, SetItemFeaturesChangesVisualScores) {
@@ -118,15 +154,15 @@ TEST(Vbpr, SetItemFeaturesChangesVisualScores) {
   cfg.epochs = 10;
   recsys::Vbpr model(ds, f, cfg, rng);
   model.fit(ds, rng);
-  const float before = model.score(1, 3);
+  const float before = testing::score_row(model, 1)[3];
   Tensor f2 = f;
   for (std::int64_t j = 0; j < 6; ++j) f2.at(3, j) += 5.0f;
   model.set_item_features(f2);
-  const float after = model.score(1, 3);
+  const float after = testing::score_row(model, 1)[3];
   EXPECT_NE(before, after);
   // Other items are untouched.
   model.set_item_features(f);
-  EXPECT_NEAR(model.score(1, 3), before, 1e-5f);
+  EXPECT_NEAR(testing::score_row(model, 1)[3], before, 1e-5f);
 }
 
 TEST(Vbpr, SetItemFeaturesValidatesShape) {
