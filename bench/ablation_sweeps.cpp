@@ -43,10 +43,8 @@ int main() {
     for (std::int64_t n : {20, 50, 100, 200}) {
       const auto before = recsys::top_n_lists(*vbpr, ds, n);
       const double chr_before = metrics::category_hit_ratio(before, ds, data::kSock, n);
-      vbpr->set_item_features(attacked_features);
-      const auto after = recsys::top_n_lists(*vbpr, ds, n);
+      const auto after = pipeline.lists_under_attack(*vbpr, attacked_features, n);
       const double chr_after = metrics::category_hit_ratio(after, ds, data::kSock, n);
-      vbpr->set_item_features(pipeline.clean_features());
       reporter.add_metric("ablation_chr_after", {{"sweep", "topn"}, {"n", std::to_string(n)}},
                           chr_after);
       reporter.add_examples(1.0);
@@ -106,8 +104,7 @@ int main() {
       const auto before = recsys::top_n_lists(*amr, ds, 100);
       const double chr_before =
           metrics::category_hit_ratio(before, ds, data::kSock, 100);
-      amr->set_item_features(attacked_features);
-      const auto after = recsys::top_n_lists(*amr, ds, 100);
+      const auto after = apipe.lists_under_attack(*amr, attacked_features, 100);
       const double chr_after = metrics::category_hit_ratio(after, ds, data::kSock, 100);
       reporter.add_metric("ablation_chr_after",
                           {{"sweep", "amr_gamma"}, {"gamma", Table::fmt(gamma, 1)}},
@@ -136,8 +133,7 @@ int main() {
       const auto before = recsys::top_n_lists(*model, ds, 100);
       const double chr_before =
           metrics::category_hit_ratio(before, ds, data::kSock, 100);
-      model->set_item_features(attacked_features);
-      const auto after = recsys::top_n_lists(*model, ds, 100);
+      const auto after = vpipe.lists_under_attack(*model, attacked_features, 100);
       const double chr_after = metrics::category_hit_ratio(after, ds, data::kSock, 100);
       reporter.add_metric("ablation_chr_after",
                           {{"sweep", "visual_factors"}, {"a", std::to_string(a)}},

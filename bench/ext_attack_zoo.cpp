@@ -46,10 +46,9 @@ int main() {
         metrics::attack_success(pipeline.classifier(), adv, target, name);
     const auto visual =
         metrics::average_visual_quality(pipeline.classifier(), clean, adv);
-    vbpr->set_item_features(pipeline.features_with_attack(items, adv));
-    const auto lists = recsys::top_n_lists(*vbpr, ds, 100);
+    const auto lists =
+        pipeline.lists_under_attack(*vbpr, pipeline.features_with_attack(items, adv), 100);
     const double chr = metrics::category_hit_ratio(lists, ds, source, 100);
-    vbpr->set_item_features(pipeline.clean_features());
     reporter.add_metric("success_rate", {{"attack", name}}, success.success_rate);
     reporter.add_metric("chr_after_source", {{"attack", name}}, chr);
     reporter.add_metric("psnr", {{"attack", name}}, visual.psnr);

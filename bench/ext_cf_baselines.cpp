@@ -55,10 +55,8 @@ int main() {
         metrics::category_hit_ratio(before, ds, data::kSock, 100);
     double chr_after = chr_before;
     if (uses_images) {
-      vbpr->set_item_features(attacked);
-      const auto after = recsys::top_n_lists(model, ds, 100);
+      const auto after = pipeline.lists_under_attack(*vbpr, attacked, 100);
       chr_after = metrics::category_hit_ratio(after, ds, data::kSock, 100);
-      vbpr->set_item_features(pipeline.clean_features());
     }
     reporter.add_metric("auc", {{"model", name}}, auc);
     reporter.add_metric("hr", {{"model", name}}, hr);

@@ -87,10 +87,9 @@ int main() {
     const auto batch = pipeline.attack_category(data::kSock, data::kRunningShoe,
                                                 "pgd", 16.0f);
     const auto before = recsys::top_n_lists(*vbpr_std, ds, 100);
-    vbpr_std->set_item_features(
-        pipeline.features_with_attack(batch.items, batch.attacked_images));
-    const auto after = recsys::top_n_lists(*vbpr_std, ds, 100);
-    vbpr_std->set_item_features(pipeline.clean_features());
+    const auto after = pipeline.lists_under_attack(
+        *vbpr_std, pipeline.features_with_attack(batch.items, batch.attacked_images),
+        100);
     t2.row({"standard",
             Table::fmt(metrics::category_hit_ratio(before, ds, data::kSock, 100) * 100, 3),
             Table::fmt(metrics::category_hit_ratio(after, ds, data::kSock, 100) * 100, 3)});

@@ -61,11 +61,9 @@ int main() {
     const Tensor adv_transfer = pgd.perturb(surrogate, clean, targets, r2);
 
     auto chr_after = [&](const Tensor& adv) {
-      vbpr->set_item_features(pipeline.features_with_attack(items, adv));
-      const auto lists = recsys::top_n_lists(*vbpr, ds, 100);
-      const double chr = metrics::category_hit_ratio(lists, ds, source, 100);
-      vbpr->set_item_features(pipeline.clean_features());
-      return chr;
+      const auto lists = pipeline.lists_under_attack(
+          *vbpr, pipeline.features_with_attack(items, adv), 100);
+      return metrics::category_hit_ratio(lists, ds, source, 100);
     };
     const double sr_white =
         metrics::attack_success(pipeline.classifier(), adv_white, target, "pgd")

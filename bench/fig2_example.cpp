@@ -4,37 +4,22 @@
 #include <filesystem>
 #include <iostream>
 
-#include "attack/attack.hpp"
 #include "bench_common.hpp"
 #include "core/report.hpp"
-#include "data/categories.hpp"
 #include "util/ppm.hpp"
 
 namespace {
 
-// Re-render the showcased item and its PGD eps=8 counterpart and write both
-// to PPM files (under artifacts/, kept out of the repo root and of git) so
-// the figure can actually be looked at.
-void export_images(const taamr::core::DatasetResults& results,
-                   const std::string& tag) {
+// Writes the showcased item's clean and attacked images, the ones the
+// printed numbers were measured on, to PPM files (under artifacts/, kept
+// out of the repo root and of git) so the figure can actually be looked at.
+void export_images(const taamr::core::Fig2Example& fig2, const std::string& tag) {
   using namespace taamr;
-  if (results.fig2.item < 0) return;
-  core::PipelineConfig cfg = bench::experiment_config(results.dataset).pipeline;
-  core::Pipeline pipeline(cfg);
-  pipeline.prepare();
-  const std::vector<std::int32_t> item = {results.fig2.item};
-  const Tensor clean = data::gather_images(pipeline.catalog(), item);
-  attack::AttackConfig acfg;
-  acfg.epsilon = attack::epsilon_from_255(8.0f);
-  auto pgd = attack::make("pgd", acfg);
-  const std::vector<std::int64_t> targets = {results.fig2.target_category};
-  Rng rng(cfg.seed ^ 0xf162);
-  const Tensor adv = pgd->perturb(pipeline.classifier(), clean, targets, rng);
-  const Shape img = {3, clean.dim(2), clean.dim(3)};
+  if (fig2.item < 0) return;
   std::filesystem::create_directories("artifacts");
   const std::string stem = "artifacts/fig2_" + tag;
-  write_ppm(stem + "_original.ppm", clean.reshaped(img), /*upscale=*/8);
-  write_ppm(stem + "_attacked.ppm", adv.reshaped(img), /*upscale=*/8);
+  write_ppm(stem + "_original.ppm", fig2.clean, /*upscale=*/8);
+  write_ppm(stem + "_attacked.ppm", fig2.attacked, /*upscale=*/8);
   std::cout << "  wrote " << stem << "_original.ppm / _attacked.ppm (8x upscale)\n";
 }
 
@@ -56,7 +41,7 @@ int main() {
                         results.fig2.median_rank_after);
     reporter.add_examples(1.0);
     std::cout << core::fig2_text(results);
-    export_images(results, dataset == "Amazon Men" ? "men" : "women");
+    export_images(results.fig2, dataset == "Amazon Men" ? "men" : "women");
     std::cout << "\n";
   }
   return 0;

@@ -379,7 +379,8 @@ int main() {
           std::string response = handle_line(router, line);
           busy_ns[shard].fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
           return response;
-        });
+        },
+        serve::max_request_bytes(features.dim(1)));
     loop.start();
 
     // Probe users spread across shards, so post-swap verification exercises

@@ -56,11 +56,10 @@ int main() {
     const double moved =
         metrics::misclassification_rate(pipeline.classifier(), adv, victim, "fgsm");
 
-    vbpr->set_item_features(pipeline.features_with_attack(items, adv));
-    const auto lists_after = recsys::top_n_lists(*vbpr, dataset, top_n);
+    const auto lists_after = pipeline.lists_under_attack(
+        *vbpr, pipeline.features_with_attack(items, adv), top_n);
     const double hr = metrics::hit_ratio_at_n(lists_after, dataset);
     const double ndcg = metrics::ndcg_at_n(lists_after, dataset);
-    vbpr->set_item_features(pipeline.clean_features());
 
     t.row({Table::fmt(eps, 0), Table::pct(moved, 1), Table::fmt(hr, 4),
            Table::fmt(ndcg, 4)});

@@ -106,13 +106,15 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
   const Shape img_shape = {products.batch.clean_images.dim(1),
                            products.batch.clean_images.dim(2),
                            products.batch.clean_images.dim(3)};
-  Tensor clean(img_shape), attacked(img_shape);
+  ex.clean = Tensor(img_shape);
+  ex.attacked = Tensor(img_shape);
   std::copy(products.batch.clean_images.data() + best * elems,
-            products.batch.clean_images.data() + (best + 1) * elems, clean.data());
+            products.batch.clean_images.data() + (best + 1) * elems, ex.clean.data());
   std::copy(products.batch.attacked_images.data() + best * elems,
-            products.batch.attacked_images.data() + (best + 1) * elems, attacked.data());
-  ex.psnr = metrics::psnr(clean, attacked);
-  ex.ssim = metrics::ssim(clean, attacked);
+            products.batch.attacked_images.data() + (best + 1) * elems,
+            ex.attacked.data());
+  ex.psnr = metrics::psnr(ex.clean, ex.attacked);
+  ex.ssim = metrics::ssim(ex.clean, ex.attacked);
 
   return ex;
 }
@@ -186,9 +188,8 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
         for (float eps : config.eps_grid_255) {
           AttackProducts& products = get_products(scenario, attack_key, eps);
 
-          entry.model->set_item_features(products.merged_features);
-          const auto lists = recsys::top_n_lists(*entry.model, dataset, top_n);
-          entry.model->set_item_features(pipeline.clean_features());
+          const auto lists =
+              pipeline.lists_under_attack(*entry.model, products.merged_features, top_n);
 
           CellResult cell;
           cell.model = model_name;
@@ -234,7 +235,7 @@ namespace {
 constexpr std::uint32_t kResultsMagic = 0x54414d52;  // "TAMR"
 // Part of the cache file name: bump it whenever saved results change
 // meaning, so stale cache files are not loaded.
-constexpr std::uint32_t kResultsVersion = 4;
+constexpr std::uint32_t kResultsVersion = 5;
 
 void write_cell(std::ostream& os, const CellResult& c) {
   io::write_string(os, c.model);
@@ -305,6 +306,8 @@ void save_results(const std::string& path, const DatasetResults& r) {
                    r.fig2.ssim}) {
     io::write_f32(os, static_cast<float>(v));
   }
+  write_tensor(os, r.fig2.clean);
+  write_tensor(os, r.fig2.attacked);
 }
 
 DatasetResults load_results(const std::string& path) {
@@ -349,6 +352,8 @@ DatasetResults load_results(const std::string& path) {
   r.fig2.median_rank_after = io::read_f32(is);
   r.fig2.psnr = io::read_f32(is);
   r.fig2.ssim = io::read_f32(is);
+  r.fig2.clean = read_tensor(is);
+  r.fig2.attacked = read_tensor(is);
   return r;
 }
 

@@ -56,6 +56,10 @@ struct Fig2Example {
   double median_rank_after = 0.0;
   double psnr = 0.0;
   double ssim = 0.0;
+  // The item's image before and after, [3, S, S], from the batch the
+  // numbers above were measured on.
+  Tensor clean;
+  Tensor attacked;
 };
 
 struct DatasetResults {

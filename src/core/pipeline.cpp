@@ -8,6 +8,7 @@
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "recsys/ranker.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 
@@ -89,7 +90,11 @@ void Pipeline::train_or_load_classifier() {
 
   TAAMR_TRACE_SPAN("pipeline/train_cnn");
   Stopwatch timer;
-  Rng init_rng = rng_.fork(101);
+  // A local generator, not rng_: drawing from rng_ only when training would
+  // give a cold run and a run with a cached checkpoint different recommender
+  // inits and attack starts for the same seed.
+  Rng cnn_rng(config_.seed);
+  Rng init_rng = cnn_rng.fork(101);
   classifier_.emplace(config_.cnn_config(), init_rng);
   log_info() << "training CNN feature extractor (" << classifier_->parameter_count()
              << " parameters)";
@@ -98,7 +103,7 @@ void Pipeline::train_or_load_classifier() {
       config_.image_config());
   nn::SgdConfig sgd;
   sgd.learning_rate = 0.05f;
-  Rng train_rng = rng_.fork(102);
+  Rng train_rng = cnn_rng.fork(102);
   classifier_->fit(train_set.images, train_set.labels, config_.cnn_epochs,
                    config_.cnn_batch_size, sgd, train_rng);
   const auto held_out =
@@ -234,6 +239,20 @@ Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
   }
   add_stage_seconds("re_extract_features", timer.seconds());
   return merged;
+}
+
+std::vector<std::vector<std::int32_t>> Pipeline::lists_under_attack(
+    recsys::Vbpr& model, const Tensor& attacked_features, std::int64_t n) {
+  if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
+  model.set_item_features(attacked_features);
+  try {
+    auto lists = recsys::top_n_lists(model, *dataset_, n);
+    model.set_item_features(clean_features_);
+    return lists;
+  } catch (...) {
+    model.set_item_features(clean_features_);
+    throw;
+  }
 }
 
 }  // namespace taamr::core

@@ -95,6 +95,12 @@ class Pipeline {
   Tensor features_with_attack(const std::vector<std::int32_t>& items,
                               const Tensor& attacked_images);
 
+  // Stage 6: the top-n lists `model` serves once its item features are
+  // `attacked_features` (e.g. from features_with_attack). The model gets
+  // clean_features() back before this returns, also when ranking throws.
+  std::vector<std::vector<std::int32_t>> lists_under_attack(
+      recsys::Vbpr& model, const Tensor& attacked_features, std::int64_t n);
+
  private:
   void train_or_load_classifier();
 

@@ -77,20 +77,6 @@ float BprMf::train_epoch(const data::ImplicitDataset& dataset, Rng& rng) {
 namespace {
 constexpr std::uint32_t kBprMagic = 0x54414d42;  // "TAMB"
 constexpr std::uint32_t kBprVersion = 1;
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  io::write_i64_vector(os, t.shape());
-  io::write_f32_vector(os, t.storage());
-}
-
-Tensor read_tensor(std::istream& is) {
-  const auto shape = io::read_i64_vector(is);
-  auto data = io::read_f32_vector(is);
-  if (shape_numel(shape) != static_cast<std::int64_t>(data.size())) {
-    throw std::runtime_error("BprMf::load: tensor shape/payload mismatch");
-  }
-  return Tensor(Shape(shape), std::move(data));
-}
 }  // namespace
 
 BprMf::BprMf(const data::ImplicitDataset& dataset, BprMfConfig config, LoadTag)

@@ -91,13 +91,13 @@ Vbpr::Vbpr(const data::ImplicitDataset& dataset, const Tensor& raw_features,
 }
 
 void Vbpr::rebuild_caches() {
-  // theta_i = E f_i for all items: [I, D] x [A, D]^T -> [I, A].
-  theta_cache_ = ops::matmul(features_, embedding_, /*trans_a=*/false, /*trans_b=*/true);
+  // Theta^T = E F^T: column i is theta_i = E f_i, [A, D] x [I, D]^T -> [A, I].
+  theta_cache_t_ =
+      ops::matmul(embedding_, features_, /*trans_a=*/false, /*trans_b=*/true);
   visual_bias_cache_ = ops::matvec(features_, visual_bias_);
-  // score_users right-hand sides, transposed once so every ranking pass
-  // runs plain NN GEMMs without re-materializing Q^T / Theta^T.
+  // score_users' other right-hand side, transposed once so every ranking
+  // pass runs plain NN GEMMs without re-materializing Q^T.
   item_factors_t_ = transposed_2d(item_factors_);
-  theta_cache_t_ = transposed_2d(theta_cache_);
   caches_fresh_ = true;
 }
 
@@ -278,20 +278,6 @@ float Vbpr::train_epoch(const data::ImplicitDataset& dataset, Rng& rng,
 namespace {
 constexpr std::uint32_t kVbprMagic = 0x54414d56;  // "TAMV"
 constexpr std::uint32_t kVbprVersion = 1;
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  io::write_i64_vector(os, t.shape());
-  io::write_f32_vector(os, t.storage());
-}
-
-Tensor read_tensor(std::istream& is) {
-  const auto shape = io::read_i64_vector(is);
-  auto data = io::read_f32_vector(is);
-  if (shape_numel(shape) != static_cast<std::int64_t>(data.size())) {
-    throw std::runtime_error("Vbpr::load: tensor shape/payload mismatch");
-  }
-  return Tensor(Shape(shape), std::move(data));
-}
 }  // namespace
 
 Vbpr::Vbpr(const data::ImplicitDataset& dataset, VbprConfig config, LoadTag)

@@ -88,7 +88,8 @@ class Vbpr : public Recommender {
   static Vbpr load_file(const std::string& path, const data::ImplicitDataset& dataset);
 
  protected:
-  // Rebuilds theta_cache_ (= E f_i) and visual_bias_cache_ (= beta . f_i).
+  // Rebuilds theta_cache_t_ (column i = E f_i), visual_bias_cache_
+  // (= beta . f_i) and item_factors_t_.
   void rebuild_caches();
 
   VbprConfig config_;
@@ -100,10 +101,8 @@ class Vbpr : public Recommender {
   Tensor user_visual_;    // alpha: [U, A]
   Tensor embedding_;      // E: [A, D]
   Tensor visual_bias_;    // beta: [D]
-  Tensor theta_cache_;        // [I, A]
   Tensor visual_bias_cache_;  // [I]
-  // Transposed copies of Q and Theta for score_users' GEMMs ([K, I] and
-  // [A, I]); refreshed by rebuild_caches alongside the caches above.
+  // The right-hand sides of score_users' GEMMs: Q^T and Theta^T = E F^T.
   Tensor item_factors_t_;  // [K, I]
   Tensor theta_cache_t_;   // [A, I]
   bool caches_fresh_ = false;

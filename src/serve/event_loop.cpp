@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,6 +26,8 @@ namespace {
 constexpr int kMaxEvents = 64;
 constexpr int kListenBacklog = 128;
 constexpr const char* kOverloadResponse = "{\"ok\":false,\"error\":\"overloaded\"}";
+constexpr const char* kOverlongResponse =
+    "{\"ok\":false,\"error\":\"request line too long\"}";
 
 }  // namespace
 
@@ -35,8 +38,11 @@ EventLoopConfig EventLoopConfig::from_env() {
 }
 
 EventLoop::EventLoop(EventLoopConfig config, std::size_t num_shards, Route route,
-                     Handler handler)
-    : config_(std::move(config)), route_(std::move(route)), handler_(std::move(handler)) {
+                     Handler handler, std::size_t max_line_bytes)
+    : config_(std::move(config)),
+      max_line_bytes_(max_line_bytes),
+      route_(std::move(route)),
+      handler_(std::move(handler)) {
   if (num_shards == 0) throw std::invalid_argument("EventLoop: zero shards");
   if (!route_ || !handler_) throw std::invalid_argument("EventLoop: null route/handler");
   shards_.reserve(num_shards);
@@ -210,11 +216,12 @@ void EventLoop::admit(const std::shared_ptr<Connection>& conn, std::string line)
 
 void EventLoop::handle_readable(const std::shared_ptr<Connection>& conn) {
   char buf[65536];
-  while (true) {
+  while (!conn->overlong) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->rbuf.append(buf, static_cast<std::size_t>(n));
-      continue;  // edge-triggered: drain until EAGAIN
+      frame_lines(conn);  // per read: rbuf holds at most one cap plus one read
+      continue;           // edge-triggered: drain until EAGAIN
     }
     if (n == 0) {
       conn->peer_closed = true;  // half-close: flush pending, then close
@@ -225,18 +232,36 @@ void EventLoop::handle_readable(const std::shared_ptr<Connection>& conn) {
     conn->peer_closed = true;
     break;
   }
-  // Reassemble newline-framed requests across arbitrary packet splits.
+}
+
+void EventLoop::frame_lines(const std::shared_ptr<Connection>& conn) {
+  // Reassemble newline-framed requests across arbitrary packet splits. The
+  // search resumes after the bytes earlier reads already searched.
+  std::string& rbuf = conn->rbuf;
   std::size_t start = 0;
   while (true) {
-    const std::size_t nl = conn->rbuf.find('\n', start);
+    const std::size_t nl = rbuf.find('\n', std::max(start, conn->scanned));
     if (nl == std::string::npos) break;
-    std::string line = conn->rbuf.substr(start, nl - start);
+    if (nl - start > max_line_bytes_) return reject_overlong(conn);
+    std::string line = rbuf.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     admit(conn, std::move(line));
   }
-  if (start > 0) conn->rbuf.erase(0, start);
+  rbuf.erase(0, start);
+  conn->scanned = rbuf.size();
+  if (rbuf.size() > max_line_bytes_) reject_overlong(conn);
+}
+
+void EventLoop::reject_overlong(const std::shared_ptr<Connection>& conn) {
+  // Answer in sequence after every admitted request, read nothing more, and
+  // close once the responses are flushed (maybe_close).
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  deliver(conn, conn->next_seq++, kOverlongResponse);
+  conn->overlong = true;
+  conn->peer_closed = true;
+  std::string().swap(conn->rbuf);
 }
 
 void EventLoop::accept_new() {

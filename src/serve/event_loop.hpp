@@ -14,6 +14,11 @@
 // {"ok":false,"error":"overloaded"} instead of buffering unboundedly or
 // blocking the loop — Stats::shed counts the shed requests.
 //
+// Line cap: a request line longer than max_line_bytes (newline or not) is
+// answered with {"ok":false,"error":"request line too long"} in sequence,
+// and the connection then closes once every earlier response is flushed,
+// so a client that never sends a newline cannot grow server memory.
+//
 // Ordering: responses on a connection are delivered in request order even
 // though shards execute concurrently. Every request gets a per-connection
 // sequence number; workers deposit finished responses into the
@@ -37,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -68,8 +74,11 @@ class EventLoop {
   // protocol's error envelope.
   using Handler = std::function<std::string(std::size_t shard, const std::string& line)>;
 
+  // max_line_bytes bounds one request line; servers of the JSONL protocol
+  // pass serve::max_request_bytes(feature_dim).
   EventLoop(EventLoopConfig config, std::size_t num_shards, Route route,
-            Handler handler);
+            Handler handler,
+            std::size_t max_line_bytes = std::numeric_limits<std::size_t>::max());
   ~EventLoop();
 
   // Binds 127.0.0.1:<port>, listens (backlog 128) and spawns the loop +
@@ -88,7 +97,7 @@ class EventLoop {
   struct Stats {
     std::uint64_t accepted = 0;
     std::uint64_t accept_shed = 0;  // EMFILE shed connections
-    std::uint64_t requests = 0;     // admitted + shed
+    std::uint64_t requests = 0;     // admitted + shed + over the line cap
     std::uint64_t shed = 0;         // overload responses sent
     std::uint64_t responses = 0;    // total response lines flushed or queued
   };
@@ -98,6 +107,8 @@ class EventLoop {
   struct Connection {
     int fd = -1;
     std::string rbuf;              // loop thread only
+    std::size_t scanned = 0;       // rbuf prefix known to hold no '\n'
+    bool overlong = false;         // a line passed the cap: read no more
     std::uint64_t next_seq = 0;    // loop thread only
     std::uint64_t next_flush = 0;  // loop thread only
     std::string wbuf;              // loop thread only
@@ -126,6 +137,8 @@ class EventLoop {
   void worker_main(std::size_t shard, std::size_t worker);
   void accept_new();
   void handle_readable(const std::shared_ptr<Connection>& conn);
+  void frame_lines(const std::shared_ptr<Connection>& conn);
+  void reject_overlong(const std::shared_ptr<Connection>& conn);
   void admit(const std::shared_ptr<Connection>& conn, std::string line);
   void deliver(const std::shared_ptr<Connection>& conn, std::uint64_t seq,
                std::string response);
@@ -137,6 +150,7 @@ class EventLoop {
   void wake();
 
   EventLoopConfig config_;
+  std::size_t max_line_bytes_;
   Route route_;
   Handler handler_;
 

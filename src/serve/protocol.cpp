@@ -110,6 +110,16 @@ Request parse_request(const std::string& line) {
   return req;
 }
 
+std::size_t max_request_bytes(std::int64_t feature_dim) {
+  // One feature: the longest "%.9g" float ("-1.17549435e-38", 15 chars)
+  // and a ", " separator.
+  constexpr std::size_t kFeatureBytes = 17;
+  // The rest of the line: op and field names, ids, and a swap_model path
+  // of up to PATH_MAX (4096) bytes.
+  constexpr std::size_t kEnvelopeBytes = 4096 + 256;
+  return kEnvelopeBytes + kFeatureBytes * static_cast<std::size_t>(feature_dim);
+}
+
 std::int64_t peek_user(const std::string& line) {
   const std::size_t key = line.find("\"user\"");
   if (key == std::string::npos) return -1;

@@ -66,6 +66,12 @@ struct Request {
 // turns that into an error response instead of dying).
 Request parse_request(const std::string& line);
 
+// The longest line a well-formed request can take when the served models
+// have `feature_dim` features: an update_features line with every float at
+// "%.9g", or a swap_model naming a PATH_MAX-long checkpoint path. The TCP
+// front door answers a longer line with an error and closes the connection.
+std::size_t max_request_bytes(std::int64_t feature_dim);
+
 // Cheap scan for the "user" field of a request line, without a full JSON
 // parse — the event loop's shard-routing hint. Returns -1 when the line has
 // no parsable non-negative user. Only a placement hint: correctness of the

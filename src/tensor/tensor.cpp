@@ -5,6 +5,7 @@
 
 #include "obs/profiler.hpp"
 #include "tensor/cost.hpp"
+#include "util/io.hpp"
 
 namespace taamr {
 
@@ -113,6 +114,20 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
                                 shape_to_string(a.shape()) + " vs " +
                                 shape_to_string(b.shape()));
   }
+}
+
+void write_tensor(std::ostream& os, const Tensor& t) {
+  io::write_i64_vector(os, t.shape());
+  io::write_f32_vector(os, t.storage());
+}
+
+Tensor read_tensor(std::istream& is) {
+  Shape shape = io::read_i64_vector(is);
+  std::vector<float> data = io::read_f32_vector(is);
+  if (shape_numel(shape) != static_cast<std::int64_t>(data.size())) {
+    throw std::runtime_error("read_tensor: shape/payload mismatch");
+  }
+  return Tensor(std::move(shape), std::move(data));
 }
 
 }  // namespace taamr

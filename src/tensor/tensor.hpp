@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -98,5 +99,12 @@ class Tensor {
 // Throws std::invalid_argument if shapes differ; used as a precondition
 // check at the top of elementwise kernels.
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op);
+
+// Binary form shared by the model checkpoints and the cached experiment
+// results (util/io.hpp): the shape, then the values. read_tensor throws
+// std::runtime_error on a truncated stream or a payload that does not
+// match its shape.
+void write_tensor(std::ostream& os, const Tensor& t);
+Tensor read_tensor(std::istream& is);
 
 }  // namespace taamr

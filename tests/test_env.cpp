@@ -51,6 +51,30 @@ TEST(EnvKnobInventory, ReadmeDocumentsExactlyTheKnobsTheCodeReads) {
   EXPECT_EQ(read_by_code, documented);
 }
 
+// Every executable the root project builds, except this test binary, runs in
+// some ctest: its $<TARGET_FILE:name> appears in an add_test call or in a
+// taamr_smoke call (which wraps add_test). A binary added without a run
+// fails here.
+TEST(BinaryInventory, EveryBuiltExecutableRunsInSomeTest) {
+  const fs::path root = TAAMR_SOURCE_ROOT;
+  const std::regex built_re(R"((?:add_executable|taamr_bench|taamr_example)\(([A-Za-z0-9_]+))");
+  const std::regex test_re(R"((?:add_test|taamr_smoke)\(([^)]*)\))");
+  const std::regex target_file_re(R"(\$<TARGET_FILE:([A-Za-z0-9_]+)>)");
+  std::set<std::string> built, run;
+  for (const char* dir : {".", "src", "tools", "bench", "examples", "tests"}) {
+    const std::string text = read_text(root / dir / "CMakeLists.txt");
+    built.merge(matches(text, built_re));
+    for (const std::string& call : matches(text, test_re)) {
+      run.merge(matches(call, target_file_re));
+    }
+  }
+  EXPECT_TRUE(built.count("table2_chr"));
+  EXPECT_EQ(built.erase("taamr_tests"), 1u);
+  for (const std::string& name : built) {
+    EXPECT_TRUE(run.count(name)) << name << " is built but no ctest runs it";
+  }
+}
+
 // A variable no binary reads, set and cleared per test.
 constexpr const char* kKnob = "TAAMR_ENV_TEST_KNOB";
 

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/protocol.hpp"
 
@@ -186,6 +187,54 @@ TEST(EventLoopTest, DrainCompletesInflightBeforeClosing) {
   // The listener is gone: new connections are refused.
   TestClient late(port);
   EXPECT_FALSE(late.connected());
+}
+
+// A line over the cap is answered with an error after the requests before
+// it, and its connection then closes; a line of exactly the cap is served,
+// and so is every other connection.
+TEST(EventLoopTest, OverlongLineIsRejectedInSequenceAndCloses) {
+  const std::int64_t feature_dim = 16;
+  const std::size_t cap = serve::max_request_bytes(feature_dim);
+  // The longest legal update_features line fits under the cap.
+  std::string legal =
+      "{\"op\":\"update_features\",\"item\":9223372036854775807,\"features\":[";
+  for (std::int64_t j = 0; j < feature_dim; ++j) {
+    legal += (j > 0 ? ", " : "") + obs::json::number(-1.17549435e-38f);
+  }
+  legal += "]}";
+  EXPECT_LE(legal.size(), cap);
+
+  serve::EventLoop loop(
+      test_config(), 1, [](const std::string&) { return std::size_t{0}; },
+      [](std::size_t, const std::string& line) {
+        return "len:" + std::to_string(line.size());
+      },
+      cap);
+  loop.start();
+
+  TestClient client(loop.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_raw("first\n" + std::string(cap, 'a') + "\n"));
+  // cap + 1 bytes and no newline, in two reads: the second read resumes
+  // the newline search where the first stopped.
+  ASSERT_TRUE(client.send_raw(std::string(cap / 2, 'x')));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.send_raw(std::string(cap + 1 - cap / 2, 'x'));
+  EXPECT_EQ(client.read_line(), "len:5");
+  EXPECT_EQ(client.read_line(), "len:" + std::to_string(cap));
+  EXPECT_EQ(client.read_line(), "{\"ok\":false,\"error\":\"request line too long\"}");
+  EXPECT_EQ(client.read_line(), "");  // closed
+
+  TestClient other(loop.port());
+  ASSERT_TRUE(other.connected());
+  ASSERT_TRUE(other.send_raw("after\n"));
+  EXPECT_EQ(other.read_line(), "len:5");
+
+  loop.request_shutdown();
+  EXPECT_EQ(loop.join(), 0);
+  const auto stats = loop.stats();
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.responses, 4u);
 }
 
 TEST(EventLoopTest, PeekUserExtractsRoutingHint) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "data/categories.hpp"
 #include "metrics/chr.hpp"
+#include "metrics/image_quality.hpp"
 #include "recsys/ranker.hpp"
 #include "tensor/ops.hpp"
 
@@ -30,6 +32,11 @@ core::PipelineConfig micro_config(const std::string& dataset = "Amazon Men") {
   cfg.amr_adversarial_epochs = 12;
   cfg.top_n = 20;
   return cfg;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  const std::size_t bytes = static_cast<std::size_t>(a.numel()) * sizeof(float);
+  return a.shape() == b.shape() && std::memcmp(a.data(), b.data(), bytes) == 0;
 }
 
 // Shared prepared pipeline (CNN training is the expensive part).
@@ -186,13 +193,61 @@ TEST(ExperimentIntegration, FullGridProducesAllCells) {
   EXPECT_NEAR(restored.cells[3].chr_after_source, results.cells[3].chr_after_source,
               1e-5);
   EXPECT_EQ(restored.fig2.item, results.fig2.item);
+  EXPECT_TRUE(same_bits(restored.fig2.clean, results.fig2.clean));
+  EXPECT_TRUE(same_bits(restored.fig2.attacked, results.fig2.attacked));
   std::remove(path.c_str());
+
+  // Fig. 2's images are the ones its numbers were measured on.
+  ASSERT_EQ(results.fig2.clean.shape(), (Shape{3, 16, 16}));
+  EXPECT_EQ(metrics::psnr(results.fig2.clean, results.fig2.attacked), results.fig2.psnr);
+  EXPECT_EQ(static_cast<float>(metrics::psnr(restored.fig2.clean, restored.fig2.attacked)),
+            static_cast<float>(restored.fig2.psnr));
 
   // Report rendering over real results.
   EXPECT_GT(core::table2_chr(results).num_rows(), 4u);
   EXPECT_GT(core::table3_success(results).num_rows(), 2u);
   EXPECT_GT(core::table4_visual(results).num_rows(), 3u);
   EXPECT_FALSE(core::fig2_text(results).empty());
+}
+
+// A fixed seed gives the same results whether the CNN checkpoint is trained
+// (cold cache) or loaded (warm cache).
+TEST(ExperimentIntegration, ColdAndWarmCacheRunsAgree) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "taamr_cold_warm_test";
+  std::filesystem::remove_all(dir);
+  core::ExperimentConfig cfg;
+  cfg.pipeline = micro_config();
+  cfg.pipeline.cache_dir = dir.string();
+  cfg.attacks = {"fgsm"};
+  cfg.eps_grid_255 = {8.0f};
+  const auto cold = core::run_dataset_experiment(cfg);
+  const auto warm = core::run_dataset_experiment(cfg);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(cold.classifier_accuracy, warm.classifier_accuracy);
+  EXPECT_EQ(cold.vbpr_auc, warm.vbpr_auc);
+  EXPECT_EQ(cold.amr_auc, warm.amr_auc);
+  EXPECT_EQ(cold.vbpr_hr, warm.vbpr_hr);
+  EXPECT_EQ(cold.amr_hr, warm.amr_hr);
+  EXPECT_EQ(cold.vbpr_baseline_chr, warm.vbpr_baseline_chr);
+  EXPECT_EQ(cold.amr_baseline_chr, warm.amr_baseline_chr);
+  ASSERT_EQ(cold.cells.size(), warm.cells.size());
+  for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+    const core::CellResult& a = cold.cells[i];
+    const core::CellResult& b = warm.cells[i];
+    EXPECT_EQ(a.chr_after_source, b.chr_after_source) << i;
+    EXPECT_EQ(a.success_rate, b.success_rate) << i;
+    EXPECT_EQ(a.mean_target_prob, b.mean_target_prob) << i;
+    EXPECT_EQ(a.psnr, b.psnr) << i;
+    EXPECT_EQ(a.ssim, b.ssim) << i;
+    EXPECT_EQ(a.psm, b.psm) << i;
+  }
+  EXPECT_EQ(cold.fig2.item, warm.fig2.item);
+  EXPECT_EQ(cold.fig2.median_rank_before, warm.fig2.median_rank_before);
+  EXPECT_EQ(cold.fig2.median_rank_after, warm.fig2.median_rank_after);
+  EXPECT_EQ(cold.fig2.target_prob_after, warm.fig2.target_prob_after);
+  EXPECT_TRUE(same_bits(cold.fig2.attacked, warm.fig2.attacked));
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "data/amazon_synth.hpp"
 #include "data/categories.hpp"
 #include "recsys/trainer.hpp"
 #include "recsys/vbpr.hpp"
+#include "tensor/simd/dispatch.hpp"
 #include "test_helpers.hpp"
 
 namespace taamr {
@@ -49,7 +51,41 @@ class VbprFormula : public recsys::Vbpr {
     for (std::int64_t c = 0; c < d; ++c) s += visual_bias_[c] * features_.at(i, c);
     return s;
   }
+
+  const Tensor& embedding() const { return embedding_; }
+  const Tensor& theta_t() const { return theta_cache_t_; }
 };
+
+std::vector<float> transposed(const float* m, std::int64_t rows, std::int64_t cols) {
+  std::vector<float> out(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      out[static_cast<std::size_t>(c * rows + r)] = m[r * cols + c];
+    }
+  }
+  return out;
+}
+
+// Theta^T [A, I] the way rebuild_caches once built it: Theta = F E^T
+// ([I, A]) on `kern`, then transposed.
+std::vector<float> theta_t_item_major(const simd::Kernels& kern, const Tensor& f,
+                                      const Tensor& e) {
+  const std::int64_t items = f.dim(0), d = f.dim(1), a = e.dim(0);
+  const std::vector<float> et = transposed(e.data(), a, d);
+  std::vector<float> theta(static_cast<std::size_t>(items * a), 0.0f);
+  kern.gemm_panel(theta.data(), f.data(), et.data(), 0, items, d, a);
+  return transposed(theta.data(), items, a);
+}
+
+// Theta^T = E F^T directly, as rebuild_caches builds it now.
+std::vector<float> theta_t_direct(const simd::Kernels& kern, const Tensor& f,
+                                  const Tensor& e) {
+  const std::int64_t items = f.dim(0), d = f.dim(1), a = e.dim(0);
+  const std::vector<float> ft = transposed(f.data(), items, d);
+  std::vector<float> out(static_cast<std::size_t>(a * items), 0.0f);
+  kern.gemm_panel(out.data(), e.data(), ft.data(), 0, a, d, items);
+  return out;
+}
 
 TEST(FeatureTransform, StandardizesToZeroMeanUnitScale) {
   Rng rng(1);
@@ -133,6 +169,38 @@ TEST(Vbpr, TrainingImprovesAuc) {
   const double after = recsys::sampled_auc(model, ds, ev2, 20);
   EXPECT_GT(after, before + 0.1);
   EXPECT_GT(after, 0.6);
+}
+
+// Both orders accumulate each element over d in the same sequence; only
+// the operands of each product swap sides, which is exact (FMA included).
+// The scalar kernel's zero skip drops +-0 terms from an accumulator that
+// starts at +0 and so never becomes -0. Hence bitwise equality, on every
+// kernel table, with zeros in both operands.
+TEST(Vbpr, ThetaCacheIsBitwiseTheItemMajorProductTransposed) {
+  const auto ds = make_dataset();
+  Rng rng(11);
+  const Tensor raw = make_features(ds, 16, rng);
+  VbprFormula model(ds, raw, {}, rng);
+  const std::vector<float> want =
+      theta_t_item_major(simd::active(), model.features(), model.embedding());
+  ASSERT_EQ(static_cast<std::int64_t>(want.size()), model.theta_t().numel());
+  EXPECT_EQ(std::memcmp(want.data(), model.theta_t().data(), want.size() * sizeof(float)),
+            0);
+
+  Tensor f = model.features();
+  Tensor e = model.embedding();
+  for (std::int64_t i = 0; i < f.dim(0); i += 5) f.at(i, i % f.dim(1)) = 0.0f;
+  for (std::int64_t r = 0; r < e.dim(0); r += 3) e.at(r, (r + 1) % e.dim(1)) = -0.0f;
+  for (const simd::Variant v : {simd::Variant::kScalar, simd::Variant::kAvx2}) {
+    if (v == simd::Variant::kAvx2 && !simd::avx2_supported()) continue;
+    const simd::Kernels& kern = *simd::kernels_for(v);
+    const std::vector<float> old_order = theta_t_item_major(kern, f, e);
+    const std::vector<float> new_order = theta_t_direct(kern, f, e);
+    EXPECT_EQ(std::memcmp(old_order.data(), new_order.data(),
+                          old_order.size() * sizeof(float)),
+              0)
+        << simd::variant_name(v);
+  }
 }
 
 TEST(Vbpr, StaleCachesAreRejected) {

@@ -11,12 +11,10 @@
 //                 [--model vbpr|amr] [--cache taamr_cache]
 //       run one TAaMR scenario end-to-end and print CHR / success / quality
 //
-//   taamr fig2    --dataset "Amazon Men" [--scale 0.01] [--out-prefix fig2]
-//       write the before/after product images of the showcased item
+// Fig. 2's before/after images come from bench/fig2_example.
 #include <iostream>
 
 #include "core/pipeline.hpp"
-#include "core/scenario.hpp"
 #include "data/categories.hpp"
 #include "data/serialize.hpp"
 #include "metrics/chr.hpp"
@@ -32,7 +30,7 @@ namespace {
 using namespace taamr;
 
 int usage() {
-  std::cerr << "usage: taamr <stats|render|attack|fig2> [--flags]\n"
+  std::cerr << "usage: taamr <stats|render|attack> [--flags]\n"
                "run `taamr <subcommand> --help` conventions: see the header of\n"
                "tools/taamr_cli.cpp for every flag.\n";
   return 2;
@@ -92,6 +90,8 @@ int cmd_attack(const ArgParser& args) {
   const float eps = static_cast<float>(args.get_double("eps", 8.0));
   const std::string model_name = args.get("model", "vbpr");
   const std::string attack_key = args.get("attack", "pgd");
+  // Throws for an unknown key (listing the known ones) before any training.
+  const std::string attack_name = attack::display_name(attack_key);
 
   core::Pipeline pipeline(cfg);
   pipeline.prepare();
@@ -105,27 +105,16 @@ int cmd_attack(const ArgParser& args) {
     throw std::invalid_argument("unknown --model '" + model_name + "' (vbpr|amr)");
   }
 
-  // Attack the source category's images.
-  const auto items = ds.items_of_category(source);
-  const Tensor clean = data::gather_images(pipeline.catalog(), items);
-  const std::vector<std::int64_t> targets(items.size(),
-                                          static_cast<std::int64_t>(target));
-  attack::AttackConfig acfg;
-  acfg.epsilon = attack::epsilon_from_255(eps);
-  Rng rng(cfg.seed ^ 0xc11);
-  auto attacker = attack::make(attack_key, acfg);  // throws with the known keys
-  const Tensor adv = attacker->perturb(pipeline.classifier(), clean, targets, rng);
-  const std::string attack_name = attacker->name();
-
-  const auto success =
-      metrics::attack_success(pipeline.classifier(), adv, target, attack_name);
-  const auto visual =
-      metrics::average_visual_quality(pipeline.classifier(), clean, adv);
+  const auto batch = pipeline.attack_category(source, target, attack_key, eps);
+  const auto success = metrics::attack_success(pipeline.classifier(),
+                                               batch.attacked_images, target, attack_name);
+  const auto visual = metrics::average_visual_quality(
+      pipeline.classifier(), batch.clean_images, batch.attacked_images);
   const auto before = recsys::top_n_lists(*model, ds, cfg.top_n);
-  const double chr_before =
-      metrics::category_hit_ratio(before, ds, source, cfg.top_n);
-  model->set_item_features(pipeline.features_with_attack(items, adv));
-  const auto after = recsys::top_n_lists(*model, ds, cfg.top_n);
+  const double chr_before = metrics::category_hit_ratio(before, ds, source, cfg.top_n);
+  const auto after = pipeline.lists_under_attack(
+      *model, pipeline.features_with_attack(batch.items, batch.attacked_images),
+      cfg.top_n);
   const double chr_after = metrics::category_hit_ratio(after, ds, source, cfg.top_n);
 
   Table t("TAaMR: " + data::category_name(source) + " -> " +
@@ -133,51 +122,11 @@ int cmd_attack(const ArgParser& args) {
           Table::fmt(eps, 0) + "/255 | " + model->name() + " on " + ds.name);
   t.header({"attacked items", "success", "CHR@100 before", "CHR@100 after", "PSNR",
             "SSIM", "PSM"});
-  t.row({std::to_string(items.size()), Table::pct(success.success_rate, 1),
+  t.row({std::to_string(batch.items.size()), Table::pct(success.success_rate, 1),
          Table::fmt(chr_before * 100, 3) + "%", Table::fmt(chr_after * 100, 3) + "%",
          Table::fmt(visual.psnr, 2) + " dB", Table::fmt(visual.ssim, 4),
          Table::fmt(visual.psm, 4)});
   t.print(std::cout);
-  return 0;
-}
-
-int cmd_fig2(const ArgParser& args) {
-  core::PipelineConfig cfg;
-  cfg.dataset_name = args.get("dataset", "Amazon Men");
-  cfg.scale = args.get_double("scale", 0.01);
-  cfg.cache_dir = args.get("cache", "taamr_cache");
-  core::Pipeline pipeline(cfg);
-  pipeline.prepare();
-  const auto& ds = pipeline.dataset();
-  const auto scenarios = core::paper_scenarios(ds.name, "VBPR");
-  const auto batch = pipeline.attack_category(
-      scenarios.front().source_category, scenarios.front().target_category,
-      "pgd", 8.0f);
-  // The most confidently flipped item of the batch.
-  const Tensor probs = pipeline.classifier().probabilities(batch.attacked_images);
-  std::int64_t best = 0;
-  for (std::int64_t i = 1; i < probs.dim(0); ++i) {
-    if (probs.at(i, scenarios.front().target_category) >
-        probs.at(best, scenarios.front().target_category)) {
-      best = i;
-    }
-  }
-  const std::string prefix = args.get("out-prefix", "fig2");
-  const Shape img = {3, batch.clean_images.dim(2), batch.clean_images.dim(3)};
-  const std::int64_t elems = shape_numel(img);
-  Tensor clean(img), adv(img);
-  std::copy(batch.clean_images.data() + best * elems,
-            batch.clean_images.data() + (best + 1) * elems, clean.data());
-  std::copy(batch.attacked_images.data() + best * elems,
-            batch.attacked_images.data() + (best + 1) * elems, adv.data());
-  write_ppm(prefix + "_original.ppm", clean, 8);
-  write_ppm(prefix + "_attacked.ppm", adv, 8);
-  std::cout << "item #" << batch.items[static_cast<std::size_t>(best)]
-            << ": P[target] = "
-            << Table::pct(probs.at(best, scenarios.front().target_category), 1)
-            << ", PSNR = " << Table::fmt(metrics::psnr(clean, adv), 2) << " dB\n"
-            << "wrote " << prefix << "_original.ppm / " << prefix
-            << "_attacked.ppm\n";
   return 0;
 }
 
@@ -196,8 +145,6 @@ int main(int argc, char** argv) {
       rc = cmd_render(args);
     } else if (command == "attack") {
       rc = cmd_attack(args);
-    } else if (command == "fig2") {
-      rc = cmd_fig2(args);
     } else {
       return usage();
     }

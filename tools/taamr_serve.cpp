@@ -183,7 +183,8 @@ int serve_tcp(Server& server, int port) {
       },
       [&server](std::size_t, const std::string& line) {
         return server.handle_line(line);
-      });
+      },
+      serve::max_request_bytes(server.pipeline->clean_features().dim(1)));
   server.loop.store(&loop);
   try {
     loop.start();
