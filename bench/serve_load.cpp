@@ -71,6 +71,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -154,6 +155,50 @@ void check_served_list(const data::ImplicitDataset& dataset, std::int64_t user,
       }
     }
   }
+}
+
+// One verified hot swap, as both parts run it: golden lists for the probe
+// users, then the first probe's #1 item pushed `offset` away in feature
+// space through push(item, row), which returns the new epoch. Every probe's
+// served list, fetch(user), must then equal a golden recompute of the
+// swapped-in model and carry that epoch, and some list must change.
+// Returns the pushed item and its row from before the push.
+std::pair<std::int32_t, std::vector<float>> verified_hot_swap(
+    const data::ImplicitDataset& dataset, const serve::ModelRegistry& registry,
+    const serve::ShardRouter& router, const std::vector<std::int64_t>& probes,
+    std::int64_t top_n, float offset, const auto& push, const auto& fetch) {
+  const auto vbpr_before = registry.get("vbpr");
+  std::vector<std::vector<recsys::ScoredItem>> before;
+  before.reserve(probes.size());
+  for (const std::int64_t p : probes) {
+    before.push_back(golden_topn(dataset, *vbpr_before.model, p, top_n));
+  }
+  if (before[0].empty()) fail("probe user has an empty list");
+
+  const std::int32_t victim = before[0][0].item;
+  std::vector<float> prev = router.feature_store().item_features(victim);
+  std::vector<float> feats = prev;
+  for (float& f : feats) f = -f - offset;
+  const std::uint64_t epoch = push(victim, feats);
+
+  const auto vbpr_after = registry.get("vbpr");
+  if (vbpr_after.feature_epoch != epoch) fail("registry missed the feature epoch");
+  bool any_changed = false;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const auto golden = golden_topn(dataset, *vbpr_after.model, probes[i], top_n);
+    const auto served = fetch(probes[i]);
+    if (served.items != golden) {
+      fail("post-swap served list diverges from golden recompute (user " +
+           std::to_string(probes[i]) + ", " + std::to_string(router.num_shards()) +
+           " shards)");
+    }
+    if (served.feature_epoch != epoch) {
+      fail("post-swap response stamped with a stale feature epoch");
+    }
+    if (golden != before[i]) any_changed = true;
+  }
+  if (!any_changed) fail("hot feature swap changed no probe list");
+  return {victim, std::move(prev)};
 }
 
 // Blocking loopback client speaking the newline-framed protocol: one
@@ -345,6 +390,8 @@ int main() {
   ZipfSampler zipf(static_cast<std::size_t>(dataset.num_users), kZipfAlpha);
   const auto top1pct =
       static_cast<std::int64_t>(std::max<std::int64_t>(1, dataset.num_users / 100));
+  reporter.add_config("serve_users", static_cast<double>(dataset.num_users));
+  reporter.add_config("serve_items", static_cast<double>(dataset.num_items));
   reporter.add_config("zipf_alpha", kZipfAlpha);
   reporter.add_config("zipf_top1pct_share_expected",
                       zipf.top_share(static_cast<std::size_t>(top1pct)));
@@ -445,30 +492,9 @@ int main() {
     threads.emplace_back([&] {
       set_current_thread_name("load-control");
       LineClient client(loop.port());
-      std::int64_t swaps_done = 0;
-      for (const double frac : {0.25, 0.5, 0.75}) {
-        const auto threshold =
-            static_cast<std::int64_t>(frac * static_cast<double>(total));
-        while (done.load() < threshold) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-
-        const auto vbpr_before = registry.get("vbpr");
-        std::vector<std::vector<recsys::ScoredItem>> before;
-        before.reserve(probes.size());
-        for (const std::int64_t p : probes) {
-          before.push_back(golden_topn(dataset, *vbpr_before.model, p, top_n));
-        }
-        if (before[0].empty()) fail("probe user has an empty list");
-
-        // Shove the probe user's current #1 item far away in feature space.
-        const std::int32_t victim = before[0][0].item;
-        std::vector<float> feats = router.feature_store().item_features(victim);
-        for (float& f : feats) {
-          f = -f - 50.0f * static_cast<float>(swaps_done + 1);
-        }
+      const auto push = [&client](std::int32_t item, const std::vector<float>& feats) {
         std::string update = "{\"op\":\"update_features\",\"item\":" +
-                             std::to_string(victim) + ",\"features\":[";
+                             std::to_string(item) + ",\"features\":[";
         for (std::size_t i = 0; i < feats.size(); ++i) {
           if (i > 0) update += ',';
           update += obs::json::number(static_cast<double>(feats[i]));
@@ -476,35 +502,24 @@ int main() {
         update += "]}";
         const obs::json::Value ack = obs::json::parse(client.request(update));
         if (!ack.find("ok")->boolean) fail("update_features rejected over TCP");
-        const auto epoch = static_cast<std::uint64_t>(ack.find("epoch")->num);
-
-        const auto vbpr_after = registry.get("vbpr");
-        if (vbpr_after.feature_epoch != epoch) {
-          fail("registry missed the feature epoch");
+        return static_cast<std::uint64_t>(ack.find("epoch")->num);
+      };
+      const auto fetch = [&client, top_n](std::int64_t user) {
+        WireRec served;
+        do {  // a shed probe under overload is retried, not skipped
+          served = parse_wire_response(client.request(
+              "{\"op\":\"recommend\",\"model\":\"vbpr\",\"user\":" +
+              std::to_string(user) + ",\"n\":" + std::to_string(top_n) + "}"));
+        } while (served.overloaded);
+        return served;
+      };
+      for (int k = 1; k <= 3; ++k) {
+        const auto threshold = static_cast<std::int64_t>(0.25 * k * total);
+        while (done.load() < threshold) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        bool any_changed = false;
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-          const auto golden =
-              golden_topn(dataset, *vbpr_after.model, probes[i], top_n);
-          WireRec served;
-          do {  // a shed probe under overload is retried, not skipped
-            served = parse_wire_response(client.request(
-                "{\"op\":\"recommend\",\"model\":\"vbpr\",\"user\":" +
-                std::to_string(probes[i]) + ",\"n\":" + std::to_string(top_n) +
-                "}"));
-          } while (served.overloaded);
-          if (served.items != golden) {
-            fail("post-swap served list diverges from golden recompute (user " +
-                 std::to_string(probes[i]) + ", " +
-                 std::to_string(router.num_shards()) + " shards)");
-          }
-          if (served.feature_epoch != epoch) {
-            fail("post-swap response stamped with a stale feature epoch");
-          }
-          if (golden != before[i]) any_changed = true;
-        }
-        if (!any_changed) fail("hot feature swap changed no probe list");
-        ++swaps_done;
+        verified_hot_swap(dataset, registry, router, probes, top_n,
+                          50.0f * static_cast<float>(k), push, fetch);
       }
     });
 
@@ -591,36 +606,15 @@ int main() {
 
   // One hot feature swap, verified against a golden recompute.
   auto hot_swap = [&]() {
-    const auto vbpr_before = registry.get("vbpr");
-    std::vector<std::vector<recsys::ScoredItem>> before;
-    before.reserve(probes.size());
-    for (const std::int64_t p : probes) {
-      before.push_back(golden_topn(dataset, *vbpr_before.model, p, top_n));
-    }
-    if (before[0].empty()) fail("probe user has an empty list");
-
-    const std::int32_t victim = before[0][0].item;
-    std::vector<float> feats = service.feature_store().item_features(victim);
-    swapped.emplace_back(victim, feats);
-    for (float& f : feats) f = -f - 50.0f * static_cast<float>(swapped.size());
-    const std::uint64_t epoch = service.update_item_features(victim, feats);
-
-    const auto vbpr_after = registry.get("vbpr");
-    if (vbpr_after.feature_epoch != epoch) fail("registry missed the feature epoch");
-    bool any_changed = false;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      const auto golden = golden_topn(dataset, *vbpr_after.model, probes[i], top_n);
-      const auto served = service.recommend("vbpr", probes[i], top_n);
-      if (served.items != golden) {
-        fail("post-swap served list diverges from golden recompute (user " +
-             std::to_string(probes[i]) + ")");
-      }
-      if (served.feature_epoch != epoch) {
-        fail("post-swap response stamped with a stale feature epoch");
-      }
-      if (golden != before[i]) any_changed = true;
-    }
-    if (!any_changed) fail("hot feature swap changed no probe list");
+    swapped.push_back(verified_hot_swap(
+        dataset, registry, service, probes, top_n,
+        50.0f * static_cast<float>(swapped.size() + 1),
+        [&service](std::int32_t item, const std::vector<float>& feats) {
+          return service.update_item_features(item, feats);
+        },
+        [&service, top_n](std::int64_t user) {
+          return service.recommend("vbpr", user, top_n);
+        }));
   };
 
   // One phase: every client's schedule, replayed back to back on this

@@ -32,7 +32,7 @@ endif()
 # The serve_obs_gate sizing.
 gate_run(serve COMMAND ${SERVE_BIN}
   ENV ${profile_env} "TAAMR_PROFILE_OUT=${WORK_DIR}/serve" "TAAMR_BENCH_DIR=${WORK_DIR}"
-      TAAMR_SCALE=0.002 TAAMR_SERVE_CLIENTS=2 TAAMR_SERVE_REQUESTS=150)
+      TAAMR_SERVE_CLIENTS=2 TAAMR_SERVE_REQUESTS=150)
 gate_metric(serve_pct "${WORK_DIR}/BENCH_serve_load.json" serve_telemetry_overhead_pct)
 message(STATUS "serve_load: telemetry + profiler cost ${serve_pct}% of qps (budget ${budget_pct}%)")
 if(serve_pct GREATER budget_pct)

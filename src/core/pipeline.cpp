@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <bit>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -197,21 +198,16 @@ Pipeline::AttackedBatch Pipeline::attack_category(std::int32_t source_category,
   const std::vector<std::int64_t> targets(batch.items.size(),
                                           static_cast<std::int64_t>(target_category));
   Stopwatch timer;
-  // Seed derivation preserves the pre-registry values for fgsm (0) and pgd
-  // (0x10000) so cached experiment artifacts stay comparable; other attacks
-  // hash their key into the same slot.
-  std::uint64_t attack_salt = 0;
-  if (attack_key == "pgd") {
-    attack_salt = 0x10000u;
-  } else if (attack_key != "fgsm") {
-    for (const char ch : attack_key) {
-      attack_salt = attack_salt * 131 + static_cast<unsigned char>(ch);
-    }
-    attack_salt = (attack_salt << 17) | 0x10000u;
-  }
-  Rng rng = rng_.fork(0x777 ^ static_cast<std::uint64_t>(target_category) ^
-                      (static_cast<std::uint64_t>(epsilon_255 * 16.0f) << 8) ^
-                      attack_salt);
+  // A local generator, not rng_ (which every trained model advances): one
+  // (source, target, attack, epsilon) cell gets the same start whatever ran
+  // before it. Its stream is an FNV-1a-style hash of the cell.
+  std::uint64_t stream = 0xcbf29ce484222325ULL;
+  const auto mix = [&stream](std::uint64_t v) { stream = (stream ^ v) * 0x100000001b3ULL; };
+  mix(static_cast<std::uint64_t>(source_category));
+  mix(static_cast<std::uint64_t>(target_category));
+  mix(std::bit_cast<std::uint32_t>(epsilon_255));
+  for (const char ch : attack_key) mix(static_cast<unsigned char>(ch));
+  Rng rng = Rng(config_.seed).fork(stream);
   batch.attacked_images = attacker->perturb(*classifier_, batch.clean_images, targets, rng);
   log_info() << attacker->name() << " eps=" << epsilon_255 << "/255 on "
              << batch.items.size() << " '" << data::category_name(source_category)

@@ -3,17 +3,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
-#include "recsys/bpr_mf.hpp"
-#include "recsys/vbpr.hpp"
-
 namespace taamr::serve {
 
 ModelRegistry::ModelRegistry(const data::ImplicitDataset& dataset) : dataset_(dataset) {}
 
 void ModelRegistry::register_model(const std::string& name,
                                    std::shared_ptr<const recsys::Recommender> model,
-                                   bool visual) {
+                                   bool visual, std::uint64_t feature_epoch) {
   if (!model) throw std::invalid_argument("ModelRegistry: null model for " + name);
   if (model->num_users() != dataset_.num_users ||
       model->num_items() != dataset_.num_items) {
@@ -24,19 +20,8 @@ void ModelRegistry::register_model(const std::string& name,
   Entry& e = models_[name];
   e.model = std::move(model);
   ++e.version;
+  e.feature_epoch = feature_epoch;
   e.visual = visual;
-}
-
-void ModelRegistry::swap(const std::string& name,
-                         std::shared_ptr<const recsys::Recommender> model) {
-  if (!model) throw std::invalid_argument("ModelRegistry: null model for " + name);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = models_.find(name);
-  if (it == models_.end()) {
-    throw std::runtime_error("ModelRegistry: unknown model '" + name + "'");
-  }
-  it->second.model = std::move(model);
-  ++it->second.version;
 }
 
 void ModelRegistry::swap_features(const std::string& name,
@@ -79,18 +64,6 @@ std::vector<std::string> ModelRegistry::names() const {
   out.reserve(models_.size());
   for (const auto& [name, _] : models_) out.push_back(name);
   return out;
-}
-
-void ModelRegistry::load_vbpr(const std::string& name, const std::string& path) {
-  TAAMR_TRACE_SPAN("serve/model_load");
-  auto model = std::make_shared<recsys::Vbpr>(recsys::Vbpr::load_file(path, dataset_));
-  register_model(name, std::move(model), /*visual=*/true);
-}
-
-void ModelRegistry::load_bpr_mf(const std::string& name, const std::string& path) {
-  TAAMR_TRACE_SPAN("serve/model_load");
-  auto model = std::make_shared<recsys::BprMf>(recsys::BprMf::load_file(path, dataset_));
-  register_model(name, std::move(model), /*visual=*/false);
 }
 
 }  // namespace taamr::serve

@@ -5,16 +5,17 @@
 // requests finish on the old model, later requests see the new one.
 //
 // Two version axes per entry:
-//   * version        — bumped by register_model/swap (a new checkpoint);
-//   * feature_epoch  — advanced by swap_features (same parameters, new item
+//   * version        — bumped by register_model (a new checkpoint);
+//   * feature_epoch  — set by swap_features (same parameters, new item
 //                      features). The serve-side result cache uses the pair
 //                      to decide between full invalidation (new checkpoint)
 //                      and selective revalidation (feature swap; see
 //                      recommend_service.hpp).
 //
-// Checkpoint loaders cover every model family that can serve: VBPR/AMR via
-// Vbpr::load (an AMR checkpoint loads as a Vbpr and scores identically) and
-// BPR-MF via BprMf::load.
+// Once serving starts, ShardRouter is the registry's one writer: it loads
+// checkpoints (ShardRouter::swap_model) and rebuilds visual models on
+// feature pushes under one lock, so every visual entry is built from the
+// FeatureStore at its feature_epoch.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +39,18 @@ class ModelRegistry {
     bool visual = false;  // rebuilt by feature swaps (VBPR/AMR)
   };
 
-  // The dataset every hosted model was trained against (checkpoint loads
-  // validate against it; it outlives the registry).
+  // The dataset every hosted model was trained against (register_model
+  // validates against it; it outlives the registry).
   explicit ModelRegistry(const data::ImplicitDataset& dataset);
 
   // Registers (or replaces) a model under `name`; bumps the version.
-  // `visual` marks models whose scores depend on item features.
+  // `visual` marks models whose scores depend on item features;
+  // `feature_epoch` is the FeatureStore epoch their features were read at.
   void register_model(const std::string& name,
-                      std::shared_ptr<const recsys::Recommender> model, bool visual);
-
-  // Atomic checkpoint replacement: bumps the version (result caches keyed
-  // on the old version go stale wholesale).
-  void swap(const std::string& name, std::shared_ptr<const recsys::Recommender> model);
+                      std::shared_ptr<const recsys::Recommender> model, bool visual,
+                      std::uint64_t feature_epoch = 0);
 
   // Atomic feature refresh: same checkpoint version, new feature epoch.
-  // Used by RecommendService::update_item_features after rebuilding a
-  // visual model against the new feature store contents.
   void swap_features(const std::string& name,
                      std::shared_ptr<const recsys::Recommender> model,
                      std::uint64_t feature_epoch);
@@ -64,10 +61,6 @@ class ModelRegistry {
 
   bool has(const std::string& name) const;
   std::vector<std::string> names() const;
-
-  // Checkpoint loaders; each registers under `name` and bumps the version.
-  void load_vbpr(const std::string& name, const std::string& path);
-  void load_bpr_mf(const std::string& name, const std::string& path);
 
   const data::ImplicitDataset& dataset() const { return dataset_; }
 

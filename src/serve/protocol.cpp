@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -27,9 +28,10 @@ const Value& require(const Value& root, const char* key, Value::Type type,
 std::int64_t require_int(const Value& root, const char* key) {
   const Value& v = require(root, key, Value::Type::kNumber, "a number");
   const double d = v.num;
-  if (!std::isfinite(d) || d != std::floor(d)) {
+  // [-2^63, 2^63): the doubles that cast to int64_t without overflow.
+  if (!std::isfinite(d) || d != std::floor(d) || d < -0x1p63 || d >= 0x1p63) {
     throw std::runtime_error(std::string("request field \"") + key +
-                             "\" must be an integer");
+                             "\" must be an integer in the int64 range");
   }
   return static_cast<std::int64_t>(d);
 }
@@ -70,8 +72,13 @@ Request parse_request(const std::string& line) {
     const Value& feats = require(root, "features", Value::Type::kArray, "an array");
     req.features.reserve(feats.array.size());
     for (const Value& v : feats.array) {
-      if (!v.is_number()) {
-        throw std::runtime_error("request field \"features\" must hold numbers");
+      // A feature that is no finite float would give the item a non-finite
+      // score for every user. The bound is the midpoint between FLT_MAX and
+      // 2^128: below it a double rounds to a finite float (FLT_MAX's own
+      // "%.9g" text, 3.40282347e38, lies above FLT_MAX and rounds to it).
+      if (!v.is_number() || !(std::abs(v.num) < 0x1.ffffffp127)) {
+        throw std::runtime_error(
+            "request field \"features\" must hold finite float-range numbers");
       }
       req.features.push_back(static_cast<float>(v.num));
     }
@@ -131,10 +138,11 @@ std::int64_t peek_user(const std::string& line) {
   std::int64_t value = 0;
   bool any = false;
   while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    value = value * 10 + (line[pos] - '0');
+    const int digit = line[pos] - '0';
+    if (value > (INT64_MAX - digit) / 10) return -1;  // would overflow
+    value = value * 10 + digit;
     any = true;
     ++pos;
-    if (value < 0) return -1;  // overflow
   }
   return any ? value : -1;
 }

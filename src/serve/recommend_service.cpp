@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 
+#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/ranker.hpp"
-#include "recsys/vbpr.hpp"
 #include "util/env.hpp"
 
 namespace taamr::serve {
@@ -28,35 +27,19 @@ ServeConfig ServeConfig::from_env() {
 }
 
 RecommendService::RecommendService(const data::ImplicitDataset& dataset,
-                                   ModelRegistry& registry, Tensor raw_features,
-                                   ServeConfig config)
-    : RecommendService(dataset, registry,
-                       std::make_shared<FeatureStore>(
-                           std::move(raw_features),
-                           static_cast<std::size_t>(config.update_log_window)),
-                       std::make_shared<std::mutex>(), config) {}
-
-RecommendService::RecommendService(const data::ImplicitDataset& dataset,
-                                   ModelRegistry& registry,
-                                   std::shared_ptr<FeatureStore> store,
-                                   std::shared_ptr<std::mutex> update_mutex,
-                                   ServeConfig config)
+                                   const ModelRegistry& registry,
+                                   const FeatureStore& store, ServeConfig config)
     : dataset_(dataset),
       registry_(registry),
-      store_(std::move(store)),
-      config_(config),
+      store_(store),
       cache_(config.cache_capacity),
-      update_mutex_(std::move(update_mutex)),
       request_seconds_(obs::MetricsRegistry::global().histogram(
           "serve_request_seconds", {}, kRequestLatencyBounds)),
       // One-second slots.
       latency_window_(static_cast<std::uint64_t>(kWindowSeconds) * 1000000ull,
                       static_cast<std::size_t>(kWindowSeconds),
                       kRequestLatencyBounds) {
-  if (store_ == nullptr || update_mutex_ == nullptr) {
-    throw std::invalid_argument("RecommendService: null store or update mutex");
-  }
-  if (store_->num_items() != dataset_.num_items) {
+  if (store_.num_items() != dataset_.num_items) {
     throw std::invalid_argument(
         "RecommendService: feature rows must match dataset items");
   }
@@ -83,7 +66,7 @@ std::optional<CacheEntry> RecommendService::lookup(const CacheKey& key,
   // checking against its current epoch only over-approximates the changed
   // set, which is safe.
   const std::optional<std::vector<std::int32_t>> changed =
-      store_->changed_since(entry->feature_epoch);
+      store_.changed_since(entry->feature_epoch);
   if (!changed.has_value()) {
     // Changelog window exceeded; cannot prove validity.
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -178,89 +161,6 @@ Recommendation RecommendService::recommend(const std::string& model, std::int64_
   return rec;
 }
 
-std::uint64_t RecommendService::update_item_features(std::int64_t item,
-                                                     std::span<const float> features) {
-  return update_item_features(item, features, UpdateOrigin{});
-}
-
-std::uint64_t RecommendService::update_item_features(std::int64_t item,
-                                                     std::span<const float> features,
-                                                     const UpdateOrigin& origin) {
-  TAAMR_TRACE_SPAN("serve/feature_swap");
-  std::lock_guard<std::mutex> lock(*update_mutex_);
-  // Previous row read before the write: the delta norms below are the
-  // forensic core of the audit record.
-  const std::vector<float> prev = store_->item_features(item);
-  const std::uint64_t epoch = store_->update(item, features);
-  const Tensor snapshot = store_->snapshot();
-
-  const bool auditing = obs::AuditLog::global().enabled();
-  obs::AuditRecord record;
-  for (const std::string& name : registry_.names()) {
-    const ModelRegistry::Snapshot snap = registry_.get(name);
-    if (!snap.visual) continue;
-    const auto* vbpr = dynamic_cast<const recsys::Vbpr*>(snap.model.get());
-    if (vbpr == nullptr) continue;
-    // Copy-on-write rebuild: in-flight requests keep scoring the old
-    // immutable model; the registry flips to the rebuilt one atomically.
-    // An AMR model slices to its Vbpr storage here, which scores
-    // identically (serving never trains).
-    auto rebuilt = std::make_shared<recsys::Vbpr>(*vbpr);
-    rebuilt->set_item_features(snapshot);
-    if (auditing && record.rank_shifts.empty()) {
-      // Rank-shift sample against the first visual model: where did the
-      // pushed item sit for a few probe users before and after this swap?
-      // 0-based; -1 when the probe user trained on the item.
-      const std::int32_t probed[1] = {static_cast<std::int32_t>(item)};
-      const auto probe_rank = [&](const recsys::Recommender& m, std::int64_t u) {
-        const std::int64_t r = recsys::item_ranks(m, dataset_, u, probed).front();
-        return r < 0 ? r : r - 1;
-      };
-      const std::int64_t probes = std::min<std::int64_t>(3, dataset_.num_users);
-      for (std::int64_t u = 0; u < probes; ++u) {
-        record.rank_shifts.push_back(
-            obs::RankShift{u, probe_rank(*snap.model, u), probe_rank(*rebuilt, u)});
-      }
-    }
-    registry_.swap_features(name, std::move(rebuilt), epoch);
-  }
-  feature_swaps_.fetch_add(1, std::memory_order_relaxed);
-
-  double linf = 0.0;
-  double l2 = 0.0;
-  for (std::size_t i = 0; i < prev.size(); ++i) {
-    const double d = static_cast<double>(features[i]) - prev[i];
-    linf = std::max(linf, std::abs(d));
-    l2 += d * d;
-  }
-  l2 = std::sqrt(l2);
-
-  const std::uint64_t now_us = obs::monotonic_us();
-  const obs::UpdateAnomalyScorer::Verdict verdict =
-      anomaly_scorer_.score(item, l2, now_us);
-  if (verdict.suspect) {
-    suspect_updates_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::global()
-        .counter("serve_suspect_update_total", {{"reason", verdict.reason}})
-        .increment();
-  }
-  if (auditing) {
-    record.t_us = now_us;
-    record.item = item;
-    record.epoch = epoch;
-    record.source = origin.source;
-    record.linf_delta = linf;
-    record.l2_delta = l2;
-    record.ssim = origin.ssim;
-    record.rate_ewma = verdict.rate_ewma;
-    record.delta_z = verdict.z;
-    record.suspect = verdict.suspect;
-    record.reason = verdict.reason;
-    obs::AuditLog::global().append(record);
-  }
-  return epoch;
-}
-
 void RecommendService::clear_cache() { cache_.clear(); }
 
 RecommendService::Stats RecommendService::stats() const {
@@ -269,10 +169,8 @@ RecommendService::Stats RecommendService::stats() const {
   st.cache_hits = hits_.load(std::memory_order_relaxed);
   st.cache_misses = misses_.load(std::memory_order_relaxed);
   st.cache_revalidated = revalidated_.load(std::memory_order_relaxed);
-  st.feature_swaps = feature_swaps_.load(std::memory_order_relaxed);
   st.slow_requests = slow_requests_.load(std::memory_order_relaxed);
   st.deadline_breaches = deadline_breaches_.load(std::memory_order_relaxed);
-  st.suspect_updates = suspect_updates_.load(std::memory_order_relaxed);
   st.audit_records = obs::AuditLog::global().records_written();
   const obs::SlidingWindowHistogram::Snapshot win = latency_window_.snapshot();
   st.rolling_p50_s = win.quantile(0.50);

@@ -1,30 +1,35 @@
-// ShardRouter: partitions the user space N ways over per-shard
-// RecommendServices so hot-swap fallout and cache churn stay local.
+// ShardRouter: the serving engine's one writer, and the router that
+// partitions the user space N ways over read-only RecommendService shards
+// so cache churn stays local.
 //
 // Invariants:
 //   * shard_of(user) is a pure function of (user, num_shards) — the same
 //     user always lands on the same shard, so its cached lists and latency
 //     accounting live in exactly one place.
-//   * All shards share ONE ModelRegistry and ONE FeatureStore: model
-//     versions and feature epochs are global axes. A hot swap advances the
-//     shared epoch; each shard revalidates its own cache slice lazily on
-//     that shard's next touch (serve/recommend_service.hpp), so a swap
-//     never stalls sibling shards' request paths.
+//   * The router owns the FeatureStore and is the only writer of it and of
+//     the shared ModelRegistry while serving: feature pushes
+//     (update_item_features) and checkpoint loads (swap_model) run under
+//     one writer mutex, so every visual model in the registry is built from
+//     the store at its feature_epoch. Shards only read both, so model
+//     versions and feature epochs are global axes; each shard revalidates
+//     its own cache slice lazily on its next touch
+//     (serve/recommend_service.hpp), and a swap never stalls request paths.
 //   * Each shard owns its TopNCache slice (total capacity split N ways) and
 //     its own rolling latency window — shard_stats(s).requests makes
 //     imbalance visible.
-//   * Feature updates are funneled through shard 0's service: one shared
-//     update mutex serializes rebuild+swap sequences, and a single anomaly
-//     scorer sees the full update stream no matter which connection
-//     carried the update.
+//   * One anomaly scorer sees the full update stream, whichever connection
+//     carried each update.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "obs/audit.hpp"
 #include "serve/recommend_service.hpp"
 
 namespace taamr::serve {
@@ -43,7 +48,7 @@ struct ShardRouterConfig {
 class ShardRouter {
  public:
   // dataset and registry must outlive the router. raw_features seeds the
-  // shared feature store.
+  // feature store ([num_items, D], un-standardized).
   ShardRouter(const data::ImplicitDataset& dataset, ModelRegistry& registry,
               Tensor raw_features,
               ShardRouterConfig config = ShardRouterConfig::from_env());
@@ -52,14 +57,26 @@ class ShardRouter {
   // Stable user -> shard mapping (splitmix64 of the user id, mod shards).
   std::size_t shard_of(std::int64_t user) const;
 
-  // Routed equivalents of the RecommendService surface.
   Recommendation recommend(const std::string& model, std::int64_t user,
                            std::int64_t n, obs::RequestContext* ctx = nullptr);
-  std::uint64_t update_item_features(std::int64_t item,
-                                     std::span<const float> features);
+
+  // Hot feature swap: new raw feature row for `item`, every visual model
+  // rebuilt against the store snapshot and swapped in. Returns the new
+  // feature epoch. Feeds the anomaly scorer
+  // (serve_suspect_update_total{reason=...}) and, when $TAAMR_AUDIT_LOG is
+  // set, appends a JSONL audit record with a rank-shift sample for a few
+  // probe users.
   std::uint64_t update_item_features(std::int64_t item,
                                      std::span<const float> features,
-                                     const RecommendService::UpdateOrigin& origin);
+                                     const RecommendService::UpdateOrigin& origin = {});
+
+  // Checkpoint load: registers the checkpoint at `path` under `name`, kind
+  // "vbpr" (VBPR/AMR; an AMR checkpoint loads as a Vbpr and scores
+  // identically) or "bpr_mf", and bumps its version. A visual model serves
+  // the store's current rows, not the ones saved with it.
+  void swap_model(const std::string& name, const std::string& kind,
+                  const std::string& path);
+
   void clear_cache();
 
   // Counters summed across shards; rolling quantiles are the max over
@@ -71,17 +88,21 @@ class ShardRouter {
   // {"op":"metrics"}.
   std::string metrics_text() const;
 
-  const ServeConfig& config() const { return config_.service; }
-  const FeatureStore& feature_store() const { return *store_; }
+  const FeatureStore& feature_store() const { return store_; }
   const data::ImplicitDataset& dataset() const { return dataset_; }
-  ModelRegistry& registry() { return registry_; }
 
  private:
   const data::ImplicitDataset& dataset_;
   ModelRegistry& registry_;
-  ShardRouterConfig config_;
-  std::shared_ptr<FeatureStore> store_;
+  FeatureStore store_;
   std::vector<std::unique_ptr<RecommendService>> shards_;
+
+  // Serializes every store and registry write (feature pushes, checkpoint
+  // loads) and guards the anomaly scorer's update stream.
+  std::mutex write_mutex_;
+  obs::UpdateAnomalyScorer anomaly_scorer_;
+  std::atomic<std::uint64_t> feature_swaps_{0};
+  std::atomic<std::uint64_t> suspect_updates_{0};
 };
 
 }  // namespace taamr::serve

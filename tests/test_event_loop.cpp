@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,6 +244,10 @@ TEST(EventLoopTest, PeekUserExtractsRoutingHint) {
   EXPECT_EQ(serve::peek_user("{\"op\":\"stats\"}"), -1);
   EXPECT_EQ(serve::peek_user("{\"user\":\"nope\"}"), -1);
   EXPECT_EQ(serve::peek_user(""), -1);
+  // Past INT64_MAX: no hint, and no signed overflow on the way.
+  EXPECT_EQ(serve::peek_user("{\"user\":9223372036854775807}"), INT64_MAX);
+  EXPECT_EQ(serve::peek_user("{\"user\":9223372036854775808}"), -1);
+  EXPECT_EQ(serve::peek_user("{\"user\":99999999999999999999}"), -1);
 }
 
 TEST(AdmissionTest, OverloadShedsInsteadOfHanging) {

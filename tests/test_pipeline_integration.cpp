@@ -140,6 +140,25 @@ TEST(PipelineIntegration, VbprAttackShiftsSourceCategoryChr) {
   EXPECT_NE(chr_before, chr_after);
 }
 
+// One (source, target, attack, epsilon) cell gets the same PGD start
+// whatever the pipeline ran before it: `taamr attack` and the table grid
+// must agree on a cell.
+TEST(PipelineIntegration, AttackDoesNotDependOnEarlierStages) {
+  core::PipelineConfig cfg = micro_config();
+  cfg.cnn_epochs = 2;
+  cfg.vbpr.epochs = 2;
+  cfg.amr_warm_epochs = 1;
+  cfg.amr_adversarial_epochs = 1;
+  core::Pipeline p(cfg);
+  p.prepare();
+  const auto first = p.attack_category(data::kSock, data::kRunningShoe, "pgd", 8.0f);
+  p.train_vbpr();
+  p.train_amr();
+  p.attack_category(data::kSock, data::kAnalogClock, "pgd", 8.0f);
+  const auto again = p.attack_category(data::kSock, data::kRunningShoe, "pgd", 8.0f);
+  EXPECT_TRUE(same_bits(first.attacked_images, again.attacked_images));
+}
+
 TEST(PipelineIntegration, PrepareIsIdempotent) {
   core::Pipeline& p = shared_pipeline();
   const Tensor before = p.clean_features();

@@ -4,9 +4,11 @@
 // the CI thread-sanitizer job picks them up.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "data/amazon_synth.hpp"
@@ -18,6 +20,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/recommend_service.hpp"
+#include "serve/shard_router.hpp"
 #include "serve/topn_cache.hpp"
 #include "test_helpers.hpp"
 
@@ -57,9 +60,8 @@ TEST(ServeRegistry, RegisterGetAndVersioning) {
   EXPECT_EQ(snap.feature_epoch, 0u);
   EXPECT_TRUE(snap.visual);
 
-  // swap() bumps the version; swap_features() does not.
-  auto replacement = make_vbpr(ds, rng);
-  registry.swap("vbpr", replacement);
+  // Re-registering bumps the version; swap_features() does not.
+  registry.register_model("vbpr", make_vbpr(ds, rng), /*visual=*/true);
   EXPECT_EQ(registry.get("vbpr").version, 2u);
   registry.swap_features("vbpr", make_vbpr(ds, rng), /*feature_epoch=*/7);
   const auto after = registry.get("vbpr");
@@ -80,7 +82,8 @@ TEST(ServeRegistry, UnknownModelNamesRegisteredOnes) {
     EXPECT_NE(what.find("missing"), std::string::npos);
     EXPECT_NE(what.find("vbpr"), std::string::npos);
   }
-  EXPECT_THROW(registry.swap("missing", make_vbpr(ds, rng)), std::runtime_error);
+  EXPECT_THROW(registry.swap_features("missing", make_vbpr(ds, rng), 1),
+               std::runtime_error);
 }
 
 TEST(ServeRegistry, RejectsMismatchedModel) {
@@ -102,22 +105,27 @@ TEST(ServeRegistry, LoadsCheckpointsFromDisk) {
   const std::string vbpr_path = (tmp / "taamr_serve_vbpr.bin").string();
   const std::string bpr_path = (tmp / "taamr_serve_bpr.bin").string();
 
-  auto vbpr = make_vbpr(ds, rng);
-  vbpr->save_file(vbpr_path);
+  const Tensor features = make_features(ds, rng);
+  recsys::Vbpr vbpr(ds, features, recsys::VbprConfig{}, rng);
+  vbpr.save_file(vbpr_path);
   recsys::BprMf bpr(ds, {}, rng);
   bpr.save_file(bpr_path);
 
+  // Checkpoints load through the router, the registry's one writer.
   serve::ModelRegistry registry(ds);
-  registry.load_vbpr("vbpr", vbpr_path);
-  registry.load_bpr_mf("bpr_mf", bpr_path);
+  serve::ShardRouter router(ds, registry, features);
+  router.swap_model("vbpr", "vbpr", vbpr_path);
+  router.swap_model("bpr_mf", "bpr_mf", bpr_path);
   EXPECT_EQ(registry.names().size(), 2u);
   EXPECT_NEAR(testing::score_row(*registry.get("vbpr").model, 0)[3],
-              testing::score_row(*vbpr, 0)[3], 1e-6f);
+              testing::score_row(vbpr, 0)[3], 1e-6f);
   EXPECT_NEAR(testing::score_row(*registry.get("bpr_mf").model, 1)[2],
               testing::score_row(bpr, 1)[2], 1e-6f);
   EXPECT_FALSE(registry.get("bpr_mf").visual);
 
-  EXPECT_THROW(registry.load_vbpr("x", "/nonexistent/ckpt.bin"), std::runtime_error);
+  EXPECT_THROW(router.swap_model("x", "vbpr", "/nonexistent/ckpt.bin"),
+               std::runtime_error);
+  EXPECT_THROW(router.swap_model("x", "knn", vbpr_path), std::invalid_argument);
   std::remove(vbpr_path.c_str());
   std::remove(bpr_path.c_str());
 }
@@ -139,13 +147,14 @@ TEST(ServeRegistry, ModelNamesAddNoMetricSeries) {
   Rng rng(35);
   serve::ModelRegistry registry(ds);
   registry.register_model("vbpr", make_vbpr(ds, rng), true);
-  serve::RecommendService service(ds, registry, make_features(ds, rng));
+  const serve::FeatureStore store(make_features(ds, rng));
+  serve::RecommendService service(ds, registry, store);
   service.recommend("vbpr", 0, 5);  // registers whatever a request touches
   const std::size_t before = metric_series();
 
   const std::string fresh = "client-chosen-name";
   registry.register_model(fresh, make_vbpr(ds, rng), true);
-  registry.swap(fresh, make_vbpr(ds, rng));
+  registry.register_model(fresh, make_vbpr(ds, rng), true);  // a checkpoint swap
   for (std::int64_t u = 0; u < 3; ++u) service.recommend(fresh, u, 5);
   EXPECT_EQ(metric_series(), before) << obs::MetricsRegistry::global().to_json();
 }
@@ -337,6 +346,28 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       serve::parse_request(R"({"op":"update_features","item":0,"features":["a"]})"),
       std::runtime_error);
+  // Numbers no float or int64_t holds: casting them would be undefined, and
+  // a non-finite feature would give the item a non-finite score.
+  for (const char* line : {
+           R"({"op":"update_features","item":0,"features":[0.5,1e39]})",
+           R"({"op":"update_features","item":0,"features":[-1e39]})",
+           R"({"op":"update_features","item":0,"features":[1e400]})",
+           R"({"op":"update_features","item":0,"features":[-1e400]})",
+           R"({"op":"recommend","model":"m","user":1e300})",
+           R"({"op":"recommend","model":"m","user":0,"n":-1e19})",
+           R"({"op":"update_image","item":9223372036854775808,"seed":1})",
+       }) {
+    EXPECT_THROW(serve::parse_request(line), std::runtime_error) << line;
+  }
+  // The extremes that do fit still parse.
+  EXPECT_EQ(serve::parse_request(
+                R"({"op":"update_features","item":0,"features":[3.40282347e38]})")
+                .features,
+            (std::vector<float>{FLT_MAX}));
+  EXPECT_EQ(serve::parse_request(
+                R"({"op":"update_image","item":-9223372036854775808,"seed":1})")
+                .item,
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(ServeProtocol, DeepNestingThrowsInsteadOfOverflowingTheStack) {

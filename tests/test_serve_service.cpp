@@ -1,7 +1,9 @@
 // RecommendService behaviour: golden agreement with the ranker, caching and
 // selective epoch invalidation, hot feature swaps, and
 // a multi-threaded hammer (the CI TSAN job runs these suites — keep every
-// scenario concurrency-clean).
+// scenario concurrency-clean). Read-path cases use a bare shard over a
+// FeatureStore; cases that push updates go through a 1-shard ShardRouter,
+// the one writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,7 @@
 #include "recsys/bpr_mf.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/vbpr.hpp"
-#include "serve/recommend_service.hpp"
+#include "serve/shard_router.hpp"
 #include "test_helpers.hpp"
 
 namespace taamr {
@@ -51,7 +53,8 @@ class ServeServiceTest : public ::testing::Test {
             data::amazon_men_spec(data::kTestScale))),
         rng_(77),
         features_(make_features()),
-        registry_(dataset_) {
+        registry_(dataset_),
+        store_(features_) {
     auto vbpr = std::make_shared<recsys::Vbpr>(dataset_, features_,
                                                recsys::VbprConfig{}, rng_);
     registry_.register_model("vbpr", vbpr, /*visual=*/true);
@@ -66,14 +69,22 @@ class ServeServiceTest : public ::testing::Test {
     return f;
   }
 
-  serve::RecommendService make_service(serve::ServeConfig cfg = {}) {
-    return serve::RecommendService(dataset_, registry_, features_, cfg);
+  serve::RecommendService make_service() {
+    return serve::RecommendService(dataset_, registry_, store_, serve::ServeConfig{});
+  }
+
+  serve::ShardRouter make_router(serve::ServeConfig cfg = {}) {
+    serve::ShardRouterConfig router_cfg;
+    router_cfg.num_shards = 1;
+    router_cfg.service = cfg;
+    return serve::ShardRouter(dataset_, registry_, features_, router_cfg);
   }
 
   data::ImplicitDataset dataset_;
   Rng rng_;
   Tensor features_;
   serve::ModelRegistry registry_;
+  serve::FeatureStore store_;  // read-only shards' store; never written
 };
 
 TEST_F(ServeServiceTest, MatchesGoldenRanker) {
@@ -116,7 +127,7 @@ TEST_F(ServeServiceTest, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW(service.recommend("vbpr", 0, 0), std::invalid_argument);
   const std::vector<float> bad_dim = {1.0f};
-  EXPECT_THROW(service.update_item_features(0, {bad_dim.data(), bad_dim.size()}),
+  EXPECT_THROW(make_router().update_item_features(0, {bad_dim.data(), bad_dim.size()}),
                std::invalid_argument);
 }
 
@@ -127,8 +138,11 @@ TEST_F(ServeServiceTest, CheckpointSwapInvalidatesWholesale) {
   EXPECT_TRUE(service.recommend("vbpr", 0, 10).cached);
 
   // Same parameters, new checkpoint version: every cached list is stale.
-  registry_.swap("vbpr", std::make_shared<recsys::Vbpr>(*dynamic_cast<const recsys::Vbpr*>(
-                             registry_.get("vbpr").model.get())));
+  registry_.register_model(
+      "vbpr",
+      std::make_shared<recsys::Vbpr>(
+          *dynamic_cast<const recsys::Vbpr*>(registry_.get("vbpr").model.get())),
+      /*visual=*/true);
   const auto after = service.recommend("vbpr", 0, 10);
   EXPECT_FALSE(after.cached);
   EXPECT_EQ(after.model_version, rec.model_version + 1);
@@ -136,17 +150,17 @@ TEST_F(ServeServiceTest, CheckpointSwapInvalidatesWholesale) {
 }
 
 TEST_F(ServeServiceTest, NoOpFeatureUpdateRevalidatesInsteadOfRecomputing) {
-  auto service = make_service();
-  const auto before = service.recommend("vbpr", 0, 10);
+  auto router = make_router();
+  const auto before = router.recommend("vbpr", 0, 10);
   ASSERT_FALSE(before.items.empty());
 
   // Re-write an in-list item's features with identical values: the epoch
   // advances, the changed item is in the cached list, so the entry must be
   // discarded (the service cannot know the rewrite was a no-op)...
   const std::int32_t in_list = before.items[0].item;
-  const std::vector<float> same = service.feature_store().item_features(in_list);
-  service.update_item_features(in_list, {same.data(), same.size()});
-  const auto recomputed = service.recommend("vbpr", 0, 10);
+  const std::vector<float> same = router.feature_store().item_features(in_list);
+  router.update_item_features(in_list, {same.data(), same.size()});
+  const auto recomputed = router.recommend("vbpr", 0, 10);
   EXPECT_FALSE(recomputed.cached);
   EXPECT_EQ(recomputed.items, before.items);
 
@@ -165,14 +179,14 @@ TEST_F(ServeServiceTest, NoOpFeatureUpdateRevalidatesInsteadOfRecomputing) {
     }
   }
   ASSERT_NE(outside, -1) << "catalog too small to find a non-contending item";
-  const std::vector<float> same2 = service.feature_store().item_features(outside);
-  service.update_item_features(outside, {same2.data(), same2.size()});
-  const std::uint64_t revalidated_before = service.stats().cache_revalidated;
-  const auto survived = service.recommend("vbpr", 0, 10);
+  const std::vector<float> same2 = router.feature_store().item_features(outside);
+  router.update_item_features(outside, {same2.data(), same2.size()});
+  const std::uint64_t revalidated_before = router.stats().cache_revalidated;
+  const auto survived = router.recommend("vbpr", 0, 10);
   EXPECT_TRUE(survived.cached);
   EXPECT_EQ(survived.items, recomputed.items);
-  EXPECT_EQ(service.stats().cache_revalidated, revalidated_before + 1);
-  EXPECT_EQ(survived.feature_epoch, service.feature_store().epoch());
+  EXPECT_EQ(router.stats().cache_revalidated, revalidated_before + 1);
+  EXPECT_EQ(survived.feature_epoch, router.feature_store().epoch());
 }
 
 TEST_F(ServeServiceTest, ExactTieWithTheTailInvalidates) {
@@ -209,17 +223,19 @@ TEST_F(ServeServiceTest, ExactTieWithTheTailInvalidates) {
     // A registry and store of its own: the epochs start at 0 together.
     serve::ModelRegistry registry(dataset_);
     registry.register_model("tie", model, /*visual=*/true);
-    serve::RecommendService service(dataset_, registry, raw);
-    EXPECT_FALSE(service.recommend("tie", user, kN).cached);
+    serve::ShardRouterConfig one_shard;
+    one_shard.num_shards = 1;
+    serve::ShardRouter router(dataset_, registry, raw, one_shard);
+    EXPECT_FALSE(router.recommend("tie", user, kN).cached);
 
     const std::vector<float> twin(raw.data() + t * raw.dim(1),
                                   raw.data() + (t + 1) * raw.dim(1));
-    service.update_item_features(c, {twin.data(), twin.size()});
+    router.update_item_features(c, {twin.data(), twin.size()});
     const auto& swapped = *registry.get("tie").model;
     const std::vector<float> row = testing::score_row(swapped, user);
     ASSERT_EQ(row[static_cast<std::size_t>(c)], row[static_cast<std::size_t>(t)]);
 
-    const auto served = service.recommend("tie", user, kN);
+    const auto served = router.recommend("tie", user, kN);
     EXPECT_FALSE(served.cached) << "user " << user;
     EXPECT_EQ(served.items, golden_topn(dataset_, swapped, user, kN)) << "user " << user;
     EXPECT_TRUE(listed(served.items, c));
@@ -230,20 +246,20 @@ TEST_F(ServeServiceTest, ExactTieWithTheTailInvalidates) {
 }
 
 TEST_F(ServeServiceTest, HotSwapChangesServedLists) {
-  auto service = make_service();
-  const auto before = service.recommend("vbpr", 1, 10);
+  auto router = make_router();
+  const auto before = router.recommend("vbpr", 1, 10);
   ASSERT_FALSE(before.items.empty());
 
   // Shove the top item far away in feature space; the served list must be
   // recomputed against the swapped-in model and must differ.
   const std::int32_t victim = before.items[0].item;
-  std::vector<float> feats = service.feature_store().item_features(victim);
+  std::vector<float> feats = router.feature_store().item_features(victim);
   for (float& f : feats) f = -f - 25.0f;
-  const std::uint64_t epoch = service.update_item_features(victim, {feats.data(), feats.size()});
+  const std::uint64_t epoch = router.update_item_features(victim, {feats.data(), feats.size()});
   EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(registry_.get("vbpr").feature_epoch, 1u);
 
-  const auto after = service.recommend("vbpr", 1, 10);
+  const auto after = router.recommend("vbpr", 1, 10);
   EXPECT_FALSE(after.cached);
   EXPECT_EQ(after.feature_epoch, 1u);
   EXPECT_NE(after.items, before.items);
@@ -256,22 +272,22 @@ TEST_F(ServeServiceTest, HotSwapChangesServedLists) {
 TEST_F(ServeServiceTest, ChangelogOverflowFallsBackToRecompute) {
   serve::ServeConfig cfg;
   cfg.update_log_window = 2;
-  auto service = make_service(cfg);
-  const auto before = service.recommend("vbpr", 0, 10);
+  auto router = make_router(cfg);
+  const auto before = router.recommend("vbpr", 0, 10);
 
   // Three updates with a window of two: the entry's epoch falls off the
   // changelog, so the service must recompute rather than guess.
   for (std::int64_t i = 0; i < 3; ++i) {
-    const std::vector<float> same = service.feature_store().item_features(i);
-    service.update_item_features(i, {same.data(), same.size()});
+    const std::vector<float> same = router.feature_store().item_features(i);
+    router.update_item_features(i, {same.data(), same.size()});
   }
-  const auto after = service.recommend("vbpr", 0, 10);
+  const auto after = router.recommend("vbpr", 0, 10);
   EXPECT_FALSE(after.cached);
   EXPECT_EQ(after.items, before.items);  // no-op rewrites: same scores
 }
 
 TEST_F(ServeServiceTest, ConcurrentLoadWithSwapsStaysConsistent) {
-  auto service = make_service();
+  auto router = make_router();
 
   constexpr int kThreads = 4;
   constexpr int kRequests = 150;
@@ -284,7 +300,7 @@ TEST_F(ServeServiceTest, ConcurrentLoadWithSwapsStaysConsistent) {
         const auto user = static_cast<std::int64_t>(
             rng.uniform() * static_cast<double>(dataset_.num_users));
         const char* model = (r % 3 == 0) ? "mf" : "vbpr";
-        const auto rec = service.recommend(
+        const auto rec = router.recommend(
             model, std::min(user, dataset_.num_users - 1), 10);
         for (std::size_t i = 0; i < rec.items.size(); ++i) {
           if (dataset_.user_interacted(rec.user, rec.items[i].item) ||
@@ -303,20 +319,20 @@ TEST_F(ServeServiceTest, ConcurrentLoadWithSwapsStaysConsistent) {
     for (int s = 0; s < 10; ++s) {
       const auto item = static_cast<std::int64_t>(
           rng.uniform() * static_cast<double>(dataset_.num_items));
-      std::vector<float> feats = service.feature_store().item_features(
+      std::vector<float> feats = router.feature_store().item_features(
           std::min(item, dataset_.num_items - 1));
       for (float& f : feats) f += 0.5f;
-      service.update_item_features(std::min(item, dataset_.num_items - 1),
-                                   {feats.data(), feats.size()});
+      router.update_item_features(std::min(item, dataset_.num_items - 1),
+                                  {feats.data(), feats.size()});
     }
   });
   for (auto& t : threads) t.join();
   EXPECT_FALSE(failed.load());
-  EXPECT_EQ(service.stats().feature_swaps, 10u);
+  EXPECT_EQ(router.stats().feature_swaps, 10u);
   // Post-load: every model must serve golden lists again.
   for (const char* model : {"vbpr", "mf"}) {
     const auto snap = registry_.get(model);
-    EXPECT_EQ(service.recommend(model, 0, 10).items,
+    EXPECT_EQ(router.recommend(model, 0, 10).items,
               golden_topn(dataset_, *snap.model, 0, 10));
   }
 }
@@ -327,16 +343,16 @@ TEST_F(ServeServiceTest, AmrServesThroughTheSameRegistry) {
   recsys::AmrConfig amr_cfg;
   auto amr = std::make_shared<recsys::Amr>(dataset_, features_, amr_cfg, rng_);
   registry_.register_model("amr", amr, /*visual=*/true);
-  auto service = make_service();
-  const auto before = service.recommend("amr", 0, 10);
+  auto router = make_router();
+  const auto before = router.recommend("amr", 0, 10);
   EXPECT_EQ(before.items, golden_topn(dataset_, *amr, 0, 10));
 
   ASSERT_FALSE(before.items.empty());
   std::vector<float> feats =
-      service.feature_store().item_features(before.items[0].item);
+      router.feature_store().item_features(before.items[0].item);
   for (float& f : feats) f = -f - 25.0f;
-  service.update_item_features(before.items[0].item, {feats.data(), feats.size()});
-  const auto after = service.recommend("amr", 0, 10);
+  router.update_item_features(before.items[0].item, {feats.data(), feats.size()});
+  const auto after = router.recommend("amr", 0, 10);
   EXPECT_EQ(after.items,
             golden_topn(dataset_, *registry_.get("amr").model, 0, 10));
   EXPECT_NE(after.items, before.items);

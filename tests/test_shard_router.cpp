@@ -1,11 +1,15 @@
 // ShardRouter behaviour: the stable user -> shard mapping, golden agreement
 // through the routed path, per-shard cache isolation under sibling hot
-// swaps, cross-shard swap consistency on the shared epoch axis, aggregated
-// stats, and a concurrent hammer (suite names start with "ShardRouter" so
-// the CI thread-sanitizer job picks them up).
+// swaps, cross-shard swap consistency on the shared epoch axis, checkpoint
+// loads interleaved with feature pushes, aggregated stats, and a concurrent
+// hammer (suite names start with "ShardRouter" so the CI thread-sanitizer
+// job picks them up).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -166,8 +170,8 @@ TEST_F(ShardRouterTest, SiblingShardCacheSurvivesUnrelatedSwap) {
   EXPECT_NE(after_b.items, list_b);
 }
 
-// All shards share one feature store and one registry: a swap (funneled
-// through shard 0) must be visible, golden-exact and epoch-stamped on every
+// All shards read one feature store and one registry: a swap (written by
+// the router) must be visible, golden-exact and epoch-stamped on every
 // shard's request path.
 TEST_F(ShardRouterTest, SwapIsConsistentAcrossShards) {
   auto router = make_router(4);
@@ -187,6 +191,51 @@ TEST_F(ShardRouterTest, SwapIsConsistentAcrossShards) {
     EXPECT_EQ(rec.items, golden_topn(dataset_, swapped, u, 5));
   }
   EXPECT_EQ(router.stats().feature_swaps, 1u);
+}
+
+// A checkpoint loaded after a feature push serves the store's rows, not the
+// ones saved with it, and is stamped with the store's epoch: otherwise the
+// next push rebuilds from the store (bringing the earlier pushed row back)
+// while revalidation checks only the newly pushed item, and a cached list
+// survives that a golden recompute contradicts.
+TEST_F(ShardRouterTest, CheckpointLoadAfterPushServesGoldenLists) {
+  auto router = make_router(1);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "taamr_router_swap_model.bin").string();
+  dynamic_cast<const recsys::Vbpr&>(*registry_.get("vbpr").model).save_file(path);
+  const auto golden = [&](std::int64_t user) {
+    return golden_topn(dataset_, *registry_.get("vbpr").model, user, 10);
+  };
+  const auto listed = [](const std::vector<recsys::ScoredItem>& l, std::int32_t i) {
+    return std::any_of(l.begin(), l.end(),
+                       [i](const recsys::ScoredItem& s) { return s.item == i; });
+  };
+
+  const std::int64_t user = 0;
+  const auto before = router.recommend("vbpr", user, 10);
+  ASSERT_FALSE(before.items.empty());
+  // Push the user's top item A far away: it leaves the list.
+  const std::int32_t a = before.items[0].item;
+  std::vector<float> far = router.feature_store().item_features(a);
+  for (float& f : far) f = -f - 50.0f;
+  router.update_item_features(a, far);
+  ASSERT_FALSE(listed(golden(user), a));
+
+  router.swap_model("vbpr", "vbpr", path);
+  std::remove(path.c_str());
+  EXPECT_EQ(registry_.get("vbpr").feature_epoch, router.feature_store().epoch());
+  const auto loaded = router.recommend("vbpr", user, 10);
+  EXPECT_FALSE(loaded.cached);
+  EXPECT_EQ(loaded.items, golden(user));
+  EXPECT_FALSE(listed(loaded.items, a));
+
+  // Push another item B, outside the list, with its row unchanged.
+  std::int32_t b = 0;
+  while (b == a || listed(loaded.items, b)) ++b;
+  router.update_item_features(b, router.feature_store().item_features(b));
+  const auto after = router.recommend("vbpr", user, 10);
+  EXPECT_EQ(after.items, golden(user));
+  EXPECT_FALSE(listed(after.items, a));
 }
 
 TEST_F(ShardRouterTest, StatsAggregateAcrossShards) {

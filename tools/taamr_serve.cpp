@@ -7,7 +7,8 @@
 //   taamr_serve --port 7787 &                             # 127.0.0.1:7787
 //
 // TCP serving runs through the sharded engine: a ShardRouter partitions
-// users over one RecommendService per shard (half the cores), and an epoll
+// users over one read-only RecommendService per shard (half the cores) and
+// carries every feature push and checkpoint load itself, and an epoll
 // EventLoop (serve/event_loop.hpp) multiplexes connections onto a fixed
 // worker set with bounded per-shard queues — overload sheds
 // {"error":"overloaded"} instead of queueing unboundedly, and shutdown
@@ -117,14 +118,9 @@ std::string Server::handle_line(const std::string& line) {
             origin);
         return serve::format_ok("\"epoch\":" + std::to_string(epoch));
       }
-      case serve::Op::kSwapModel: {
-        if (req.kind == "vbpr") {
-          registry->load_vbpr(req.model, req.path);
-        } else {
-          registry->load_bpr_mf(req.model, req.path);
-        }
+      case serve::Op::kSwapModel:
+        router->swap_model(req.model, req.kind, req.path);
         return serve::format_ok("\"model\":\"" + req.model + "\"");
-      }
       case serve::Op::kModels:
         return serve::format_models(registry->names());
       case serve::Op::kStats:
