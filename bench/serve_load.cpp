@@ -20,8 +20,10 @@
 // dropped; the leg fails if the drain-then-close shutdown times out.
 // Per-leg metrics: serve_tcp_qps{shards=S}, serve_latency_p50/p99_ms
 // {shards=S}, serve_shed{shards=S}, and the load generator's own CPU,
-// serve_client_cpu_s{shards=S} (summed RUSAGE_THREAD of the client
-// threads). The handler times every call in thread-CPU time per shard;
+// serve_client_cpu_s{shards=S} (summed thread CPU time of the client
+// threads). The front door (ShardRouter::front_door) runs taamr_serve's
+// request path (RequestContext, parse_request, ShardRouter::respond) and
+// times every call in thread-CPU time per shard;
 // serve_shard_capacity{shards=S} is the leg's requests over the busiest
 // shard's CPU seconds, and serve_shard_speedup{shards=S} is that over the
 // shards=1 leg's capacity. cmake/ServeShardGate.cmake pins the 4-shard
@@ -68,6 +70,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -77,7 +80,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -298,41 +300,12 @@ WireRec parse_wire_response(const std::string& text) {
   return rec;
 }
 
-// Executes one wire request against the router (the event loop's handler).
-std::string handle_line(serve::ShardRouter& router, const std::string& line) {
-  try {
-    const serve::Request req = serve::parse_request(line);
-    switch (req.op) {
-      case serve::Op::kRecommend:
-        return serve::format_recommendation(router.recommend(req.model, req.user, req.n));
-      case serve::Op::kUpdateFeatures:
-        return serve::format_ok(
-            "\"epoch\":" +
-            std::to_string(router.update_item_features(req.item, req.features)));
-      case serve::Op::kStats:
-        return serve::format_stats(router.stats());
-      default:
-        return serve::format_error("serve_load: unsupported op");
-    }
-  } catch (const std::exception& e) {
-    return serve::format_error(e.what());
-  }
-}
-
 // CPU time the calling thread has consumed. It does not advance while the
 // thread waits for a core, so it measures a shard's work, not host load.
 std::int64_t thread_cpu_ns() {
   timespec ts{};
   ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
-}
-
-// User + system CPU seconds the calling thread has consumed since it began.
-double thread_rusage_seconds() {
-  rusage ru{};
-  ::getrusage(RUSAGE_THREAD, &ru);
-  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
-         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
 }
 
 double percentile(const std::vector<double>& sorted, double q) {
@@ -415,20 +388,24 @@ int main() {
     std::vector<std::atomic<std::int64_t>> busy_ns(router.num_shards());
     serve::EventLoopConfig loop_cfg = serve::EventLoopConfig::from_env();
     loop_cfg.port = 0;
-    serve::EventLoop loop(
-        loop_cfg, router.num_shards(),
-        [&router](const std::string& line) {
-          const std::int64_t user = serve::peek_user(line);
-          return user >= 0 ? router.shard_of(user) : std::size_t{0};
-        },
-        [&router, &busy_ns](std::size_t shard, const std::string& line) {
+    // The request path of taamr_serve's TCP handler for every op the
+    // router answers: request context, parse, respond.
+    const std::unique_ptr<serve::EventLoop> loop = router.front_door(
+        loop_cfg, [&router, &busy_ns](std::size_t shard, const std::string& line) {
           const std::int64_t t0 = thread_cpu_ns();
-          std::string response = handle_line(router, line);
+          obs::RequestContext ctx;
+          std::string response;
+          try {
+            const serve::Request req = serve::parse_request(line);
+            ctx.mark("parse");
+            response = router.respond(req, &ctx);
+          } catch (const std::exception& e) {
+            response = serve::format_error(e.what());
+          }
           busy_ns[shard].fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
           return response;
-        },
-        serve::max_request_bytes(features.dim(1)));
-    loop.start();
+        });
+    loop->start();
 
     // Probe users spread across shards, so post-swap verification exercises
     // revalidation on shards other than the one that carried the update.
@@ -455,7 +432,7 @@ int main() {
     for (std::int64_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         set_current_thread_name("load-client" + std::to_string(c));
-        LineClient client(loop.port());
+        LineClient client(loop->port());
         Rng crng(spec.seed * 1000 + static_cast<std::uint64_t>(c) * 131 +
                  static_cast<std::uint64_t>(num_shards));
         auto& lats = latencies[static_cast<std::size_t>(c)];
@@ -482,7 +459,7 @@ int main() {
           sweep_requests.fetch_add(1);
           done.fetch_add(1);
         }
-        client_cpu_s[static_cast<std::size_t>(c)] = thread_rusage_seconds();
+        client_cpu_s[static_cast<std::size_t>(c)] = static_cast<double>(thread_cpu_ns()) * 1e-9;
       });
     }
 
@@ -491,7 +468,7 @@ int main() {
     // equal a golden recompute of the swapped-in model, mid-load.
     threads.emplace_back([&] {
       set_current_thread_name("load-control");
-      LineClient client(loop.port());
+      LineClient client(loop->port());
       const auto push = [&client](std::int32_t item, const std::vector<float>& feats) {
         std::string update = "{\"op\":\"update_features\",\"item\":" +
                              std::to_string(item) + ",\"features\":[";
@@ -526,9 +503,9 @@ int main() {
     for (std::thread& t : threads) t.join();
     const double leg_seconds = leg_timer.seconds();
 
-    loop.request_shutdown();
-    if (loop.join() != 0) fail("event loop drain timed out");
-    const serve::EventLoop::Stats loop_stats = loop.stats();
+    loop->request_shutdown();
+    if (loop->join() != 0) fail("event loop drain timed out");
+    const serve::EventLoop::Stats loop_stats = loop->stats();
     if (loop_stats.responses != loop_stats.requests) {
       fail("drain lost responses (" + std::to_string(loop_stats.responses) +
            " of " + std::to_string(loop_stats.requests) + ")");
@@ -715,7 +692,7 @@ int main() {
   // Tracing and profiling stay as configured, so both are written at exit.
   if (trace_was_enabled) obs::Trace::global().enable(trace_path);
   if (profiling) profiler.start_cpu();
-  const serve::RecommendService::Stats stats = service.stats();
+  const serve::RouterStats stats = service.stats();
 
   auto phase_quantile = [&](double q) {
     return obs::bucket_quantile(latency.bounds(), buckets_on, count_on,

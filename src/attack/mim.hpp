@@ -18,7 +18,6 @@ class Mim : public Attack {
                  const std::vector<std::int64_t>& labels, Rng& rng) override;
 
   std::string name() const override { return "MIM"; }
-  float decay_factor() const { return decay_; }
 
  private:
   float decay_;

@@ -235,7 +235,7 @@ namespace {
 constexpr std::uint32_t kResultsMagic = 0x54414d52;  // "TAMR"
 // Part of the cache file name: bump it whenever saved results change
 // meaning, so stale cache files are not loaded.
-constexpr std::uint32_t kResultsVersion = 6;
+constexpr std::uint32_t kResultsVersion = 7;
 
 void write_cell(std::ostream& os, const CellResult& c) {
   io::write_string(os, c.model);

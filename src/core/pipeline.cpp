@@ -41,7 +41,7 @@ data::ImageGenConfig PipelineConfig::image_config() const {
   return cfg;
 }
 
-Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)), rng_(config_.seed) {}
+Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {}
 
 const data::ImplicitDataset& Pipeline::dataset() const {
   if (!dataset_) throw std::logic_error("Pipeline: call prepare() first");
@@ -91,9 +91,8 @@ void Pipeline::train_or_load_classifier() {
 
   TAAMR_TRACE_SPAN("pipeline/train_cnn");
   Stopwatch timer;
-  // A local generator, not rng_: drawing from rng_ only when training would
-  // give a cold run and a run with a cached checkpoint different recommender
-  // inits and attack starts for the same seed.
+  // A local generator, as every stage draws one: the CNN gets the same init
+  // whether or not a checkpoint was cached, and nothing later depends on it.
   Rng cnn_rng(config_.seed);
   Rng init_rng = cnn_rng.fork(101);
   classifier_.emplace(config_.cnn_config(), init_rng);
@@ -150,7 +149,9 @@ std::unique_ptr<recsys::Vbpr> Pipeline::train_vbpr() {
   if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
   TAAMR_TRACE_SPAN("pipeline/train_vbpr");
   Stopwatch timer;
-  Rng rng = rng_.fork(201);
+  // Local generators, as the CNN and the attacks draw: a model's init does
+  // not depend on which models were trained before it.
+  Rng rng = Rng(config_.seed).fork(201);
   auto model = std::make_unique<recsys::Vbpr>(*dataset_, clean_features_, config_.vbpr, rng);
   model->fit(*dataset_, rng);
   log_info() << "VBPR trained in " << timer.seconds() << "s";
@@ -162,7 +163,7 @@ std::unique_ptr<recsys::Amr> Pipeline::train_amr() {
   if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
   TAAMR_TRACE_SPAN("pipeline/train_amr");
   Stopwatch timer;
-  Rng rng = rng_.fork(202);
+  Rng rng = Rng(config_.seed).fork(202);
   recsys::AmrConfig cfg;
   cfg.vbpr = config_.vbpr;
   cfg.adversarial = config_.amr_adversarial;
@@ -198,9 +199,8 @@ Pipeline::AttackedBatch Pipeline::attack_category(std::int32_t source_category,
   const std::vector<std::int64_t> targets(batch.items.size(),
                                           static_cast<std::int64_t>(target_category));
   Stopwatch timer;
-  // A local generator, not rng_ (which every trained model advances): one
-  // (source, target, attack, epsilon) cell gets the same start whatever ran
-  // before it. Its stream is an FNV-1a-style hash of the cell.
+  // A local generator: one (source, target, attack, epsilon) cell gets the
+  // same start whatever ran before it. Its stream is an FNV-1a-style hash of the cell.
   std::uint64_t stream = 0xcbf29ce484222325ULL;
   const auto mix = [&stream](std::uint64_t v) { stream = (stream ^ v) * 0x100000001b3ULL; };
   mix(static_cast<std::uint64_t>(source_category));

@@ -111,7 +111,6 @@ class Pipeline {
   std::optional<nn::Classifier> classifier_;
   Tensor clean_features_;
   double classifier_accuracy_ = 0.0;
-  Rng rng_;
 };
 
 }  // namespace taamr::core

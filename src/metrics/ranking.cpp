@@ -1,6 +1,5 @@
 #include "metrics/ranking.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -51,34 +50,6 @@ double ndcg_at_n(const std::vector<std::vector<std::int32_t>>& lists,
     }
   }
   return evaluated == 0 ? 0.0 : total / static_cast<double>(evaluated);
-}
-
-double precision_at_n(const std::vector<std::vector<std::int32_t>>& lists,
-                      const data::ImplicitDataset& dataset) {
-  check(lists, dataset);
-  std::size_t n = 0;
-  for (const auto& list : lists) n = std::max(n, list.size());
-  if (n == 0) return 0.0;
-  std::int64_t hits = 0, evaluated = 0;
-  for (std::int64_t u = 0; u < dataset.num_users; ++u) {
-    const std::int32_t test = dataset.test[static_cast<std::size_t>(u)];
-    if (test < 0) continue;
-    ++evaluated;
-    for (std::int32_t item : lists[static_cast<std::size_t>(u)]) {
-      if (item == test) {
-        ++hits;
-        break;
-      }
-    }
-  }
-  return evaluated == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              (static_cast<double>(evaluated) * static_cast<double>(n));
-}
-
-double recall_at_n(const std::vector<std::vector<std::int32_t>>& lists,
-                   const data::ImplicitDataset& dataset) {
-  return hit_ratio_at_n(lists, dataset);
 }
 
 }  // namespace taamr::metrics

@@ -18,14 +18,4 @@ double hit_ratio_at_n(const std::vector<std::vector<std::int32_t>>& lists,
 double ndcg_at_n(const std::vector<std::vector<std::int32_t>>& lists,
                  const data::ImplicitDataset& dataset);
 
-// Precision@N with the single test item as the only relevant one:
-// hits / (evaluated users * N). N is taken from the longest list.
-double precision_at_n(const std::vector<std::vector<std::int32_t>>& lists,
-                      const data::ImplicitDataset& dataset);
-
-// Recall@N: with one relevant item per user this equals HR@N; provided for
-// API completeness (some downstream scripts expect the name).
-double recall_at_n(const std::vector<std::vector<std::int32_t>>& lists,
-                   const data::ImplicitDataset& dataset);
-
 }  // namespace taamr::metrics

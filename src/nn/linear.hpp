@@ -19,7 +19,6 @@ class Linear : public Layer {
   std::int64_t out_features() const { return out_; }
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
-  bool has_bias() const { return has_bias_; }
 
  private:
   std::int64_t in_;

@@ -22,8 +22,6 @@ class ResidualBlock : public Layer {
   std::string name() const override;
 
   bool has_projection() const { return has_projection_; }
-  Sequential& main_path() { return main_; }
-  Sequential& shortcut_path() { return shortcut_; }
 
  private:
   std::int64_t in_channels_;

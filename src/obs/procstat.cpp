@@ -1,10 +1,7 @@
 #include "obs/procstat.hpp"
 
-#include <cstdio>
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace taamr::obs {
@@ -18,22 +15,6 @@ std::int64_t peak_rss_bytes() {
 #else
   return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
 #endif
-#else
-  return 0;
-#endif
-}
-
-std::int64_t current_rss_bytes() {
-#if defined(__linux__)
-  // /proc/self/statm field 2 is resident pages.
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long long size = 0, resident = 0;
-  const int n = std::fscanf(f, "%lld %lld", &size, &resident);
-  std::fclose(f);
-  if (n != 2) return 0;
-  return static_cast<std::int64_t>(resident) *
-         static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
 #else
   return 0;
 #endif

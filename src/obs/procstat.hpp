@@ -1,5 +1,5 @@
-// Process memory telemetry: current and peak resident set size, read from
-// the OS (getrusage / /proc). Used by the bench reporter's memory section
+// Process memory telemetry: peak resident set size, read from the OS
+// (getrusage). Used by the bench reporter's memory section
 // and dumped as gauges into any TAAMR_METRICS_OUT snapshot by callers that
 // want them. Returns 0 where the platform offers no answer.
 #pragma once
@@ -10,8 +10,5 @@ namespace taamr::obs {
 
 // Lifetime peak resident set size of this process, in bytes.
 std::int64_t peak_rss_bytes();
-
-// Resident set size right now, in bytes (Linux /proc; 0 elsewhere).
-std::int64_t current_rss_bytes();
 
 }  // namespace taamr::obs

@@ -419,12 +419,6 @@ FoldedProfile Profiler::cpu_profile() {
   return instance_state(this)->cpu;
 }
 
-FoldedProfile Profiler::alloc_profile() {
-  std::lock_guard<std::mutex> lock(control_mutex());
-  drain_alloc_locked();
-  return instance_state(this)->alloc;
-}
-
 ProfilerCounts Profiler::counts() {
   std::lock_guard<std::mutex> lock(control_mutex());
   ProfilerCounts c;

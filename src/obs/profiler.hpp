@@ -114,7 +114,6 @@ class Profiler {
   // Cumulative profiles (drains pending data first; CPU drain only happens
   // when sampling is stopped).
   FoldedProfile cpu_profile();
-  FoldedProfile alloc_profile();
 
   ProfilerCounts counts();
 

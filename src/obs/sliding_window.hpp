@@ -56,7 +56,6 @@ class SlidingWindowHistogram {
   Snapshot snapshot(std::uint64_t now_us) const;
 
   std::uint64_t window_us() const { return slot_us_ * num_slots_; }
-  std::uint64_t slot_interval_us() const { return slot_us_; }
   const std::vector<double>& bounds() const { return bounds_; }
 
  private:

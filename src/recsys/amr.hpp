@@ -27,7 +27,6 @@ class Amr : public Vbpr {
   void fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose = false);
 
   std::string name() const override { return "AMR"; }
-  const AmrConfig& amr_config() const { return amr_config_; }
 
  private:
   AmrConfig amr_config_;

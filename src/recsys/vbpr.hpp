@@ -75,7 +75,6 @@ class Vbpr : public Recommender {
 
   std::int64_t feature_dim() const { return features_.dim(1); }
   const VbprConfig& config() const { return config_; }
-  const FeatureTransform& feature_transform() const { return transform_; }
   const Tensor& features() const { return features_; }  // standardized [I, D]
 
   // Checkpointing: parameters, the frozen feature transform and the

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "serve/shard_router.hpp"
 
 namespace taamr::serve {
 
@@ -186,7 +187,7 @@ std::string format_models(const std::vector<std::string>& names) {
   return out;
 }
 
-std::string format_stats(const RecommendService::Stats& stats) {
+std::string format_stats(const RouterStats& stats) {
   std::string out = "{\"ok\":true";
   out += ",\"requests\":" + std::to_string(stats.requests);
   out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);

@@ -35,6 +35,8 @@
 
 namespace taamr::serve {
 
+struct RouterStats;  // serve/shard_router.hpp
+
 enum class Op {
   kRecommend,
   kUpdateFeatures,
@@ -88,6 +90,6 @@ std::string format_error(const std::string& message);
 // {"ok":true} plus optional extra pre-rendered fields, e.g. R"("epoch":3)".
 std::string format_ok(const std::string& extra_fields = "");
 std::string format_models(const std::vector<std::string>& names);
-std::string format_stats(const RecommendService::Stats& stats);
+std::string format_stats(const RouterStats& stats);
 
 }  // namespace taamr::serve

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/ranker.hpp"
@@ -171,7 +170,6 @@ RecommendService::Stats RecommendService::stats() const {
   st.cache_revalidated = revalidated_.load(std::memory_order_relaxed);
   st.slow_requests = slow_requests_.load(std::memory_order_relaxed);
   st.deadline_breaches = deadline_breaches_.load(std::memory_order_relaxed);
-  st.audit_records = obs::AuditLog::global().records_written();
   const obs::SlidingWindowHistogram::Snapshot win = latency_window_.snapshot();
   st.rolling_p50_s = win.quantile(0.50);
   st.rolling_p90_s = win.quantile(0.90);

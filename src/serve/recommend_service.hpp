@@ -94,11 +94,8 @@ class RecommendService {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_revalidated = 0;  // subset of cache_hits
-    std::uint64_t feature_swaps = 0;      // ShardRouter's; 0 per shard
     std::uint64_t slow_requests = 0;      // latency > kSloSeconds
     std::uint64_t deadline_breaches = 0;  // latency > 2 * kSloSeconds
-    std::uint64_t suspect_updates = 0;    // ShardRouter's anomaly flags
-    std::uint64_t audit_records = 0;      // JSONL lines written
     double rolling_p50_s = 0.0;  // over the last kWindowSeconds
     double rolling_p90_s = 0.0;
     double rolling_p99_s = 0.0;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/bpr_mf.hpp"
@@ -55,9 +56,7 @@ std::size_t ShardRouter::shard_of(std::int64_t user) const {
 
 Recommendation ShardRouter::recommend(const std::string& model, std::int64_t user,
                                       std::int64_t n, obs::RequestContext* ctx) {
-  if (user < 0 || user >= dataset_.num_users) {
-    throw std::invalid_argument("recommend: user out of range");
-  }
+  // Any id hashes to a shard; the shard rejects one out of range.
   return shards_[shard_of(user)]->recommend(model, user, n, ctx);
 }
 
@@ -159,6 +158,62 @@ void ShardRouter::swap_model(const std::string& name, const std::string& kind,
   }
 }
 
+std::string ShardRouter::respond(const Request& req, obs::RequestContext* ctx) {
+  switch (req.op) {
+    case Op::kRecommend: {
+      const Recommendation rec = recommend(req.model, req.user, req.n, ctx);
+      std::string out = format_recommendation(rec);
+      if (ctx != nullptr) {
+        ctx->mark("serialize");
+        // The debug echo re-renders with the full stage attribution,
+        // including the serialize stage just closed.
+        if (req.debug) out = format_recommendation(rec, ctx);
+        ctx->publish();
+      }
+      return out;
+    }
+    case Op::kUpdateFeatures:
+      return format_ok("\"epoch\":" +
+                       std::to_string(update_item_features(req.item, req.features)));
+    case Op::kSwapModel:
+      swap_model(req.model, req.kind, req.path);
+      // The name is client text: unescaped, a quote or newline in it would
+      // break the one-line JSON answer.
+      return format_ok("\"model\":\"" + obs::json::escape(req.model) + "\"");
+    case Op::kModels:
+      return format_models(registry_.names());
+    case Op::kStats:
+      return format_stats(stats());
+    case Op::kMetrics: {
+      auto& metrics = obs::MetricsRegistry::global();
+      const RouterStats agg = stats();
+      metrics.gauge("serve_rolling_p50_seconds").set(agg.rolling_p50_s);
+      metrics.gauge("serve_rolling_p99_seconds").set(agg.rolling_p99_s);
+      // Ends with "# EOF" so clients know where the response stops; the
+      // writer appends the final newline, as for every response.
+      std::string text = metrics.to_prometheus();
+      if (!text.empty() && text.back() == '\n') text.pop_back();
+      return text;
+    }
+    case Op::kUpdateImage:
+    case Op::kProfile:
+    case Op::kShutdown:
+      break;
+  }
+  throw std::invalid_argument("this op acts on the server process, not the router");
+}
+
+std::unique_ptr<EventLoop> ShardRouter::front_door(EventLoopConfig config,
+                                                   EventLoop::Handler handler) const {
+  return std::make_unique<EventLoop>(
+      config, num_shards(),
+      [this](const std::string& line) {
+        const std::int64_t user = peek_user(line);
+        return user >= 0 ? shard_of(user) : std::size_t{0};
+      },
+      std::move(handler), max_request_bytes(store_.feature_dim()));
+}
+
 void ShardRouter::clear_cache() {
   for (auto& shard : shards_) shard->clear_cache();
 }
@@ -167,8 +222,8 @@ RecommendService::Stats ShardRouter::shard_stats(std::size_t shard) const {
   return shards_[shard]->stats();
 }
 
-RecommendService::Stats ShardRouter::stats() const {
-  RecommendService::Stats total;
+RouterStats ShardRouter::stats() const {
+  RouterStats total;
   for (const auto& shard : shards_) {
     const RecommendService::Stats st = shard->stats();
     total.requests += st.requests;
@@ -187,16 +242,8 @@ RecommendService::Stats ShardRouter::stats() const {
   }
   total.feature_swaps = feature_swaps_.load(std::memory_order_relaxed);
   total.suspect_updates = suspect_updates_.load(std::memory_order_relaxed);
-  // audit_records is a process-global counter, not per-shard; don't sum.
   total.audit_records = obs::AuditLog::global().records_written();
   return total;
-}
-std::string ShardRouter::metrics_text() const {
-  auto& metrics = obs::MetricsRegistry::global();
-  const RecommendService::Stats agg = stats();
-  metrics.gauge("serve_rolling_p50_seconds").set(agg.rolling_p50_s);
-  metrics.gauge("serve_rolling_p99_seconds").set(agg.rolling_p99_s);
-  return metrics.to_prometheus();
 }
 
 }  // namespace taamr::serve

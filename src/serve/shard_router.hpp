@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "obs/audit.hpp"
+#include "serve/event_loop.hpp"
+#include "serve/protocol.hpp"
 #include "serve/recommend_service.hpp"
 
 namespace taamr::serve {
@@ -43,6 +45,14 @@ struct ShardRouterConfig {
 
   // Auto shard count over ServeConfig::from_env().
   static ShardRouterConfig from_env();
+};
+
+// What {"op":"stats"} reports: the shard counters summed, plus the counters
+// only the router keeps.
+struct RouterStats : RecommendService::Stats {
+  std::uint64_t feature_swaps = 0;
+  std::uint64_t suspect_updates = 0;  // anomaly-scorer flags
+  std::uint64_t audit_records = 0;    // process-wide JSONL lines written
 };
 
 class ShardRouter {
@@ -77,16 +87,27 @@ class ShardRouter {
   void swap_model(const std::string& name, const std::string& kind,
                   const std::string& path);
 
+  // The response line for a parsed recommend, update_features, swap_model,
+  // models, stats or metrics request (metrics: the Prometheus exposition,
+  // serve_rolling_{p50,p99}_seconds refreshed, without its final newline).
+  // Throws for a failed request and for the ops that act on the server
+  // process; callers wrap that in format_error. With `ctx`, a recommend
+  // marks "serialize", echoes the stages when asked ("debug") and publishes.
+  std::string respond(const Request& req, obs::RequestContext* ctx = nullptr);
+
+  // The JSONL front door over this router, which must outlive it: one queue
+  // per shard, each line queued on the shard its "user" hashes to (peek_user,
+  // a placement hint only) and capped at max_request_bytes for the store's
+  // feature dimension. `handler` answers each line.
+  std::unique_ptr<EventLoop> front_door(EventLoopConfig config,
+                                        EventLoop::Handler handler) const;
+
   void clear_cache();
 
   // Counters summed across shards; rolling quantiles are the max over
   // shards (the SLO question is "how bad is the worst shard right now").
-  RecommendService::Stats stats() const;
+  RouterStats stats() const;
   RecommendService::Stats shard_stats(std::size_t shard) const;
-  // Refreshes the serve_rolling_{p50,p99}_seconds gauges from stats()
-  // and returns the full Prometheus exposition. Backs the protocol's
-  // {"op":"metrics"}.
-  std::string metrics_text() const;
 
   const FeatureStore& feature_store() const { return store_; }
   const data::ImplicitDataset& dataset() const { return dataset_; }

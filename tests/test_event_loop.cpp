@@ -4,13 +4,6 @@
 // "EventLoop" / "Admission" so the CI thread-sanitizer job picks them up).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -21,69 +14,12 @@
 #include "obs/json.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/protocol.hpp"
+#include "test_client.hpp"
 
 namespace taamr {
 namespace {
 
-// Minimal blocking client. A 5s receive timeout turns a lost response into
-// a test failure instead of a hung suite.
-class TestClient {
- public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    timeval tv{};
-    tv.tv_sec = 5;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    connected_ =
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  TestClient(const TestClient&) = delete;
-  TestClient& operator=(const TestClient&) = delete;
-
-  bool connected() const { return connected_; }
-
-  bool send_raw(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  // Empty string on timeout or close.
-  std::string read_line() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return {};
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
+using testing::TestClient;
 
 serve::EventLoopConfig test_config() {
   serve::EventLoopConfig cfg;

@@ -159,6 +159,30 @@ TEST(PipelineIntegration, AttackDoesNotDependOnEarlierStages) {
   EXPECT_TRUE(same_bits(first.attacked_images, again.attacked_images));
 }
 
+// AMR on a fresh pipeline gets the same init as the grid's AMR, which is
+// trained after VBPR: its score_users rows must match bit for bit.
+TEST(PipelineIntegration, TrainingDoesNotDependOnEarlierStages) {
+  core::PipelineConfig cfg = micro_config();
+  cfg.cnn_epochs = 2;
+  cfg.vbpr.epochs = 2;
+  cfg.amr_warm_epochs = 1;
+  cfg.amr_adversarial_epochs = 1;
+  core::Pipeline p(cfg);
+  p.prepare();
+  const auto rows = [&p](const recsys::Recommender& model) {
+    std::vector<std::int64_t> users(static_cast<std::size_t>(p.dataset().num_users));
+    for (std::size_t u = 0; u < users.size(); ++u) users[u] = static_cast<std::int64_t>(u);
+    std::vector<float> out(users.size() * static_cast<std::size_t>(p.dataset().num_items));
+    model.score_users(users, out);
+    return out;
+  };
+  const std::vector<float> fresh = rows(*p.train_amr());
+  p.train_vbpr();
+  const std::vector<float> after_vbpr = rows(*p.train_amr());
+  ASSERT_EQ(fresh.size(), after_vbpr.size());
+  EXPECT_EQ(std::memcmp(fresh.data(), after_vbpr.data(), fresh.size() * sizeof(float)), 0);
+}
+
 TEST(PipelineIntegration, PrepareIsIdempotent) {
   core::Pipeline& p = shared_pipeline();
   const Tensor before = p.clean_features();

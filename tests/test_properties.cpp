@@ -105,22 +105,6 @@ TEST(ChrProperties, AdditiveOverCategories) {
 
 // ---- ranking metric relations --------------------------------------------------
 
-TEST(RankingProperties, PrecisionEqualsHrOverN) {
-  const auto ds = data::generate_synthetic_dataset(data::amazon_men_spec(data::kTestScale));
-  Rng rng(20);
-  const std::int64_t n = 10;
-  std::vector<std::vector<std::int32_t>> lists(static_cast<std::size_t>(ds.num_users));
-  for (auto& list : lists) {
-    for (int k = 0; k < n; ++k) {
-      list.push_back(static_cast<std::int32_t>(rng.index(
-          static_cast<std::size_t>(ds.num_items))));
-    }
-  }
-  EXPECT_NEAR(metrics::precision_at_n(lists, ds),
-              metrics::hit_ratio_at_n(lists, ds) / static_cast<double>(n), 1e-12);
-  EXPECT_EQ(metrics::recall_at_n(lists, ds), metrics::hit_ratio_at_n(lists, ds));
-}
-
 TEST(RankingProperties, NdcgBoundsByHr) {
   const auto ds = data::generate_synthetic_dataset(data::amazon_men_spec(data::kTestScale));
   Rng rng(21);

@@ -403,7 +403,7 @@ TEST(ServeProtocol, ResponsesAreValidJson) {
   EXPECT_EQ(err.find("ok")->boolean, false);
   EXPECT_EQ(err.find("error")->str, "bad \"quoted\" thing");
 
-  serve::RecommendService::Stats stats;
+  serve::RouterStats stats;
   stats.requests = 10;
   stats.cache_hits = 6;
   stats.cache_misses = 4;
@@ -420,7 +420,7 @@ TEST(ServeProtocol, ResponsesAreValidJson) {
 }
 
 TEST(ServeProtocol, StatsCarryTelemetryFields) {
-  serve::RecommendService::Stats stats;
+  serve::RouterStats stats;
   stats.slow_requests = 3;
   stats.deadline_breaches = 1;
   stats.suspect_updates = 2;

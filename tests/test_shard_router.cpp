@@ -1,9 +1,9 @@
 // ShardRouter behaviour: the stable user -> shard mapping, golden agreement
 // through the routed path, per-shard cache isolation under sibling hot
 // swaps, cross-shard swap consistency on the shared epoch axis, checkpoint
-// loads interleaved with feature pushes, aggregated stats, and a concurrent
-// hammer (suite names start with "ShardRouter" so the CI thread-sanitizer
-// job picks them up).
+// loads interleaved with feature pushes, aggregated stats, the wire
+// dispatcher (respond), and a concurrent hammer (suite names start with
+// "ShardRouter" so the CI thread-sanitizer job picks them up).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "data/amazon_synth.hpp"
+#include "obs/json.hpp"
 #include "recsys/bpr_mf.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/vbpr.hpp"
@@ -236,6 +237,61 @@ TEST_F(ShardRouterTest, CheckpointLoadAfterPushServesGoldenLists) {
   const auto after = router.recommend("vbpr", user, 10);
   EXPECT_EQ(after.items, golden(user));
   EXPECT_FALSE(listed(after.items, a));
+}
+
+// respond answers each op the router owns as the protocol formats it, and
+// refuses the ones that act on the server process.
+TEST_F(ShardRouterTest, RespondAnswersTheRouterOps) {
+  auto router = make_router(2);
+  const auto respond = [&router](const std::string& line) {
+    return router.respond(serve::parse_request(line));
+  };
+  const std::string rec = respond(R"({"op":"recommend","model":"vbpr","user":4,"n":7})");
+  serve::Recommendation golden;
+  golden.user = 4;
+  golden.items = golden_topn(dataset_, *registry_.get("vbpr").model, 4, 7);
+  golden.model_version = registry_.get("vbpr").version;
+  EXPECT_EQ(rec, serve::format_recommendation(golden));
+
+  std::string push = R"({"op":"update_features","item":3,"features":[)";
+  for (std::int64_t d = 0; d < features_.dim(1); ++d) push += d > 0 ? ",0.5" : "0.5";
+  EXPECT_EQ(respond(push + "]}"), R"({"ok":true,"epoch":1})");
+  EXPECT_EQ(respond(R"({"op":"models"})"), R"({"ok":true,"models":["mf","vbpr"]})");
+  const auto stats = obs::json::parse(respond(R"({"op":"stats"})"));
+  EXPECT_EQ(stats.find("requests")->num, 1.0);
+  EXPECT_EQ(stats.find("feature_swaps")->num, 1.0);
+  const std::string metrics = respond(R"({"op":"metrics"})");
+  EXPECT_EQ(metrics.substr(metrics.size() - 5), "# EOF");
+
+  for (const char* line : {R"({"op":"update_image","item":1,"seed":2})",
+                           R"({"op":"profile"})", R"({"op":"shutdown"})"}) {
+    EXPECT_THROW(respond(line), std::invalid_argument) << line;
+  }
+}
+
+// The swap_model ack echoes a client-chosen name: a quote or a newline in
+// it must not split the one response line or break its JSON.
+TEST_F(ShardRouterTest, SwapModelAckIsOneLineForAnyName) {
+  auto router = make_router(1);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "taamr_router_swap_ack.bin").string();
+  dynamic_cast<const recsys::Vbpr&>(*registry_.get("vbpr").model).save_file(path);
+  const std::string name = "a\"b\nc";
+  const serve::Request req = serve::parse_request(
+      R"({"op":"swap_model","model":"a\"b\nc","kind":"vbpr","path":")" +
+      obs::json::escape(path) + "\"}");
+  ASSERT_EQ(req.model, name);
+  const std::string ack = router.respond(req);
+  std::remove(path.c_str());
+  EXPECT_EQ(ack.find('\n'), std::string::npos) << ack;
+  const auto doc = obs::json::parse(ack);
+  EXPECT_TRUE(doc.find("ok")->boolean);
+  EXPECT_EQ(doc.find("model")->str, name);
+
+  const auto models = obs::json::parse(router.respond(serve::parse_request(R"({"op":"models"})")));
+  const auto& listed = models.find("models")->array;
+  EXPECT_TRUE(std::any_of(listed.begin(), listed.end(),
+                          [&name](const obs::json::Value& v) { return v.str == name; }));
 }
 
 TEST_F(ShardRouterTest, StatsAggregateAcrossShards) {

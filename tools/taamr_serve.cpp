@@ -6,22 +6,17 @@
 //   taamr_serve --scale 0.004 --vbpr-epochs 20            # stdin/stdout
 //   taamr_serve --port 7787 &                             # 127.0.0.1:7787
 //
-// TCP serving runs through the sharded engine: a ShardRouter partitions
-// users over one read-only RecommendService per shard (half the cores) and
-// carries every feature push and checkpoint load itself, and an epoll
-// EventLoop (serve/event_loop.hpp) multiplexes connections onto a fixed
-// worker set with bounded per-shard queues — overload sheds
-// {"error":"overloaded"} instead of queueing unboundedly, and shutdown
-// drains in-flight requests before closing. stdin mode keeps the simple
-// synchronous loop (one request, one response) for scripting and smoke
-// tests.
+// Both modes answer through a ShardRouter (serve/shard_router.hpp), whose
+// respond() handles every op but the three that act on this process; TCP
+// mode serves through the router's front door, an epoll EventLoop
+// (serve/event_loop.hpp) that sheds overload and drains on shutdown. stdin
+// mode is a synchronous loop for scripting and smoke tests.
 //
 // The update_image op closes the paper's loop online: re-render the item's
 // product photo from a new seed (a stand-in for an adversarially replaced
 // image), re-extract its CNN features, and hot-swap them into the serving
 // models — subsequent recommend responses reflect the new features.
 #include <atomic>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -47,7 +42,6 @@ using namespace taamr;
 
 struct Server {
   core::Pipeline* pipeline = nullptr;
-  serve::ModelRegistry* registry = nullptr;
   serve::ShardRouter* router = nullptr;
   // Set while TCP serving so a shutdown op (handled on a shard worker) can
   // begin the event loop's drain-then-close sequence.
@@ -63,45 +57,29 @@ struct Server {
   std::string handle_line(const std::string& line);
 };
 
+// The router answers every op but the three that act on this process:
+// update_image needs the pipeline's renderer and CNN, profile holds the
+// profiler, and shutdown drives the event loop.
 std::string Server::handle_line(const std::string& line) {
   obs::RequestContext ctx;
   try {
     const serve::Request req = serve::parse_request(line);
     ctx.mark("parse");
     switch (req.op) {
-      case serve::Op::kRecommend: {
-        const serve::Recommendation rec =
-            router->recommend(req.model, req.user, req.n, &ctx);
-        std::string out = serve::format_recommendation(rec);
-        ctx.mark("serialize");
-        // The debug echo re-renders with the full stage attribution,
-        // including the serialize stage just closed.
-        if (req.debug) out = serve::format_recommendation(rec, &ctx);
-        ctx.publish();
-        return out;
-      }
-      case serve::Op::kUpdateFeatures: {
-        const std::uint64_t epoch =
-            router->update_item_features(req.item, req.features);
-        return serve::format_ok("\"epoch\":" + std::to_string(epoch));
-      }
       case serve::Op::kUpdateImage: {
         const auto& dataset = router->dataset();
         if (req.item < 0 || req.item >= dataset.num_items) {
           return serve::format_error("update_image: item out of range");
         }
-        const auto& taxonomy = data::fashion_taxonomy();
-        const std::int32_t cat =
-            dataset.item_category[static_cast<std::size_t>(req.item)];
+        const std::int32_t cat = dataset.item_category[static_cast<std::size_t>(req.item)];
         Tensor img = data::render_item_image(
-            taxonomy[static_cast<std::size_t>(cat)].style, req.seed,
+            data::fashion_taxonomy()[static_cast<std::size_t>(cat)].style, req.seed,
             pipeline->config().image_config());
-        Tensor batch(img.shape(), std::vector<float>(img.data(), img.data() + img.numel()));
-        batch.reshape({1, img.dim(0), img.dim(1), img.dim(2)});
         Tensor feats;
         {
           std::lock_guard<std::mutex> lock(classifier_mutex);
-          feats = pipeline->classifier().features(batch);
+          feats = pipeline->classifier().features(
+              img.reshaped({1, img.dim(0), img.dim(1), img.dim(2)}));
         }
         serve::RecommendService::UpdateOrigin origin;
         origin.source = "update_image";
@@ -117,21 +95,6 @@ std::string Server::handle_line(const std::string& line) {
             req.item, {feats.data(), static_cast<std::size_t>(feats.dim(1))},
             origin);
         return serve::format_ok("\"epoch\":" + std::to_string(epoch));
-      }
-      case serve::Op::kSwapModel:
-        router->swap_model(req.model, req.kind, req.path);
-        return serve::format_ok("\"model\":\"" + req.model + "\"");
-      case serve::Op::kModels:
-        return serve::format_models(registry->names());
-      case serve::Op::kStats:
-        return serve::format_stats(router->stats());
-      case serve::Op::kMetrics: {
-        // Multi-line Prometheus exposition; ends with "# EOF" so clients
-        // know where the response stops. Drop the final newline — the
-        // writers below append one per response.
-        std::string text = router->metrics_text();
-        if (!text.empty() && text.back() == '\n') text.pop_back();
-        return text;
       }
       case serve::Op::kProfile: {
         // On-demand CPU window from the live process: collapsed stacks,
@@ -150,8 +113,9 @@ std::string Server::handle_line(const std::string& line) {
         if (serve::EventLoop* l = loop.load()) l->request_shutdown();
         return serve::format_ok();
       }
+      default:
+        return router->respond(req, &ctx);
     }
-    return serve::format_error("unhandled op");
   } catch (const std::exception& e) {
     return serve::format_error(e.what());
   }
@@ -168,31 +132,22 @@ void serve_stdin(Server& server) {
 int serve_tcp(Server& server, int port) {
   serve::EventLoopConfig cfg = serve::EventLoopConfig::from_env();
   cfg.port = port;
-  serve::EventLoop loop(
-      cfg, server.router->num_shards(),
-      // Routing hint only: park the request on the queue of the shard its
-      // user hashes to, so that shard's workers serve its own users. The
-      // router re-derives the shard from the parsed request either way.
-      [&server](const std::string& line) {
-        const std::int64_t user = serve::peek_user(line);
-        return user >= 0 ? server.router->shard_of(user) : std::size_t{0};
-      },
-      [&server](std::size_t, const std::string& line) {
+  const std::unique_ptr<serve::EventLoop> loop = server.router->front_door(
+      cfg, [&server](std::size_t, const std::string& line) {
         return server.handle_line(line);
-      },
-      serve::max_request_bytes(server.pipeline->clean_features().dim(1)));
-  server.loop.store(&loop);
+      });
+  server.loop.store(loop.get());
   try {
-    loop.start();
+    loop->start();
   } catch (const std::exception& e) {
     std::cerr << "taamr_serve: " << e.what() << "\n";
     server.loop.store(nullptr);
     return 1;
   }
-  std::cout << "taamr_serve: listening on 127.0.0.1:" << loop.port() << " ("
+  std::cout << "taamr_serve: listening on 127.0.0.1:" << loop->port() << " ("
             << server.router->num_shards() << " shards)\n"
             << std::flush;
-  const int rc = loop.join();
+  const int rc = loop->join();
   server.loop.store(nullptr);
   return rc;
 }
@@ -245,7 +200,6 @@ int main(int argc, char** argv) {
 
   Server server;
   server.pipeline = &pipeline;
-  server.registry = &registry;
   server.router = &router;
 
   std::cout << "taamr_serve: ready (" << dataset.name << ", " << dataset.num_users
