@@ -1,21 +1,25 @@
 // Closed-loop load generator for the sharded serving engine (src/serve/):
 // builds the serving-scale synthetic dataset (data::amazon_serve_spec —
-// TAAMR_SERVE_USERS over a compact TAAMR_SERVE_ITEMS hot catalog), trains
-// VBPR + BPR-MF on random gaussian features, then drives Zipf-skewed user
-// traffic over real TCP loopback connections through the epoll front door
-// (serve/event_loop.hpp) into a ShardRouter, sweeping the shard count.
+// kUsers over a compact kItems hot catalog), trains VBPR + BPR-MF on random
+// gaussian features, then drives Zipf-skewed user traffic over real TCP
+// loopback connections through the epoll front door (serve/event_loop.hpp)
+// into a ShardRouter, sweeping the shard count.
 //
-// Part 1 — shard sweep. For each S in TAAMR_SERVE_SHARD_SWEEP (default
-// "1,2,4,8"): a fresh ModelRegistry + ShardRouter(S) + EventLoop,
-// TAAMR_SERVE_CLIENTS closed-loop TCP clients each sending
-// TAAMR_SERVE_REQUESTS newline-framed recommend requests with users drawn
-// from a shared Zipf(1.0) sampler (rank = user id, the same rank law
-// amazon_serve_spec uses for item popularity). A controller
-// connection performs hot feature swaps at 25/50/75% of the load — pushed
-// through the wire as update_features (floats survive the %.9g JSON
-// round-trip exactly) — and verifies served lists for probe users spread
-// across shards against a golden recompute of the swapped-in model: zero
-// mismatches tolerated, mid-load, cross-shard. Shed responses
+// One fixed configuration, the constants below, so every gate that reads
+// the artifact judges the run it names.
+//
+// Part 1 — shard sweep. For each S in kShardSweep: a fresh ModelRegistry +
+// ShardRouter(S) + EventLoop, in a deliberately miss-heavy setting (a total
+// cache of kSweepCacheCapacity, kSweepWorkersPerShard worker per shard),
+// kClients closed-loop TCP clients each sending kRequestsPerClient
+// newline-framed recommend requests with users drawn from a shared
+// Zipf(1.0) sampler (rank = user id, the same rank law amazon_serve_spec
+// uses for item popularity). A controller connection performs hot feature
+// swaps at 25/50/75% of the load — pushed through the wire as
+// update_features (floats survive the %.9g JSON round-trip exactly) — and
+// verifies served lists for probe users spread across shards against a
+// golden recompute of the swapped-in model: zero mismatches tolerated,
+// mid-load, cross-shard. Shed responses
 // ({"error":"overloaded"}) are counted and reported, never silently
 // dropped; the leg fails if the drain-then-close shutdown times out.
 // Per-leg metrics: serve_tcp_qps{shards=S}, serve_latency_p50/p99_ms
@@ -33,45 +37,39 @@
 //
 // Part 2 — telemetry overhead (the serve_obs_gate and prof_overhead_gate
 // consume these metrics). The load runs against a single-shard router with
-// an identical request schedule in two kinds of phase:
+// the default cache and an identical request schedule in two kinds of phase:
 //   off — telemetry off: tracing disabled, no request contexts, CPU
 //         profiler stopped;
 //   on  — telemetry on: per-request RequestContext, tracing re-enabled if
 //         configured, audit trail if configured, CPU profiler sampling if
 //         TAAMR_PROFILE asks for it.
-// A phase replays every client's schedule back to back on the bench's own
-// thread (no client threads to place or contend), with three verified hot
-// swaps that are undone afterwards, so each phase does the same work from
-// the same cache and feature state. The off/on pair runs kPhasePairs times,
-// alternating which phase goes first. Host speed drifts on the scale of
-// tens of milliseconds, so many short back-to-back pairs beat a few long
-// ones. service_qps and service_qps_telemetry_off come from each kind's
-// median phase, and serve_telemetry_overhead_pct is the median of the
-// per-pair percentage differences, floored at 1% (the floor is recorded in
-// the artifact's config as serve_telemetry_overhead_floor_pct) so the
-// self-compare regression gate never sees huge *relative* drift between
-// two tiny absolute overheads. serve_obs_gate holds it within 10% with
-// tracing and audit on; prof_overhead_gate within 5% with the profiler on.
-// Latency quantiles cover every telemetry-on phase; hit rate and
-// revalidations cover every phase.
+// A phase replays kPhaseSchedules request schedules of kPhaseRequests each back
+// to back on the bench's own thread (no client threads to place or contend),
+// with three verified hot swaps that are undone afterwards, so each phase does
+// the same work from the same cache and feature state. The off/on pair runs
+// kPhasePairs times, alternating which phase goes first. Host speed drifts on
+// the scale of tens of milliseconds, so many short back-to-back pairs beat a
+// few long ones. service_qps and service_qps_telemetry_off come from each
+// kind's median phase, and serve_telemetry_overhead_pct is the median of the
+// per-pair percentage differences, floored at 1% (the floor is recorded in the
+// artifact's config as serve_telemetry_overhead_floor_pct) so the self-compare
+// regression gate never sees huge *relative* drift between two tiny absolute
+// overheads. serve_obs_gate holds it within 10% with tracing and audit on;
+// prof_overhead_gate within 5% with the profiler on. Latency quantiles cover
+// every telemetry-on phase; hit rate and revalidations cover every phase.
 //
 // Correctness is asserted inline in both parts, not just measured: every
 // response is canonically ordered (score desc, id asc), free of the user's
 // training items, consistent with its stamped epoch, and in request order
 // on its connection (the event loop's reorder map).
-//
-// Knobs: TAAMR_SERVE_USERS (default 20000), TAAMR_SERVE_ITEMS (2048),
-// TAAMR_SERVE_SHARD_SWEEP ("1,2,4,8"), TAAMR_SERVE_CLIENTS (4),
-// TAAMR_SERVE_REQUESTS per client (300), plus TAAMR_SERVE_CACHE_CAP and
-// TAAMR_SERVE_WORKERS, read by ServeConfig / EventLoopConfig ::from_env.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -99,6 +97,19 @@ namespace {
 
 using namespace taamr;
 
+// Dataset: users over a compact hot catalog.
+constexpr std::int64_t kUsers = 4000;
+constexpr std::int64_t kItems = 2048;
+// Part 1: shard counts swept, TCP clients and requests per client per leg,
+// the total result cache and the workers draining each shard's queue.
+constexpr std::array<std::int64_t, 2> kShardSweep = {1, 4};
+constexpr std::int64_t kClients = 8;
+constexpr std::int64_t kRequestsPerClient = 150;
+constexpr std::int64_t kSweepCacheCapacity = 64;
+constexpr std::int64_t kSweepWorkersPerShard = 1;
+// Part 2: request schedules per phase and requests per schedule.
+constexpr std::int64_t kPhaseSchedules = 2;
+constexpr std::int64_t kPhaseRequests = 150;
 // Off/on phase pairs behind the telemetry-overhead measurement.
 constexpr int kPhasePairs = 100;
 // VBPR and BPR-MF training epochs; the bench measures serving, not fit.
@@ -112,23 +123,6 @@ constexpr double kOverheadFloorPct = 1.0;
 void fail(const std::string& what) {
   std::cerr << "serve_load: FAIL: " << what << "\n";
   std::exit(1);
-}
-
-std::vector<std::int64_t> env_shard_sweep() {
-  std::string s = "1,2,4,8";
-  if (const char* e = std::getenv("TAAMR_SERVE_SHARD_SWEEP")) s = e;
-  std::vector<std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string tok = s.substr(pos, comma - pos);
-    const std::optional<std::int64_t> v = env::parse_int(tok);
-    if (!v || *v <= 0) fail("malformed TAAMR_SERVE_SHARD_SWEEP token '" + tok + "'");
-    out.push_back(*v);
-    pos = comma + 1;
-  }
-  return out;
 }
 
 // Golden top-n from the ranker for the same single-user tile the service's
@@ -319,17 +313,11 @@ double percentile(const std::vector<double>& sorted, double q) {
 int main() {
   bench::Reporter reporter("serve_load");
 
-  const std::int64_t num_users = env::get_int("TAAMR_SERVE_USERS", 20000);
-  const std::int64_t num_items = env::get_int("TAAMR_SERVE_ITEMS", 2048);
-  const std::int64_t clients = env::get_int("TAAMR_SERVE_CLIENTS", 4);
-  const std::int64_t per_client = env::get_int("TAAMR_SERVE_REQUESTS", 300);
-  const std::vector<std::int64_t> sweep = env_shard_sweep();
-  const std::int64_t total = clients * per_client;
   const std::int64_t top_n = 10;
 
   data::SynthSpec spec = data::amazon_serve_spec();
-  spec.num_users = num_users;
-  spec.num_items = num_items;
+  spec.num_users = kUsers;
+  spec.num_items = kItems;
   spec.seed = bench::env_seed();
   spec.validate();
 
@@ -375,19 +363,21 @@ int main() {
   // ---- Part 1: TCP shard sweep through the epoll front door ----------------
 
   double capacity_1 = 0.0;  // serve_shard_capacity of the shards=1 leg
+  const std::int64_t sweep_total = kClients * kRequestsPerClient;
 
-  for (const std::int64_t num_shards : sweep) {
+  for (const std::int64_t num_shards : kShardSweep) {
     serve::ModelRegistry registry(dataset);
     registry.register_model("vbpr", vbpr, /*visual=*/true);
     registry.register_model("bpr_mf", bpr, /*visual=*/false);
-    serve::ShardRouterConfig router_cfg = serve::ShardRouterConfig::from_env();
+    serve::ShardRouterConfig router_cfg;
     router_cfg.num_shards = num_shards;
+    router_cfg.service.cache_capacity = kSweepCacheCapacity;
     serve::ShardRouter router(dataset, registry, features, router_cfg);
 
     // Thread-CPU nanoseconds each shard's handler calls consumed.
     std::vector<std::atomic<std::int64_t>> busy_ns(router.num_shards());
-    serve::EventLoopConfig loop_cfg = serve::EventLoopConfig::from_env();
-    loop_cfg.port = 0;
+    serve::EventLoopConfig loop_cfg;
+    loop_cfg.workers_per_shard = kSweepWorkersPerShard;
     // The request path of taamr_serve's TCP handler for every op the
     // router answers: request context, parse, respond.
     const std::unique_ptr<serve::EventLoop> loop = router.front_door(
@@ -423,21 +413,21 @@ int main() {
     }
 
     std::atomic<std::int64_t> done{0};
-    std::vector<std::vector<double>> latencies(static_cast<std::size_t>(clients));
-    std::vector<double> client_cpu_s(static_cast<std::size_t>(clients), 0.0);
+    std::vector<std::vector<double>> latencies(static_cast<std::size_t>(kClients));
+    std::vector<double> client_cpu_s(static_cast<std::size_t>(kClients), 0.0);
     Stopwatch leg_timer;
 
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(clients) + 1);
-    for (std::int64_t c = 0; c < clients; ++c) {
+    threads.reserve(static_cast<std::size_t>(kClients) + 1);
+    for (std::int64_t c = 0; c < kClients; ++c) {
       threads.emplace_back([&, c] {
         set_current_thread_name("load-client" + std::to_string(c));
         LineClient client(loop->port());
         Rng crng(spec.seed * 1000 + static_cast<std::uint64_t>(c) * 131 +
                  static_cast<std::uint64_t>(num_shards));
         auto& lats = latencies[static_cast<std::size_t>(c)];
-        lats.reserve(static_cast<std::size_t>(per_client));
-        for (std::int64_t r = 0; r < per_client; ++r) {
+        lats.reserve(static_cast<std::size_t>(kRequestsPerClient));
+        for (std::int64_t r = 0; r < kRequestsPerClient; ++r) {
           const auto user = static_cast<std::int64_t>(zipf.sample(crng));
           const std::string model = crng.uniform() < 0.2 ? "bpr_mf" : "vbpr";
           const std::string req = "{\"op\":\"recommend\",\"model\":\"" + model +
@@ -491,7 +481,7 @@ int main() {
         return served;
       };
       for (int k = 1; k <= 3; ++k) {
-        const auto threshold = static_cast<std::int64_t>(0.25 * k * total);
+        const auto threshold = static_cast<std::int64_t>(0.25 * k * sweep_total);
         while (done.load() < threshold) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
@@ -515,7 +505,7 @@ int main() {
     for (auto& v : latencies) lat.insert(lat.end(), v.begin(), v.end());
     std::sort(lat.begin(), lat.end());
     const double qps =
-        leg_seconds > 0.0 ? static_cast<double>(total) / leg_seconds : 0.0;
+        leg_seconds > 0.0 ? static_cast<double>(sweep_total) / leg_seconds : 0.0;
 
     // Capacity: what the shard layout could serve if the busiest shard's
     // CPU were the only limit. TCP qps also pays for the clients and the
@@ -539,10 +529,10 @@ int main() {
     reporter.add_metric("serve_latency_p99_ms", labels, percentile(lat, 0.99) * 1e3);
     reporter.add_metric("serve_shed", labels,
                         static_cast<double>(loop_stats.shed));
-    reporter.add_examples(static_cast<double>(total));
+    reporter.add_examples(static_cast<double>(sweep_total));
 
-    std::cout << "serve_load: [shards=" << num_shards << "] " << total
-              << " requests from " << clients << " TCP clients in "
+    std::cout << "serve_load: [shards=" << num_shards << "] " << sweep_total
+              << " requests from " << kClients << " TCP clients in "
               << Table::fmt(leg_seconds, 2) << "s — " << Table::fmt(qps, 0)
               << " qps, p50 " << Table::fmt(percentile(lat, 0.5) * 1e3, 3)
               << "ms, p99 " << Table::fmt(percentile(lat, 0.99) * 1e3, 3)
@@ -568,7 +558,7 @@ int main() {
   serve::ModelRegistry registry(dataset);
   registry.register_model("vbpr", vbpr, /*visual=*/true);
   registry.register_model("bpr_mf", bpr, /*visual=*/false);
-  serve::ShardRouterConfig solo_cfg = serve::ShardRouterConfig::from_env();
+  serve::ShardRouterConfig solo_cfg;
   solo_cfg.num_shards = 1;
   serve::ShardRouter service(dataset, registry, features, solo_cfg);
 
@@ -597,12 +587,13 @@ int main() {
   // One phase: every client's schedule, replayed back to back on this
   // thread, with a hot swap at 25/50/75% of the requests. Same seeds in
   // both kinds of phase, so the only difference is the telemetry itself.
+  const std::int64_t total = kPhaseSchedules * kPhaseRequests;
   auto run_phase = [&](bool telemetry) {
     std::int64_t done = 0;
     Stopwatch timer;
-    for (std::int64_t c = 0; c < clients; ++c) {
+    for (std::int64_t c = 0; c < kPhaseSchedules; ++c) {
       Rng crng(spec.seed * 1000 + static_cast<std::uint64_t>(c));
-      for (std::int64_t r = 0; r < per_client; ++r) {
+      for (std::int64_t r = 0; r < kPhaseRequests; ++r) {
         const double u01 = crng.uniform();
         const std::int64_t user = std::min(
             static_cast<std::int64_t>(u01 * u01 * static_cast<double>(hot_pool)),
@@ -731,7 +722,7 @@ int main() {
   reporter.add_metric("serve_audit_records", {},
                       static_cast<double>(stats.audit_records));
 
-  std::cout << "serve_load: " << total << " requests per phase (" << clients
+  std::cout << "serve_load: " << total << " requests per phase (" << kPhaseSchedules
             << " client schedules in process), median of " << kPhasePairs << " pairs — "
             << Table::fmt(qps, 0) << " qps (telemetry off: "
             << Table::fmt(qps_off, 0) << " qps, overhead "

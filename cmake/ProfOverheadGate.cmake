@@ -29,10 +29,8 @@ if(micro_pct GREATER budget_pct)
   gate_fail("profiling costs ${micro_pct}% of GEMM throughput, budget ${budget_pct}%")
 endif()
 
-# The serve_obs_gate sizing.
 gate_run(serve COMMAND ${SERVE_BIN}
-  ENV ${profile_env} "TAAMR_PROFILE_OUT=${WORK_DIR}/serve" "TAAMR_BENCH_DIR=${WORK_DIR}"
-      TAAMR_SERVE_CLIENTS=2 TAAMR_SERVE_REQUESTS=150)
+  ENV ${profile_env} "TAAMR_PROFILE_OUT=${WORK_DIR}/serve" "TAAMR_BENCH_DIR=${WORK_DIR}")
 gate_metric(serve_pct "${WORK_DIR}/BENCH_serve_load.json" serve_telemetry_overhead_pct)
 message(STATUS "serve_load: telemetry + profiler cost ${serve_pct}% of qps (budget ${budget_pct}%)")
 if(serve_pct GREATER budget_pct)

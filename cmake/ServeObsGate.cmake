@@ -21,8 +21,7 @@ set(audit_file "${WORK_DIR}/serve_load_audit.jsonl")
 set(artifact "${WORK_DIR}/BENCH_serve_load.json")
 
 gate_run(serve_load COMMAND ${BENCH_BIN}
-  ENV TAAMR_SERVE_CLIENTS=2 TAAMR_SERVE_REQUESTS=150
-      "TAAMR_BENCH_DIR=${WORK_DIR}" "TAAMR_TRACE=${trace_file}"
+  ENV "TAAMR_BENCH_DIR=${WORK_DIR}" "TAAMR_TRACE=${trace_file}"
       "TAAMR_AUDIT_LOG=${audit_file}")
 
 gate_metric(rolling_p99 "${artifact}" serve_rolling_p99_ms)

@@ -1,8 +1,8 @@
 # Shard-scaling gate, run via
 #   cmake -DBENCH_BIN=<serve_load> -DWORK_DIR=<dir> -P ServeShardGate.cmake
 #
-# Runs serve_load with a 1-vs-4 shard sweep in a deliberately miss-heavy
-# configuration (tiny cache, one worker per shard) and asserts
+# Runs serve_load, whose Part 1 is a 1-vs-4 shard sweep in a deliberately
+# miss-heavy configuration (tiny cache, one worker per shard), and asserts
 #   serve_shard_speedup{shards=4} >= 1.8.
 # The speedup is capacity over capacity: requests divided by the busiest
 # shard's handler time, measured in thread-CPU time (CLOCK_THREAD_CPUTIME_ID)
@@ -20,10 +20,7 @@ set(min_speedup 1.8)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
-gate_run(serve_load COMMAND ${BENCH_BIN}
-  ENV "TAAMR_BENCH_DIR=${WORK_DIR}" TAAMR_SERVE_USERS=4000 TAAMR_SERVE_ITEMS=2048
-      TAAMR_SERVE_CLIENTS=8 TAAMR_SERVE_REQUESTS=150 TAAMR_SERVE_SHARD_SWEEP=1,4
-      TAAMR_SERVE_WORKERS=1 TAAMR_SERVE_CACHE_CAP=64)
+gate_run(serve_load COMMAND ${BENCH_BIN} ENV "TAAMR_BENCH_DIR=${WORK_DIR}")
 
 set(artifact "${WORK_DIR}/BENCH_serve_load.json")
 gate_metric(hw "${artifact}" serve_hw_concurrency)

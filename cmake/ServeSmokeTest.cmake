@@ -1,6 +1,7 @@
 # ctest script: drive taamr_serve end-to-end over its stdin JSONL protocol
 # and assert on the responses — model listing, cold/warm cache behaviour, a
-# live image swap advancing the feature epoch, error reporting, and stats.
+# live image swap advancing the feature epoch, error reporting, stats, and a
+# live CPU profile window.
 #
 # Invoked as:
 #   cmake -DSERVE_BIN=<path> -DWORK_DIR=<dir> -P ServeSmokeTest.cmake
@@ -19,6 +20,7 @@ file(WRITE "${requests_file}" "\
 {\"op\":\"recommend\",\"model\":\"nope\",\"user\":0}
 {\"op\":\"not_an_op\"}
 {\"op\":\"stats\"}
+{\"op\":\"profile\",\"seconds\":0.05}
 {\"op\":\"shutdown\"}
 ")
 
@@ -35,10 +37,12 @@ gate_expect_text("serve output" "${serve_out}"
                                 # next recommend reflects it
   "unknown model"               # descriptive error, not a crash
   "\"ok\":false"
-  "\"requests\":")              # stats carry the counters
+  "\"requests\":"               # stats carry the counters
+  "# EOF")                      # the profile window's collapsed stacks end
 
-# One response per request: 10 requests in, 10 "ok"-tagged JSON lines out
-# (every formatter leads with the ok field; shutdown acks before exiting).
+# One response per request: 11 requests in, 10 "ok"-tagged JSON lines out
+# (every formatter leads with the ok field; shutdown acks before exiting)
+# plus the profile window, which is not JSON.
 string(REGEX MATCHALL "\"ok\":(true|false)" response_lines "${serve_out}")
 list(LENGTH response_lines response_count)
 if(NOT response_count EQUAL 10)

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/thread_name.hpp"
 
@@ -30,12 +29,6 @@ constexpr const char* kOverlongResponse =
     "{\"ok\":false,\"error\":\"request line too long\"}";
 
 }  // namespace
-
-EventLoopConfig EventLoopConfig::from_env() {
-  EventLoopConfig c;
-  c.workers_per_shard = env::get_int("TAAMR_SERVE_WORKERS", c.workers_per_shard);
-  return c;
-}
 
 EventLoop::EventLoop(EventLoopConfig config, std::size_t num_shards, Route route,
                      Handler handler, std::size_t max_line_bytes)

@@ -56,11 +56,8 @@ namespace taamr::serve {
 struct EventLoopConfig {
   int port = 0;                        // 0 = kernel-assigned; see port()
   std::int64_t max_inflight = 256;     // per-shard queue bound
-  std::int64_t workers_per_shard = 2;  // TAAMR_SERVE_WORKERS
+  std::int64_t workers_per_shard = 2;  // threads draining each shard's queue
   std::int64_t drain_timeout_ms = 10000;
-
-  // Defaults plus TAAMR_SERVE_WORKERS (util/env.hpp rules).
-  static EventLoopConfig from_env();
 };
 
 class EventLoop {

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/ranker.hpp"
-#include "util/env.hpp"
 
 namespace taamr::serve {
 
@@ -18,12 +17,6 @@ namespace {
 const std::vector<double> kRequestLatencyBounds = obs::exponential_bounds(1e-6, 2.0, 30);
 
 }  // namespace
-
-ServeConfig ServeConfig::from_env() {
-  ServeConfig c;
-  c.cache_capacity = env::get_int("TAAMR_SERVE_CACHE_CAP", c.cache_capacity);
-  return c;
-}
 
 RecommendService::RecommendService(const data::ImplicitDataset& dataset,
                                    const ModelRegistry& registry,

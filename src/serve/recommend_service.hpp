@@ -40,11 +40,8 @@
 namespace taamr::serve {
 
 struct ServeConfig {
-  std::int64_t cache_capacity = 4096;    // TAAMR_SERVE_CACHE_CAP
+  std::int64_t cache_capacity = 4096;    // top-N result cache entries
   std::int64_t update_log_window = 256;  // feature-store change-log length
-
-  // Defaults plus TAAMR_SERVE_CACHE_CAP (util/env.hpp rules).
-  static ServeConfig from_env();
 };
 
 // SLO threshold: a request slower than kSloSeconds counts as slow, slower
@@ -68,7 +65,7 @@ class RecommendService {
   // them. The store's rows must match the dataset's items.
   RecommendService(const data::ImplicitDataset& dataset, const ModelRegistry& registry,
                    const FeatureStore& store,
-                   ServeConfig config = ServeConfig::from_env());
+                   ServeConfig config = {});
 
   // Top-n for one user. Throws std::runtime_error for unknown models,
   // std::invalid_argument for bad user/n. When `ctx` is non-null the

@@ -15,12 +15,6 @@
 
 namespace taamr::serve {
 
-ShardRouterConfig ShardRouterConfig::from_env() {
-  ShardRouterConfig c;
-  c.service = ServeConfig::from_env();
-  return c;
-}
-
 ShardRouter::ShardRouter(const data::ImplicitDataset& dataset, ModelRegistry& registry,
                          Tensor raw_features, ShardRouterConfig config)
     : dataset_(dataset),
@@ -142,6 +136,11 @@ void ShardRouter::swap_model(const std::string& name, const std::string& kind,
                              const std::string& path) {
   TAAMR_TRACE_SPAN("serve/model_load");
   std::lock_guard<std::mutex> lock(write_mutex_);
+  // A client may replace a model, not add one: every name costs a model
+  // copy that each feature push rebuilds, and nothing removes names.
+  if (!registry_.has(name)) {
+    throw std::runtime_error("swap_model: unknown model '" + name + "'");
+  }
   if (kind == "vbpr") {
     // The checkpoint's own feature rows predate any push since it was
     // saved; rebuild against the store, as a feature swap does, and stamp

@@ -40,11 +40,8 @@ struct ShardRouterConfig {
   // 0 = auto: max(1, hardware_concurrency / 2) — half the cores route
   // requests, the other half keeps scoring GEMMs and the event loop fed.
   std::int64_t num_shards = 0;
-  ServeConfig service;          // per-shard knobs; cache_capacity is the
+  ServeConfig service;          // per-shard settings; cache_capacity is the
                                 // TOTAL budget, split evenly across shards
-
-  // Auto shard count over ServeConfig::from_env().
-  static ShardRouterConfig from_env();
 };
 
 // What {"op":"stats"} reports: the shard counters summed, plus the counters
@@ -61,7 +58,7 @@ class ShardRouter {
   // feature store ([num_items, D], un-standardized).
   ShardRouter(const data::ImplicitDataset& dataset, ModelRegistry& registry,
               Tensor raw_features,
-              ShardRouterConfig config = ShardRouterConfig::from_env());
+              ShardRouterConfig config = {});
 
   std::size_t num_shards() const { return shards_.size(); }
   // Stable user -> shard mapping (splitmix64 of the user id, mod shards).
@@ -80,10 +77,11 @@ class ShardRouter {
                                      std::span<const float> features,
                                      const RecommendService::UpdateOrigin& origin = {});
 
-  // Checkpoint load: registers the checkpoint at `path` under `name`, kind
-  // "vbpr" (VBPR/AMR; an AMR checkpoint loads as a Vbpr and scores
-  // identically) or "bpr_mf", and bumps its version. A visual model serves
-  // the store's current rows, not the ones saved with it.
+  // Checkpoint load: replaces the model the registry holds under `name`
+  // with the checkpoint at `path`, kind "vbpr" (VBPR/AMR; an AMR checkpoint
+  // loads as a Vbpr and scores identically) or "bpr_mf", and bumps its
+  // version. Throws std::runtime_error for a name the registry lacks. A
+  // visual model serves the store's current rows, not the ones saved with it.
   void swap_model(const std::string& name, const std::string& kind,
                   const std::string& path);
 

@@ -16,7 +16,6 @@
 namespace taamr::env {
 
 // Whole-string integer parse: no whitespace, '+' prefix, or trailing junk.
-// Also splits list knobs such as TAAMR_SERVE_SHARD_SWEEP.
 std::optional<std::int64_t> parse_int(std::string_view text);
 
 // Integer knob in [lo, hi].

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/env.hpp"
 
@@ -31,24 +32,60 @@ std::set<std::string> matches(const std::string& text, const std::regex& re) {
 }
 
 // Every TAAMR_* variable the code reads is a quoted literal (the argument
-// of std::getenv or env::get_*); README's knob tables name each one in
-// backticks. The two sets must match, so a knob is never added without
-// documentation or left documented after its reader is gone.
-TEST(EnvKnobInventory, ReadmeDocumentsExactlyTheKnobsTheCodeReads) {
-  const fs::path root = TAAMR_SOURCE_ROOT;
+// of std::getenv or env::get_*).
+std::set<std::string> knobs_read_by_code(const fs::path& root) {
   const std::regex literal("\"(TAAMR_[A-Z0-9_]+)\"");
-  std::set<std::string> read_by_code;
+  std::set<std::string> out;
   for (const char* dir : {"src", "tools", "bench", "examples"}) {
     for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
       const std::string ext = entry.path().extension().string();
       if (ext != ".cpp" && ext != ".hpp") continue;
-      read_by_code.merge(matches(read_text(entry.path()), literal));
+      out.merge(matches(read_text(entry.path()), literal));
     }
   }
+  return out;
+}
+
+// README's knob tables name each knob the code reads in backticks. The two
+// sets must match, so a knob is never added without documentation or left
+// documented after its reader is gone.
+TEST(EnvKnobInventory, ReadmeDocumentsExactlyTheKnobsTheCodeReads) {
+  const fs::path root = TAAMR_SOURCE_ROOT;
+  const std::set<std::string> read_by_code = knobs_read_by_code(root);
   const std::set<std::string> documented =
       matches(read_text(root / "README.md"), std::regex("`(TAAMR_[A-Z0-9_]+)`"));
   EXPECT_FALSE(read_by_code.empty());
   EXPECT_EQ(read_by_code, documented);
+}
+
+// Every TAAMR_* variable a ctest script, a CMakeLists.txt or CI puts into a
+// process environment (NAME=value in an ENV list or a shell line, NAME:
+// value in a workflow env block) is one the code reads, so a gate never
+// sets a knob that has lost its reader. The compile definitions and the
+// sanitizer cache option are build settings, not environment.
+TEST(EnvKnobInventory, ScriptsSetOnlyKnobsTheCodeReads) {
+  const fs::path root = TAAMR_SOURCE_ROOT;
+  const std::set<std::string> read_by_code = knobs_read_by_code(root);
+  std::vector<fs::path> scripts = {root / ".github/workflows/ci.yml"};
+  for (const char* dir : {".", "src", "tools", "bench", "examples", "tests"}) {
+    scripts.push_back(root / dir / "CMakeLists.txt");
+  }
+  for (const auto& entry : fs::directory_iterator(root / "cmake")) {
+    if (entry.path().extension() == ".cmake") scripts.push_back(entry.path());
+  }
+  const std::regex assigned("(TAAMR_[A-Z0-9_]+)(?:=|: )");
+  const std::set<std::string> build_settings = {"TAAMR_GIT_SHA", "TAAMR_BUILD_TYPE",
+                                                "TAAMR_SOURCE_ROOT", "TAAMR_SANITIZE"};
+  std::size_t set_by_scripts = 0;
+  for (const fs::path& script : scripts) {
+    for (const std::string& name : matches(read_text(script), assigned)) {
+      if (build_settings.count(name)) continue;
+      ++set_by_scripts;
+      EXPECT_TRUE(read_by_code.count(name))
+          << script.lexically_relative(root) << " sets " << name << ", which no code reads";
+    }
+  }
+  EXPECT_GT(set_by_scripts, 0u);
 }
 
 // Every executable the root project builds, except this test binary, runs in

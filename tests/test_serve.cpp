@@ -1,12 +1,11 @@
 // Units of the serving subsystem: ModelRegistry (versioned hot-swap),
 // FeatureStore (epoch changelog), TopNCache (LRU), the JSONL
-// protocol, and ServeConfig env parsing. Suite names start with "Serve" so
-// the CI thread-sanitizer job picks them up.
+// protocol. Suite names start with "Serve" so the CI thread-sanitizer job
+// picks them up.
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <thread>
@@ -111,21 +110,28 @@ TEST(ServeRegistry, LoadsCheckpointsFromDisk) {
   recsys::BprMf bpr(ds, {}, rng);
   bpr.save_file(bpr_path);
 
-  // Checkpoints load through the router, the registry's one writer.
+  // Checkpoints load through the router, the registry's one writer, and
+  // replace only names the registry already holds.
   serve::ModelRegistry registry(ds);
+  registry.register_model("vbpr", make_vbpr(ds, rng), true);
+  registry.register_model(
+      "bpr_mf", std::make_shared<recsys::BprMf>(ds, recsys::BprMfConfig{}, rng), false);
   serve::ShardRouter router(ds, registry, features);
   router.swap_model("vbpr", "vbpr", vbpr_path);
   router.swap_model("bpr_mf", "bpr_mf", bpr_path);
   EXPECT_EQ(registry.names().size(), 2u);
+  EXPECT_EQ(registry.get("vbpr").version, 2u);
   EXPECT_NEAR(testing::score_row(*registry.get("vbpr").model, 0)[3],
               testing::score_row(vbpr, 0)[3], 1e-6f);
   EXPECT_NEAR(testing::score_row(*registry.get("bpr_mf").model, 1)[2],
               testing::score_row(bpr, 1)[2], 1e-6f);
   EXPECT_FALSE(registry.get("bpr_mf").visual);
 
-  EXPECT_THROW(router.swap_model("x", "vbpr", "/nonexistent/ckpt.bin"),
+  EXPECT_THROW(router.swap_model("vbpr", "vbpr", "/nonexistent/ckpt.bin"),
                std::runtime_error);
-  EXPECT_THROW(router.swap_model("x", "knn", vbpr_path), std::invalid_argument);
+  EXPECT_THROW(router.swap_model("vbpr", "knn", vbpr_path), std::invalid_argument);
+  EXPECT_THROW(router.swap_model("x", "vbpr", vbpr_path), std::runtime_error);
+  EXPECT_EQ(registry.names().size(), 2u);
   std::remove(vbpr_path.c_str());
   std::remove(bpr_path.c_str());
 }
@@ -461,26 +467,6 @@ TEST(ServeProtocol, DebugEchoAttachesStageBreakdown) {
   ASSERT_NE(stages, nullptr);
   EXPECT_DOUBLE_EQ(stages->find("parse")->num, 10.0);
   EXPECT_DOUBLE_EQ(stages->find("score")->num, 200.0);
-}
-
-// ---- ServeConfig ----
-
-TEST(ServeConfigEnv, ReadsAndValidatesKnobs) {
-  ::setenv("TAAMR_SERVE_CACHE_CAP", "128", 1);
-  auto cfg = serve::ServeConfig::from_env();
-  EXPECT_EQ(cfg.cache_capacity, 128);
-
-  // Malformed values fall back to defaults.
-  for (const char* bad : {"banana", "-3", "0"}) {
-    ::setenv("TAAMR_SERVE_CACHE_CAP", bad, 1);
-    cfg = serve::ServeConfig::from_env();
-    EXPECT_EQ(cfg.cache_capacity, serve::ServeConfig{}.cache_capacity) << bad;
-  }
-
-  // The change-log length is code-only: from_env leaves its default alone.
-  EXPECT_EQ(cfg.update_log_window, serve::ServeConfig{}.update_log_window);
-
-  ::unsetenv("TAAMR_SERVE_CACHE_CAP");
 }
 
 }  // namespace

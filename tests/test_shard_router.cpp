@@ -269,14 +269,15 @@ TEST_F(ShardRouterTest, RespondAnswersTheRouterOps) {
   }
 }
 
-// The swap_model ack echoes a client-chosen name: a quote or a newline in
-// it must not split the one response line or break its JSON.
+// The swap_model ack echoes the requested name: a quote or a newline in it
+// must not split the one response line or break its JSON.
 TEST_F(ShardRouterTest, SwapModelAckIsOneLineForAnyName) {
   auto router = make_router(1);
   const std::string path =
       (std::filesystem::temp_directory_path() / "taamr_router_swap_ack.bin").string();
   dynamic_cast<const recsys::Vbpr&>(*registry_.get("vbpr").model).save_file(path);
   const std::string name = "a\"b\nc";
+  registry_.register_model(name, registry_.get("vbpr").model, /*visual=*/true);
   const serve::Request req = serve::parse_request(
       R"({"op":"swap_model","model":"a\"b\nc","kind":"vbpr","path":")" +
       obs::json::escape(path) + "\"}");

@@ -130,7 +130,7 @@ void serve_stdin(Server& server) {
 }
 
 int serve_tcp(Server& server, int port) {
-  serve::EventLoopConfig cfg = serve::EventLoopConfig::from_env();
+  serve::EventLoopConfig cfg;
   cfg.port = port;
   const std::unique_ptr<serve::EventLoop> loop = server.router->front_door(
       cfg, [&server](std::size_t, const std::string& line) {
