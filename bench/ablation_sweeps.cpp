@@ -73,7 +73,7 @@ int main() {
         Rng rng(1234 + static_cast<std::uint64_t>(iters));
         const Tensor adv = attacker->perturb(pipeline.classifier(), clean, targets, rng);
         const double sr =
-            metrics::attack_success(pipeline.classifier(), adv, target, "pgd").success_rate;
+            metrics::attack_success(pipeline.classifier(), adv, target).success_rate;
         reporter.add_metric("ablation_success_rate",
                             {{"sweep", "pgd_iters"},
                              {"iters", std::to_string(iters)},

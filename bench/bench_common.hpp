@@ -6,10 +6,6 @@
 //   TAAMR_SCALE        dataset scale factor   (default data::kBenchScale)
 //   TAAMR_CACHE_DIR    cache directory        (default ./taamr_cache)
 //   TAAMR_SEED         master seed            (default 42)
-//   TAAMR_METRICS_OUT  metrics JSON path — every bench binary dumps the
-//                      registry snapshot (per-stage wall-time counters,
-//                      epoch-loss histograms) there at exit, next to its
-//                      stdout table output
 //   TAAMR_TRACE        Chrome trace-event JSON path (chrome://tracing)
 //   TAAMR_THREADS      global thread-pool size (default: hardware)
 //   TAAMR_BENCH_DIR    directory for the BENCH_<name>.json artifact each

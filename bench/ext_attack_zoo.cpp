@@ -43,7 +43,7 @@ int main() {
 
   auto evaluate = [&](const std::string& name, const Tensor& adv) {
     const auto success =
-        metrics::attack_success(pipeline.classifier(), adv, target, name);
+        metrics::attack_success(pipeline.classifier(), adv, target);
     const auto visual =
         metrics::average_visual_quality(pipeline.classifier(), clean, adv);
     const auto lists =

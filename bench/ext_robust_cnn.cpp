@@ -60,11 +60,11 @@ int main() {
     Rng r1(300 + static_cast<std::uint64_t>(eps)), r2(300 + static_cast<std::uint64_t>(eps));
     const Tensor adv_std = pgd.perturb(pipeline.classifier(), clean, targets, r1);
     const Tensor adv_rob = pgd.perturb(robust, clean, targets, r2);
-    const double sr_std = metrics::attack_success(pipeline.classifier(), adv_std,
-                                                  data::kRunningShoe, "pgd")
-                              .success_rate;
+    const double sr_std =
+        metrics::attack_success(pipeline.classifier(), adv_std, data::kRunningShoe)
+            .success_rate;
     const double sr_rob =
-        metrics::attack_success(robust, adv_rob, data::kRunningShoe, "pgd").success_rate;
+        metrics::attack_success(robust, adv_rob, data::kRunningShoe).success_rate;
     reporter.add_metric("success_rate",
                         {{"cnn", "standard"}, {"eps", Table::fmt(eps, 0)}}, sr_std);
     reporter.add_metric("success_rate",

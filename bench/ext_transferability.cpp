@@ -66,11 +66,9 @@ int main() {
       return metrics::category_hit_ratio(lists, ds, source, 100);
     };
     const double sr_white =
-        metrics::attack_success(pipeline.classifier(), adv_white, target, "pgd")
-            .success_rate;
+        metrics::attack_success(pipeline.classifier(), adv_white, target).success_rate;
     const double sr_transfer =
-        metrics::attack_success(pipeline.classifier(), adv_transfer, target, "pgd")
-            .success_rate;
+        metrics::attack_success(pipeline.classifier(), adv_transfer, target).success_rate;
     reporter.add_metric("success_rate",
                         {{"access", "white-box"}, {"eps", Table::fmt(eps, 0)}}, sr_white);
     reporter.add_metric("success_rate",

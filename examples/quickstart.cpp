@@ -8,8 +8,8 @@
 //
 // Build & run:   ./examples/quickstart
 //
-// Set TAAMR_TRACE=trace.json / TAAMR_METRICS_OUT=metrics.json to capture a
-// Chrome trace and a metrics snapshot of the run (see README, Observability).
+// Set TAAMR_TRACE=trace.json to capture a Chrome trace of the run (see
+// README, Observability).
 #include <iostream>
 
 #include "attack/attack.hpp"

@@ -54,7 +54,7 @@ int main() {
     Rng rng(100 + static_cast<std::uint64_t>(eps));
     const Tensor adv = fgsm->perturb(pipeline.classifier(), clean, true_labels, rng);
     const double moved =
-        metrics::misclassification_rate(pipeline.classifier(), adv, victim, "fgsm");
+        metrics::misclassification_rate(pipeline.classifier(), adv, victim);
 
     const auto lists_after = pipeline.lists_under_attack(
         *vbpr, pipeline.features_with_attack(items, adv), top_n);

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -83,14 +82,10 @@ Tensor CarliniWagner::perturb(nn::Classifier& classifier, const Tensor& images,
     w0[i] = safe_atanh((images[i] - lo) / range * 2.0f - 1.0f);
   }
 
-  auto& margin_hist = obs::MetricsRegistry::global().histogram(
-      "attack_cw_margin", {}, obs::exponential_bounds(1e-3, 2.0, 20));
-
   for (std::int64_t step = 0; step < binary_search_steps_; ++step) {
     TAAMR_TRACE_SPAN("attack/cw/search_step");
     Tensor w = w0;
     std::vector<bool> succeeded(static_cast<std::size_t>(n), false);
-    double last_margin_sum = 0.0;
 
     for (std::int64_t it = 0; it < config_.iterations; ++it) {
       const Tensor x = to_image_space(w);
@@ -118,9 +113,6 @@ Tensor CarliniWagner::perturb(nn::Classifier& classifier, const Tensor& images,
             }
             return cot;
           });
-      if (it == config_.iterations - 1) {
-        for (const float margin : margins) last_margin_sum += margin;
-      }
 
       // Gradient in image space: 2 (x - x0) + c * d f/dx, then chain through
       // the tanh reparameterization.
@@ -148,10 +140,6 @@ Tensor CarliniWagner::perturb(nn::Classifier& classifier, const Tensor& images,
         }
       }
     }
-
-    // Per-search-step telemetry: how deep the margin sits (negative = past
-    // the decision boundary).
-    margin_hist.observe(last_margin_sum / static_cast<double>(n));
 
     // Binary-search update of c.
     for (std::int64_t i = 0; i < n; ++i) {

@@ -162,8 +162,7 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
     products.batch = pipeline.attack_category(s.source_category, s.target_category,
                                               attack_key, eps);
     products.success = metrics::attack_success(
-        pipeline.classifier(), products.batch.attacked_images, s.target_category,
-        attack::display_name(attack_key));
+        pipeline.classifier(), products.batch.attacked_images, s.target_category);
     products.visual = metrics::average_visual_quality(
         pipeline.classifier(), products.batch.clean_images,
         products.batch.attacked_images);

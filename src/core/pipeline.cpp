@@ -7,23 +7,12 @@
 
 #include "data/categories.hpp"
 #include "nn/serialize.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recsys/ranker.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 
 namespace taamr::core {
-
-namespace {
-// Per-stage wall-time counters: the top-level breakdown of where a run's
-// hours go, keyed the same way as the trace spans.
-void add_stage_seconds(const char* stage, double seconds) {
-  obs::MetricsRegistry::global()
-      .counter("pipeline_stage_seconds_total", {{"stage", stage}})
-      .add(seconds);
-}
-}  // namespace
 
 nn::MiniResNetConfig PipelineConfig::cnn_config() const {
   nn::MiniResNetConfig cfg;
@@ -75,7 +64,6 @@ void Pipeline::train_or_load_classifier() {
     cache_path = (std::filesystem::path(config_.cache_dir) / key.str()).string();
     if (std::filesystem::exists(cache_path)) {
       TAAMR_TRACE_SPAN("pipeline/load_cnn");
-      Stopwatch load_timer;
       log_info() << "loading cached CNN checkpoint " << cache_path;
       classifier_ = nn::load_classifier_file(cache_path);
       // Evaluate on a fresh held-out set so accuracy is always reported.
@@ -84,7 +72,6 @@ void Pipeline::train_or_load_classifier() {
       classifier_accuracy_ =
           classifier_->evaluate_accuracy(held_out.images, held_out.labels);
       log_info() << "cached CNN held-out accuracy: " << classifier_accuracy_;
-      add_stage_seconds("classifier_load", load_timer.seconds());
       return;
     }
   }
@@ -111,7 +98,6 @@ void Pipeline::train_or_load_classifier() {
   classifier_accuracy_ = classifier_->evaluate_accuracy(held_out.images, held_out.labels);
   log_info() << "CNN trained in " << timer.seconds() << "s, held-out accuracy "
              << classifier_accuracy_;
-  add_stage_seconds("classifier_train", timer.seconds());
 
   if (!cache_path.empty()) {
     nn::save_classifier_file(cache_path, *classifier_);
@@ -130,7 +116,6 @@ void Pipeline::prepare() {
     catalog_ = data::render_catalog(*dataset_, config_.image_config());
   }
   log_info() << "dataset + catalog ready in " << timer.seconds() << "s";
-  add_stage_seconds("synthesize_dataset", timer.seconds());
 
   train_or_load_classifier();
 
@@ -141,7 +126,6 @@ void Pipeline::prepare() {
   }
   log_info() << "extracted clean features [" << clean_features_.dim(0) << " x "
              << clean_features_.dim(1) << "] in " << feat_timer.seconds() << "s";
-  add_stage_seconds("extract_features", feat_timer.seconds());
   prepared_ = true;
 }
 
@@ -155,7 +139,6 @@ std::unique_ptr<recsys::Vbpr> Pipeline::train_vbpr() {
   auto model = std::make_unique<recsys::Vbpr>(*dataset_, clean_features_, config_.vbpr, rng);
   model->fit(*dataset_, rng);
   log_info() << "VBPR trained in " << timer.seconds() << "s";
-  add_stage_seconds("train_vbpr", timer.seconds());
   return model;
 }
 
@@ -172,7 +155,6 @@ std::unique_ptr<recsys::Amr> Pipeline::train_amr() {
   auto model = std::make_unique<recsys::Amr>(*dataset_, clean_features_, cfg, rng);
   model->fit(*dataset_, rng);
   log_info() << "AMR trained in " << timer.seconds() << "s";
-  add_stage_seconds("train_amr", timer.seconds());
   return model;
 }
 
@@ -213,7 +195,6 @@ Pipeline::AttackedBatch Pipeline::attack_category(std::int32_t source_category,
              << batch.items.size() << " '" << data::category_name(source_category)
              << "' images -> '" << data::category_name(target_category) << "' in "
              << timer.seconds() << "s";
-  add_stage_seconds("attack_category", timer.seconds());
   return batch;
 }
 
@@ -221,7 +202,6 @@ Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
                                       const Tensor& attacked_images) {
   if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
   TAAMR_TRACE_SPAN("pipeline/re_extract_features");
-  Stopwatch timer;
   const Tensor attacked_features = classifier_->features(attacked_images);
   if (attacked_features.dim(0) != static_cast<std::int64_t>(items.size())) {
     throw std::invalid_argument("features_with_attack: items/images mismatch");
@@ -233,7 +213,6 @@ Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
       merged.at(items[b], j) = attacked_features.at(static_cast<std::int64_t>(b), j);
     }
   }
-  add_stage_seconds("re_extract_features", timer.seconds());
   return merged;
 }
 

@@ -1,41 +1,13 @@
 #include "metrics/success.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <stdexcept>
-#include <string>
 
-#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace taamr::metrics {
 
-namespace {
-
-std::string normalize_attack_label(std::string_view label) {
-  if (label.empty()) return "unspecified";
-  std::string out(label);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-void record_outcomes(std::string_view attack_label, std::int64_t successes,
-                     std::int64_t failures, bool untargeted) {
-  if (!obs::telemetry_enabled()) return;
-  obs::Labels labels = {{"attack", normalize_attack_label(attack_label)}};
-  if (untargeted) labels.emplace_back("mode", "untargeted");
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("attack_success_total", labels).add(static_cast<double>(successes));
-  reg.counter("attack_fail_total", labels).add(static_cast<double>(failures));
-}
-
-}  // namespace
-
 SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_images,
-                            std::int64_t target_class,
-                            std::string_view attack_label) {
+                            std::int64_t target_class, std::string_view) {
   if (target_class < 0 || target_class >= classifier.num_classes()) {
     throw std::invalid_argument("attack_success: target class out of range");
   }
@@ -52,14 +24,11 @@ SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_i
   stats.success_rate =
       static_cast<double>(successes) / static_cast<double>(stats.num_images);
   stats.mean_target_prob = prob_sum / static_cast<double>(stats.num_images);
-  record_outcomes(attack_label, successes, stats.num_images - successes,
-                  /*untargeted=*/false);
   return stats;
 }
 
 double misclassification_rate(nn::Classifier& classifier, const Tensor& attacked_images,
-                              std::int64_t source_class,
-                              std::string_view attack_label) {
+                              std::int64_t source_class) {
   if (source_class < 0 || source_class >= classifier.num_classes()) {
     throw std::invalid_argument("misclassification_rate: class out of range");
   }
@@ -68,9 +37,6 @@ double misclassification_rate(nn::Classifier& classifier, const Tensor& attacked
   for (std::int64_t p : pred) {
     if (p != source_class) ++moved;
   }
-  record_outcomes(attack_label, moved,
-                  static_cast<std::int64_t>(pred.size()) - moved,
-                  /*untargeted=*/true);
   return pred.empty() ? 0.0 : static_cast<double>(moved) / static_cast<double>(pred.size());
 }
 

@@ -1,11 +1,5 @@
 // Attack success probability (Table III): the fraction of attacked images
 // the classifier assigns to the adversary's target class.
-//
-// When telemetry is on, every call also books per-image outcomes into the
-// metrics registry as attack_success_total / attack_fail_total counters
-// labeled {attack=<attack_label>} (lowercased; "unspecified" when the
-// caller does not name the attack), so success probability shows up in
-// TAAMR_METRICS_OUT snapshots, not just the stdout tables.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +17,15 @@ struct SuccessStats {
   std::int64_t num_images = 0;
 };
 
+// `attack_label` is ignored. It stays only because the benchmark's probes
+// (benchmark/src/probes.cpp) still pass it.
 SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_images,
                             std::int64_t target_class,
                             std::string_view attack_label = {});
 
 // Untargeted counterpart: fraction whose prediction moved away from
 // `source_class` (used by the untargeted-attack extension benches).
-// Outcomes are booked under {attack=..., mode=untargeted}.
 double misclassification_rate(nn::Classifier& classifier, const Tensor& attacked_images,
-                              std::int64_t source_class,
-                              std::string_view attack_label = {});
+                              std::int64_t source_class);
 
 }  // namespace taamr::metrics

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/cost.hpp"
 #include "tensor/ops.hpp"
@@ -96,13 +95,10 @@ void Classifier::fit(const Tensor& images, const std::vector<std::int64_t>& labe
                      std::int64_t epochs, std::int64_t batch_size, SgdConfig sgd_config,
                      Rng& rng, bool verbose) {
   Sgd optimizer(sgd_config);
-  auto& loss_hist = obs::MetricsRegistry::global().histogram(
-      "cnn_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
   for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
     TAAMR_TRACE_SPAN("cnn/epoch");
     optimizer.set_learning_rate(step_decay_lr(sgd_config.learning_rate, epoch, epochs));
     const TrainStats stats = train_epoch(images, labels, batch_size, optimizer, rng);
-    loss_hist.observe(static_cast<double>(stats.loss));
     if (verbose) {
       log_info() << "cnn epoch " << (epoch + 1) << "/" << epochs << " loss=" << stats.loss
                  << " acc=" << stats.accuracy;

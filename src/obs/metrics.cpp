@@ -3,8 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -26,12 +24,6 @@ std::string expand_pid_path(std::string path, long pid) {
     pos += value.size();
   }
   return path;
-}
-
-bool telemetry_enabled() {
-  static const bool enabled = std::getenv("TAAMR_METRICS_OUT") != nullptr ||
-                              std::getenv("TAAMR_TRACE") != nullptr;
-  return enabled;
 }
 
 std::vector<double> exponential_bounds(double start, double factor, int count) {
@@ -114,21 +106,8 @@ double Histogram::quantile(double q) const {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry([] {
-    const char* path = std::getenv("TAAMR_METRICS_OUT");
-    return path != nullptr ? expand_pid_path(path) : std::string();
-  }());
+  static MetricsRegistry registry;
   return registry;
-}
-
-MetricsRegistry::~MetricsRegistry() {
-  if (dump_path_.empty()) return;
-  // No logging here: the Logger singleton may already be gone at static
-  // destruction time.
-  try {
-    write_json_file(dump_path_);
-  } catch (...) {
-  }
 }
 
 std::string MetricsRegistry::key_of(std::string_view name, const Labels& labels) {
@@ -184,77 +163,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name, const Labels& label
              .first;
   }
   return *it->second.instrument;
-}
-
-namespace {
-
-void append_labels(std::ostringstream& os, const Labels& labels) {
-  os << "\"labels\":{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json::escape(k) << "\":\"" << json::escape(v) << '"';
-  }
-  os << '}';
-}
-
-}  // namespace
-
-std::string MetricsRegistry::to_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\n\"counters\":[";
-  bool first = true;
-  for (const auto& [key, e] : counters_) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"name\":\"" << json::escape(e.name) << "\",";
-    append_labels(os, e.labels);
-    os << ",\"value\":" << json::number(e.instrument->value()) << '}';
-  }
-  os << "],\n\"gauges\":[";
-  first = true;
-  for (const auto& [key, e] : gauges_) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"name\":\"" << json::escape(e.name) << "\",";
-    append_labels(os, e.labels);
-    os << ",\"value\":" << json::number(e.instrument->value()) << '}';
-  }
-  os << "],\n\"histograms\":[";
-  first = true;
-  for (const auto& [key, e] : histograms_) {
-    if (!first) os << ',';
-    first = false;
-    const Histogram& h = *e.instrument;
-    os << "\n{\"name\":\"" << json::escape(e.name) << "\",";
-    append_labels(os, e.labels);
-    const std::uint64_t n = h.count();
-    os << ",\"count\":" << n << ",\"sum\":" << json::number(h.sum());
-    if (n > 0) {
-      os << ",\"min\":" << json::number(h.min())
-         << ",\"max\":" << json::number(h.max())
-         << ",\"mean\":" << json::number(h.mean())
-         << ",\"p50\":" << json::number(h.quantile(0.50))
-         << ",\"p90\":" << json::number(h.quantile(0.90))
-         << ",\"p99\":" << json::number(h.quantile(0.99));
-    }
-    os << ",\"buckets\":[";
-    for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
-      if (i != 0) os << ',';
-      os << "{\"le\":";
-      if (i < h.bounds().size()) {
-        os << json::number(h.bounds()[i]);
-      } else {
-        os << "\"+inf\"";
-      }
-      os << ",\"count\":" << h.bucket_count(i) << '}';
-    }
-    os << "]}";
-  }
-  os << "]\n}\n";
-  return os.str();
 }
 
 namespace {
@@ -341,13 +249,4 @@ std::string MetricsRegistry::to_prometheus() const {
   os << "# EOF\n";
   return os.str();
 }
-
-void MetricsRegistry::write_json_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("MetricsRegistry: cannot open " + path);
-  }
-  os << to_json();
-}
-
 }  // namespace taamr::obs

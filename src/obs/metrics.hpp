@@ -1,10 +1,10 @@
 // Process-wide metrics registry: named, labeled Counter / Gauge / Histogram
-// families with lock-free (atomic) hot paths and a JSON snapshot export.
+// families with lock-free (atomic) hot paths and a Prometheus text export.
 //
 // Usage:
-//   auto& c = obs::MetricsRegistry::global().counter(
-//       "pipeline_stage_seconds_total", {{"stage", "prepare"}});
-//   c.add(timer.seconds());
+//   auto& h = obs::MetricsRegistry::global().histogram(
+//       "serve_stage_seconds", {{"stage", "parse"}});
+//   h.observe(seconds);
 //
 // Registration (name + labels -> instrument) takes a mutex; the returned
 // reference is stable for the registry's lifetime, so hot paths grab the
@@ -12,12 +12,8 @@
 // a concurrent observe() may or may not be included, but every field read
 // is a whole atomic value.
 //
-// If TAAMR_METRICS_OUT=<path> is set in the environment, the registry
-// writes its JSON snapshot to <path> at process exit, which gives every
-// binary (benches, examples, the CLI) a machine-readable metrics dump for
-// free. `telemetry_enabled()` reports whether either observability knob
-// (TAAMR_METRICS_OUT / TAAMR_TRACE) is active; hot-path call sites use it
-// to skip instrumentation entirely on plain runs.
+// Every family registered here has a reader (a test, gate, tool, bench or
+// the benchmark); MetricInventory in tests/test_env.cpp keeps it that way.
 #pragma once
 
 #include <atomic>
@@ -34,13 +30,9 @@ namespace taamr::obs {
 
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-// True iff TAAMR_METRICS_OUT or TAAMR_TRACE is set.
-// Evaluated once at first call.
-bool telemetry_enabled();
-
 // Replaces every "%p" in `path` with the decimal process id, so concurrent
 // producers (e.g. a load bench and the server it forks, both started with
-// TAAMR_METRICS_OUT / TAAMR_TRACE / TAAMR_AUDIT_LOG pointing at the same
+// TAAMR_TRACE / TAAMR_AUDIT_LOG / TAAMR_PROFILE_OUT pointing at the same
 // template) write distinct files instead of clobbering each other at exit.
 // Paths without "%p" pass through unchanged. The env readers of all three
 // knobs apply this at configuration time.
@@ -129,14 +121,10 @@ class Histogram {
 
 class MetricsRegistry {
  public:
-  // Process-wide registry. Constructed on first use; at destruction writes
-  // the snapshot to $TAAMR_METRICS_OUT when that variable is set.
+  // Process-wide registry, constructed on first use.
   static MetricsRegistry& global();
 
   MetricsRegistry() = default;
-  explicit MetricsRegistry(std::string dump_path)
-      : dump_path_(std::move(dump_path)) {}
-  ~MetricsRegistry();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -148,17 +136,13 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, const Labels& labels = {},
                        std::vector<double> bounds = {});
 
-  // Weakly consistent snapshot of every registered instrument, safe to call
-  // mid-run from any thread (the serving stats/metrics ops read it on live
-  // traffic); the atexit dump reuses it.
-  std::string to_json() const;
-  // Prometheus-style text exposition of the same snapshot: counters and
-  // gauges as single samples, histograms as cumulative _bucket{le=...}
-  // series plus _sum/_count. Ends with "# EOF" (OpenMetrics-style), which
-  // doubles as the framing marker for the serving protocol's multi-line
-  // {"op":"metrics"} response.
+  // Weakly consistent Prometheus-style text snapshot of every registered
+  // instrument, safe to call mid-run from any thread ({"op":"metrics"} reads
+  // it on live traffic): counters and gauges as single samples, histograms
+  // as cumulative _bucket{le=...} series plus _sum/_count. Ends with
+  // "# EOF" (OpenMetrics-style), which doubles as the framing marker for
+  // the serving protocol's multi-line {"op":"metrics"} response.
   std::string to_prometheus() const;
-  void write_json_file(const std::string& path) const;
 
  private:
   template <typename T>
@@ -174,7 +158,6 @@ class MetricsRegistry {
   std::map<std::string, Entry<Counter>> counters_;
   std::map<std::string, Entry<Gauge>> gauges_;
   std::map<std::string, Entry<Histogram>> histograms_;
-  std::string dump_path_;
 };
 
 }  // namespace taamr::obs

@@ -1,7 +1,6 @@
 // Process memory telemetry: peak resident set size, read from the OS
-// (getrusage). Used by the bench reporter's memory section
-// and dumped as gauges into any TAAMR_METRICS_OUT snapshot by callers that
-// want them. Returns 0 where the platform offers no answer.
+// (getrusage). Used by the bench reporter's memory section and the
+// benchmark. Returns 0 where the platform offers no answer.
 #pragma once
 
 #include <cstdint>

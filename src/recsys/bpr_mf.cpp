@@ -7,7 +7,6 @@
 
 #include "util/io.hpp"
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -138,12 +137,9 @@ BprMf BprMf::load_file(const std::string& path, const data::ImplicitDataset& dat
 }
 
 void BprMf::fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose) {
-  auto& loss_hist = obs::MetricsRegistry::global().histogram(
-      "bpr_mf_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     TAAMR_TRACE_SPAN("recsys/bpr_mf/epoch");
     const float loss = train_epoch(dataset, rng);
-    loss_hist.observe(static_cast<double>(loss));
     if (verbose && (epoch + 1) % 20 == 0) {
       log_info() << "bpr-mf epoch " << (epoch + 1) << "/" << config_.epochs
                  << " loss=" << loss;

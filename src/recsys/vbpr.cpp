@@ -8,7 +8,6 @@
 
 #include "util/io.hpp"
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/cost.hpp"
 #include "tensor/ops.hpp"
@@ -351,12 +350,9 @@ Vbpr Vbpr::load_file(const std::string& path, const data::ImplicitDataset& datas
 }
 
 void Vbpr::fit(const data::ImplicitDataset& dataset, Rng& rng, bool verbose) {
-  auto& loss_hist = obs::MetricsRegistry::global().histogram(
-      "vbpr_epoch_loss", {}, obs::exponential_bounds(1e-3, 2.0, 20));
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     TAAMR_TRACE_SPAN("recsys/vbpr/epoch");
     const float loss = train_epoch(dataset, rng);
-    loss_hist.observe(static_cast<double>(loss));
     if (verbose && (epoch + 1) % 20 == 0) {
       log_info() << name() << " epoch " << (epoch + 1) << "/" << config_.epochs
                  << " loss=" << loss;

@@ -1,7 +1,6 @@
 #include "tensor/cost.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "obs/metrics.hpp"
 #include "tensor/simd/dispatch.hpp"
@@ -28,7 +27,7 @@ const char* kernel_name(Kernel k) {
 
 namespace detail {
 
-std::atomic<int> g_state{-1};
+std::atomic<bool> g_state{false};
 
 namespace {
 
@@ -37,8 +36,6 @@ constexpr int kKernels = static_cast<int>(Kernel::kCount);
 struct KernelCounters {
   obs::Counter* flops[kKernels] = {};
   obs::Counter* bytes[kKernels] = {};
-  obs::Gauge* in_use_gauge = nullptr;
-  obs::Gauge* high_water_gauge = nullptr;
   std::atomic<std::int64_t> in_use{0};
   std::atomic<std::int64_t> high_water{0};
 };
@@ -59,22 +56,12 @@ KernelCounters& counters() {
       fresh->flops[k] = &reg.counter("tensor_kernel_flops_total", labels);
       fresh->bytes[k] = &reg.counter("tensor_kernel_bytes_total", labels);
     }
-    fresh->in_use_gauge = &reg.gauge("tensor_bytes_in_use");
-    fresh->high_water_gauge = &reg.gauge("tensor_bytes_high_water");
     return fresh;
   }();
   return *c;
 }
 
 }  // namespace
-
-bool init_slow() {
-  // Racing first calls both compute the same answer; the store is idempotent.
-  const int on = obs::telemetry_enabled() ? 1 : 0;
-  int expected = -1;
-  g_state.compare_exchange_strong(expected, on, std::memory_order_relaxed);
-  return g_state.load(std::memory_order_relaxed) != 0;
-}
 
 void add_slow(Kernel k, double flops, double bytes) {
   KernelCounters& c = counters();
@@ -87,27 +74,22 @@ void track_alloc_slow(std::int64_t bytes) {
   KernelCounters& c = counters();
   const std::int64_t now =
       c.in_use.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  c.in_use_gauge->set(static_cast<double>(std::max<std::int64_t>(0, now)));
   std::int64_t high = c.high_water.load(std::memory_order_relaxed);
   while (now > high &&
          !c.high_water.compare_exchange_weak(high, now, std::memory_order_relaxed)) {
   }
-  if (now > high) c.high_water_gauge->set(static_cast<double>(now));
 }
 
 void track_free_slow(std::int64_t bytes) {
-  KernelCounters& c = counters();
-  const std::int64_t now =
-      c.in_use.fetch_sub(bytes, std::memory_order_relaxed) - bytes;
-  c.in_use_gauge->set(static_cast<double>(std::max<std::int64_t>(0, now)));
+  counters().in_use.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
 }  // namespace detail
 
-void enable() { detail::g_state.store(1, std::memory_order_relaxed); }
+void enable() { detail::g_state.store(true, std::memory_order_relaxed); }
 
 KernelTotals totals(Kernel k) {
-  if (detail::g_state.load(std::memory_order_relaxed) <= 0) return {};
+  if (!enabled()) return {};
   auto& c = detail::counters();
   const int i = static_cast<int>(k);
   return {c.flops[i]->value(), c.bytes[i]->value()};
@@ -124,13 +106,13 @@ KernelTotals totals() {
 }
 
 std::int64_t tensor_bytes_in_use() {
-  if (detail::g_state.load(std::memory_order_relaxed) <= 0) return 0;
+  if (!enabled()) return 0;
   return std::max<std::int64_t>(
       0, detail::counters().in_use.load(std::memory_order_relaxed));
 }
 
 std::int64_t tensor_bytes_high_water() {
-  if (detail::g_state.load(std::memory_order_relaxed) <= 0) return 0;
+  if (!enabled()) return 0;
   return detail::counters().high_water.load(std::memory_order_relaxed);
 }
 

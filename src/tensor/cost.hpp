@@ -3,20 +3,18 @@
 // scoring), plus tensor-allocator byte tracking (bytes in use and the
 // process-lifetime high-water mark).
 //
-// Counts accumulate into the obs::metrics registry under the labeled
+// Kernel counts accumulate into the obs::metrics registry under the labeled
 // families
 //
 //   tensor_kernel_flops_total{kernel=<family>}
 //   tensor_kernel_bytes_total{kernel=<family>}
-//   tensor_bytes_in_use / tensor_bytes_high_water   (gauges)
 //
-// so any TAAMR_METRICS_OUT dump carries them, and the bench reporter can
-// derive GFLOP/s from wall time. Accounting follows the telemetry
-// convention: off by default, switched on by the cached
-// obs::telemetry_enabled() check or explicitly via cost::enable() (the
-// bench reporter does this so BENCH_*.json always has real counts). When
-// disabled every hook is a single relaxed atomic load, so untelemetered
-// runs are unchanged.
+// which totals() reads, so the bench reporter can derive GFLOP/s from wall
+// time. Allocator bytes live in plain atomics, read through
+// tensor_bytes_in_use() / tensor_bytes_high_water(). Accounting is off until
+// cost::enable() (the bench reporter and the benchmark call it, so
+// BENCH_*.json always has real counts). When disabled every hook is a
+// single relaxed atomic load, so unaccounted runs are unchanged.
 //
 // Counts are *nominal*: GEMM books 2*m*k*n FLOPs even though the kernel
 // skips zero multiplicands, and tensor byte tracking sees only the Tensor
@@ -42,21 +40,14 @@ enum class Kernel : int {
 const char* kernel_name(Kernel k);
 
 namespace detail {
-// -1 = not yet decided, 0 = off, 1 = on.
-extern std::atomic<int> g_state;
-bool init_slow();
+extern std::atomic<bool> g_state;
 void add_slow(Kernel k, double flops, double bytes);
 void track_alloc_slow(std::int64_t bytes);
 void track_free_slow(std::int64_t bytes);
 }  // namespace detail
 
-// True when cost accounting is active. First call latches the decision
-// from obs::telemetry_enabled(); enable() overrides at any time.
-inline bool enabled() {
-  const int s = detail::g_state.load(std::memory_order_relaxed);
-  if (s < 0) return detail::init_slow();
-  return s != 0;
-}
+// True once enable() has run.
+inline bool enabled() { return detail::g_state.load(std::memory_order_relaxed); }
 
 // Force accounting on for the rest of the process (bench reporter, tests).
 void enable();

@@ -4,7 +4,7 @@
 // default"; a value that is not a plain number in range is reported with a
 // warning on stderr and replaced by the default, so a typo never silently
 // becomes 0 (an empty dataset, a zero-sized cache). Path knobs
-// (TAAMR_TRACE, TAAMR_METRICS_OUT, ...) need no parsing and are read with
+// (TAAMR_TRACE, TAAMR_AUDIT_LOG, ...) need no parsing and are read with
 // std::getenv at their use sites.
 #pragma once
 

@@ -52,14 +52,16 @@ TEST(Cost, CountersLandInMetricsRegistry) {
   Tensor a({2, 2}, 1.0f), b({2, 2}, 1.0f);
   Tensor c = ops::matmul(a, b);
   // The gemm family carries a simd_variant label recording which kernel
-  // variant this process dispatched to.
-  const double v =
-      obs::MetricsRegistry::global()
-          .counter("tensor_kernel_flops_total",
-                   {{"kernel", "gemm"},
-                    {"simd_variant", simd::active_variant_name()}})
-          .value();
-  EXPECT_GT(v, 0.0);
+  // variant this process dispatched to. totals() reads these two counters.
+  const obs::Labels gemm = {{"kernel", "gemm"},
+                            {"simd_variant", simd::active_variant_name()}};
+  auto& reg = obs::MetricsRegistry::global();
+  const double flops = reg.counter("tensor_kernel_flops_total", gemm).value();
+  const double bytes = reg.counter("tensor_kernel_bytes_total", gemm).value();
+  EXPECT_GT(flops, 0.0);
+  EXPECT_GT(bytes, 0.0);
+  EXPECT_DOUBLE_EQ(cost::totals(cost::Kernel::kGemm).flops, flops);
+  EXPECT_DOUBLE_EQ(cost::totals(cost::Kernel::kGemm).bytes, bytes);
 }
 
 TEST(Cost, TensorAllocationTracking) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -109,6 +111,63 @@ TEST(BinaryInventory, EveryBuiltExecutableRunsInSomeTest) {
   EXPECT_EQ(built.erase("taamr_tests"), 1u);
   for (const std::string& name : built) {
     EXPECT_TRUE(run.count(name)) << name << " is built but no ctest runs it";
+  }
+}
+
+// True when `text` names metric `family`, alone or as the _bucket/_sum/_count
+// series of its Prometheus exposition.
+bool names_family(const std::string& text, const std::string& family) {
+  const std::regex re("(^|[^A-Za-z0-9_])" + family +
+                      "(_bucket|_sum|_count)?($|[^A-Za-z0-9_])");
+  return std::regex_search(text, re);
+}
+
+// Every metric family the code registers (the literal first argument of a
+// .counter/.gauge/.histogram call in src/, tools/ or bench/) is read: a
+// test, gate, tool, bench, the benchmark or CI names it. A file that
+// registers a family does not count as its reader, except that bench/ and
+// tools/ may look up a family src/ registers to read its values.
+TEST(MetricInventory, EveryRegisteredFamilyIsRead) {
+  const fs::path root = TAAMR_SOURCE_ROOT;
+  const std::regex registered(R"re(\.(?:counter|gauge|histogram)\(\s*"([A-Za-z0-9_]+)")re");
+  std::map<std::string, std::set<fs::path>> owners;
+  for (const char* dir : {"src", "tools", "bench"}) {
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (ext != ".cpp" && ext != ".hpp") continue;
+      for (const std::string& family : matches(read_text(entry.path()), registered)) {
+        owners[family].insert(entry.path());
+      }
+    }
+  }
+  std::map<fs::path, std::string> readers;
+  const std::set<std::string> code = {".cpp", ".hpp", ".cmake", ".txt", ".yml", ".py"};
+  for (const char* dir : {"tests", "cmake", "bench", "tools", "benchmark", ".github"}) {
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      // Skip this file: the inventory names no family it reads.
+      if (!entry.is_regular_file() || !code.count(entry.path().extension().string()) ||
+          entry.path().filename() == "test_env.cpp") {
+        continue;
+      }
+      readers[entry.path()] = read_text(entry.path());
+    }
+  }
+  EXPECT_FALSE(owners.empty());
+  for (const auto& [family, files] : owners) {
+    const bool src_owned = std::any_of(files.begin(), files.end(), [&](const fs::path& f) {
+      return f.lexically_relative(root).begin()->string() == "src";
+    });
+    bool read = false;
+    for (const auto& [path, text] : readers) {
+      if (!src_owned && files.count(path)) continue;
+      if (names_family(text, family)) {
+        read = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(read) << family << " is registered in "
+                      << files.begin()->lexically_relative(root)
+                      << " but no test, gate, tool, bench or CI step reads it";
   }
 }
 

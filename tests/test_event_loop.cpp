@@ -202,7 +202,11 @@ TEST(AdmissionTest, OverloadShedsInsteadOfHanging) {
   ASSERT_TRUE(client.connected());
   constexpr int kBurst = 8;
   std::string burst;
-  for (int i = 0; i < kBurst; ++i) burst += "r" + std::to_string(i) + "\n";
+  for (int i = 0; i < kBurst; ++i) {
+    burst += 'r';
+    burst += std::to_string(i);
+    burst += '\n';
+  }
   ASSERT_TRUE(client.send_raw(burst));
 
   // Exactly one response line per request line, in request order, with the

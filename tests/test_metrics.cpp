@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace taamr::obs {
@@ -112,10 +112,13 @@ TEST(Metrics, SnapshotWhileHammeringIsConsistent) {
       } while (!stop.load());
     });
   }
-  // Snapshots taken mid-hammer must always be parseable JSON.
+  // Snapshots taken mid-hammer (as {"op":"metrics"} takes them on live
+  // traffic) must always be whole: they end with the framing marker.
+  const std::string eof = "# EOF\n";
   for (int i = 0; i < 20; ++i) {
-    const std::string snap = MetricsRegistry::global().to_json();
-    EXPECT_NO_THROW(json::parse(snap));
+    const std::string snap = MetricsRegistry::global().to_prometheus();
+    ASSERT_GE(snap.size(), eof.size());
+    EXPECT_EQ(snap.compare(snap.size() - eof.size(), eof.size(), eof), 0) << snap;
   }
   stop.store(true);
   for (auto& t : writers) t.join();
@@ -125,52 +128,6 @@ TEST(Metrics, SnapshotWhileHammeringIsConsistent) {
     bucket_total += h.bucket_count(i);
   }
   EXPECT_EQ(h.count(), bucket_total);
-}
-
-TEST(Metrics, JsonSnapshotRoundTrips) {
-  auto& reg = MetricsRegistry::global();
-  reg.counter("test_json_counter", {{"stage", "prepare"}}).add(2.5);
-  reg.gauge("test_json_gauge").set(-1.25);
-  reg.histogram("test_json_hist", {}, {1.0, 2.0}).observe(1.5);
-
-  const json::Value doc = json::parse(reg.to_json());
-  ASSERT_TRUE(doc.is_object());
-  const json::Value* counters = doc.find("counters");
-  const json::Value* gauges = doc.find("gauges");
-  const json::Value* histograms = doc.find("histograms");
-  ASSERT_NE(counters, nullptr);
-  ASSERT_NE(gauges, nullptr);
-  ASSERT_NE(histograms, nullptr);
-
-  bool found_counter = false;
-  for (const json::Value& v : counters->array) {
-    const json::Value* name = v.find("name");
-    if (name == nullptr || name->str != "test_json_counter") continue;
-    found_counter = true;
-    const json::Value* labels = v.find("labels");
-    ASSERT_NE(labels, nullptr);
-    const json::Value* stage = labels->find("stage");
-    ASSERT_NE(stage, nullptr);
-    EXPECT_EQ(stage->str, "prepare");
-    ASSERT_NE(v.find("value"), nullptr);
-    EXPECT_DOUBLE_EQ(v.find("value")->num, 2.5);
-  }
-  EXPECT_TRUE(found_counter);
-
-  bool found_hist = false;
-  for (const json::Value& v : histograms->array) {
-    const json::Value* name = v.find("name");
-    if (name == nullptr || name->str != "test_json_hist") continue;
-    found_hist = true;
-    EXPECT_DOUBLE_EQ(v.find("count")->num, 1.0);
-    EXPECT_DOUBLE_EQ(v.find("sum")->num, 1.5);
-    const json::Value* buckets = v.find("buckets");
-    ASSERT_NE(buckets, nullptr);
-    ASSERT_EQ(buckets->array.size(), 3u);  // two bounds + overflow
-    EXPECT_DOUBLE_EQ(buckets->array[1].find("count")->num, 1.0);
-    EXPECT_EQ(buckets->array[2].find("le")->str, "+inf");
-  }
-  EXPECT_TRUE(found_hist);
 }
 
 TEST(Metrics, ExponentialBoundsShape) {

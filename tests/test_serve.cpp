@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "data/amazon_synth.hpp"
@@ -136,12 +138,13 @@ TEST(ServeRegistry, LoadsCheckpointsFromDisk) {
   std::remove(bpr_path.c_str());
 }
 
-// Series in the global registry: the array lengths of its JSON snapshot.
+// Sample lines in the global registry's exposition (every line but the
+// "# TYPE" and "# EOF" comments); a new series adds at least one.
 std::size_t metric_series() {
-  const obs::json::Value doc = obs::json::parse(obs::MetricsRegistry::global().to_json());
+  std::istringstream text(obs::MetricsRegistry::global().to_prometheus());
   std::size_t n = 0;
-  for (const char* kind : {"counters", "gauges", "histograms"}) {
-    n += doc.find(kind)->array.size();
+  for (std::string line; std::getline(text, line);) {
+    if (!line.empty() && line[0] != '#') ++n;
   }
   return n;
 }
@@ -162,7 +165,7 @@ TEST(ServeRegistry, ModelNamesAddNoMetricSeries) {
   registry.register_model(fresh, make_vbpr(ds, rng), true);
   registry.register_model(fresh, make_vbpr(ds, rng), true);  // a checkpoint swap
   for (std::int64_t u = 0; u < 3; ++u) service.recommend(fresh, u, 5);
-  EXPECT_EQ(metric_series(), before) << obs::MetricsRegistry::global().to_json();
+  EXPECT_EQ(metric_series(), before) << obs::MetricsRegistry::global().to_prometheus();
 }
 
 // ---- FeatureStore ----

@@ -186,7 +186,9 @@ TEST(SimdParity, ProjectLinfWithOriginsOutsideTheBox) {
   for (std::size_t i = 0; i < origin.size(); ++i) {
     const float l = std::max(kLo, origin[i] - kEps);
     const float h = std::min(kHi, origin[i] + kEps);
-    if (l > h) EXPECT_EQ(s[i], h) << i;
+    if (l > h) {
+      EXPECT_EQ(s[i], h) << i;
+    }
   }
   REQUIRE_AVX2_OR_SKIP(avx2);
   const std::vector<float> a = project(avx2);

@@ -106,8 +106,8 @@ int cmd_attack(const ArgParser& args) {
   }
 
   const auto batch = pipeline.attack_category(source, target, attack_key, eps);
-  const auto success = metrics::attack_success(pipeline.classifier(),
-                                               batch.attacked_images, target, attack_name);
+  const auto success =
+      metrics::attack_success(pipeline.classifier(), batch.attacked_images, target);
   const auto visual = metrics::average_visual_quality(
       pipeline.classifier(), batch.clean_images, batch.attacked_images);
   const auto before = recsys::top_n_lists(*model, ds, cfg.top_n);

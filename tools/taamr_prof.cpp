@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "obs/profile_stats.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -92,7 +93,14 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--top") {
-      top_k = static_cast<std::size_t>(std::strtoul(next("--top"), nullptr, 10));
+      const char* raw = next("--top");
+      const auto parsed = taamr::env::parse_int(raw);
+      if (!parsed || *parsed <= 0) {
+        std::fprintf(stderr, "taamr_prof: --top must be a positive integer, got '%s'\n",
+                     raw);
+        return 2;
+      }
+      top_k = static_cast<std::size_t>(*parsed);
     } else if (arg == "--out") {
       out_path = next("--out");
     } else if (arg == "--diff") {

@@ -3,8 +3,7 @@
 //
 //   # human report from one or more bench artifacts (+ optional extras)
 //   ./tools/taamr_report BENCH_table2_chr.json
-//       [--metrics metrics.json] [--trace trace.json]
-//       [--out report.md]
+//       [--audit audit.jsonl] [--profile prof.folded] [--out report.md]
 //
 //   # schema validation only (CI artifact check)
 //   ./tools/taamr_report --check BENCH_*.json
@@ -26,7 +25,6 @@
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/profile_stats.hpp"
-#include "obs/trace_stats.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -119,60 +117,7 @@ void render_bench_section(std::ostream& os, const obs::BenchReport& r) {
   }
 }
 
-void render_metrics_section(std::ostream& os, const json::Value& doc) {
-  os << "## Metrics snapshot\n\n";
-  const json::Value* counters = doc.find("counters");
-  if (counters != nullptr && counters->is_array() && !counters->array.empty()) {
-    os << "| counter | labels | value |\n|---|---|---|\n";
-    for (const json::Value& c : counters->array) {
-      const json::Value* name = c.find("name");
-      const json::Value* value = c.find("value");
-      if (name == nullptr || value == nullptr) continue;
-      std::string labels;
-      if (const json::Value* l = c.find("labels"); l != nullptr && l->is_object()) {
-        for (const auto& [k, v] : l->object) {
-          if (!labels.empty()) labels += ", ";
-          labels += k + "=" + v.str;
-        }
-      }
-      os << "| " << name->str << " | " << labels << " | " << json::number(value->num)
-         << " |\n";
-    }
-    os << "\n";
-  }
-  const json::Value* histograms = doc.find("histograms");
-  if (histograms != nullptr && histograms->is_array() && !histograms->array.empty()) {
-    os << "| histogram | count | mean | p50 | p90 | p99 |\n|---|---|---|---|---|---|\n";
-    for (const json::Value& h : histograms->array) {
-      const json::Value* name = h.find("name");
-      const json::Value* count = h.find("count");
-      if (name == nullptr || count == nullptr || count->num == 0.0) continue;
-      auto cell = [&](const char* key) {
-        const json::Value* v = h.find(key);
-        return v != nullptr ? Table::fmt(v->num, 4) : std::string("-");
-      };
-      os << "| " << name->str << " | " << json::number(count->num) << " | "
-         << cell("mean") << " | " << cell("p50") << " | " << cell("p90") << " | "
-         << cell("p99") << " |\n";
-    }
-    os << "\n";
-  }
-}
-
-void render_trace_section(std::ostream& os, const obs::TraceDocument& doc) {
-  os << "## Trace: top spans by self-time\n\n";
-  os << doc.total_events() << " events on " << doc.by_tid.size()
-     << " thread(s)\n\n";
-  os << "| span | self (ms) | wall (ms) | count |\n|---|---|---|---|\n";
-  for (const auto& [name, s] : obs::trace_top_spans(doc, 10)) {
-    os << "| " << name << " | " << Table::fmt(s.self_us / 1e3, 3) << " | "
-       << Table::fmt(s.wall_us / 1e3, 3) << " | " << s.count << " |\n";
-  }
-  os << "\n";
-}
-
-// Top-K self-weight table from a collapsed-stack CPU/alloc profile, the
-// sampling counterpart of the span-based trace section.
+// Top-K self-weight table from a collapsed-stack CPU/alloc profile.
 void render_profile_section(std::ostream& os, const obs::FoldedProfile& p,
                             const std::string& path) {
   os << "## Profile: top frames by self weight (" << path << ")\n\n";
@@ -272,8 +217,6 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
 
   const std::string baseline_path = args.get("baseline", "");
-  const std::string metrics_path = args.get("metrics", "");
-  const std::string trace_path = args.get("trace", "");
   const std::string audit_path = args.get("audit", "");
   const std::string profile_path = args.get("profile", "");
   const std::string out_path = args.get("out", "");
@@ -290,16 +233,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // An audit, trace or profile file alone is a valid report subject — the
+  // An audit or profile file alone is a valid report subject — the
   // serve_obs gate validates the audit trail without a bench artifact.
-  if (bench_paths.empty() && audit_path.empty() && trace_path.empty() &&
-      profile_path.empty()) {
+  if (bench_paths.empty() && audit_path.empty() && profile_path.empty()) {
     std::fprintf(stderr,
                  "usage: %s <BENCH_*.json...> [--check] [--baseline old.json]\n"
-                 "       [--threshold 10%%] [--metrics metrics.json]\n"
-                 "       [--trace trace.json]\n"
-                 "       [--audit audit.jsonl] [--profile prof.folded]\n"
-                 "       [--out report.md]\n",
+                 "       [--threshold 10%%] [--audit audit.jsonl]\n"
+                 "       [--profile prof.folded] [--out report.md]\n",
                  argv[0]);
     return 2;
   }
@@ -367,12 +307,6 @@ int main(int argc, char** argv) {
   }
   for (const obs::BenchReport& r : reports) render_bench_section(md, r);
   try {
-    if (!metrics_path.empty()) {
-      render_metrics_section(md, json::parse(read_file(metrics_path)));
-    }
-    if (!trace_path.empty()) {
-      render_trace_section(md, obs::parse_trace_document(read_file(trace_path)));
-    }
     if (!profile_path.empty()) {
       render_profile_section(md, obs::parse_folded(read_file(profile_path)),
                              profile_path);

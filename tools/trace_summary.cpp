@@ -7,13 +7,13 @@
 // invalid files with a specific error, so this doubles as a trace
 // validator in the ctest quickstart check.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "obs/trace_stats.hpp"
+#include "util/env.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s <trace.json> [top_k]\n", argv[0]);
     return 2;
   }
-  int top_k = 10;
+  std::int64_t top_k = 10;
   if (argc == 3) {
-    top_k = std::atoi(argv[2]);
-    if (top_k <= 0) {
-      std::fprintf(stderr, "trace_summary: top_k must be positive, got '%s'\n",
+    const auto parsed = taamr::env::parse_int(argv[2]);
+    if (!parsed || *parsed <= 0) {
+      std::fprintf(stderr, "trace_summary: top_k must be a positive integer, got '%s'\n",
                    argv[2]);
       return 2;
     }
+    top_k = *parsed;
   }
 
   std::ifstream in(argv[1]);
