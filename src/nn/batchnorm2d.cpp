@@ -116,8 +116,10 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
           sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
         }
       }
-      gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-      beta_.grad[c] += static_cast<float>(sum_dy);
+      if (!input_only_) {
+        gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
+        beta_.grad[c] += static_cast<float>(sum_dy);
+      }
 
       const float scale = gamma_.value[c] * cached_invstd_[c] / static_cast<float>(count);
       for (std::int64_t s = 0; s < n; ++s) {
@@ -133,7 +135,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
     });
   } else {
     // Inference mode is an affine map per channel: dx = dy * gamma * invstd.
-    // Parameter gradients are still accumulated for completeness.
+    // A full backward still accumulates beta's gradient for completeness;
+    // input-only mode (the attacks' path) skips that sum.
     parallel_for(0, static_cast<std::size_t>(channels_), [&](std::size_t ch) {
       const auto c = static_cast<std::int64_t>(ch);
       const float scale = gamma_.value[c] * cached_invstd_[c];
@@ -141,12 +144,12 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
       for (std::int64_t s = 0; s < n; ++s) {
         const float* dy = grad_out.data() + (s * channels_ + c) * plane;
         float* dx = grad_in.data() + (s * channels_ + c) * plane;
-        for (std::int64_t i = 0; i < plane; ++i) {
-          dx[i] = dy[i] * scale;
-          sum_dy += dy[i];
+        for (std::int64_t i = 0; i < plane; ++i) dx[i] = dy[i] * scale;
+        if (!input_only_) {
+          for (std::int64_t i = 0; i < plane; ++i) sum_dy += dy[i];
         }
       }
-      beta_.grad[c] += static_cast<float>(sum_dy);
+      if (!input_only_) beta_.grad[c] += static_cast<float>(sum_dy);
     });
   }
   return grad_in;

@@ -148,10 +148,27 @@ Tensor Classifier::features(const Tensor& images) {
   });
 }
 
+namespace {
+
+// Holds a network in input-only backward mode for one scope, and puts it
+// back in full mode on the way out, a throwing cotangent included.
+class InputOnlyScope {
+ public:
+  explicit InputOnlyScope(Layer& net) : net_(net) { net_.set_input_only(true); }
+  ~InputOnlyScope() { net_.set_input_only(false); }
+  InputOnlyScope(const InputOnlyScope&) = delete;
+  InputOnlyScope& operator=(const InputOnlyScope&) = delete;
+
+ private:
+  Layer& net_;
+};
+
+}  // namespace
+
 Tensor Classifier::input_gradient(const Tensor& images, std::size_t layer_end,
                                   const Cotangent& cotangent) {
+  const InputOnlyScope input_only(model_.net);
   return batched(images, images.shape(), [&](const Tensor& x, std::int64_t begin) {
-    model_.net.zero_grad();
     const Tensor out = model_.net.forward_to(x, layer_end, /*train=*/false);
     return model_.net.backward_to(cotangent(out, begin), layer_end);
   });

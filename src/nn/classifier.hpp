@@ -53,6 +53,9 @@ class Classifier {
 
   // Pullback to the pixels: d(sum_i <cotangent_i, h(x_i)>)/dx, where h is
   // layers [0, layer_end) in eval mode. Every attack gradient comes from here.
+  // It runs the network in input-only backward mode (see nn/layer.hpp): no
+  // parameter gradient is computed, every Param::grad is left as it was, and
+  // the network is back in full mode on return, also when cotangent throws.
   Tensor input_gradient(const Tensor& images, std::size_t layer_end,
                         const Cotangent& cotangent);
 

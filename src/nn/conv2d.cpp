@@ -26,15 +26,15 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t
   bias_.trainable = bias;
 }
 
-conv::ConvGeometry Conv2d::geometry_for(const Tensor& x) const {
-  if (x.ndim() != 4 || x.dim(1) != in_channels_) {
+conv::ConvGeometry Conv2d::geometry_for(const Shape& x_shape) const {
+  if (x_shape.size() != 4 || x_shape[1] != in_channels_) {
     throw std::invalid_argument("Conv2d: expected [N, " + std::to_string(in_channels_) +
-                                ", H, W], got " + shape_to_string(x.shape()));
+                                ", H, W], got " + shape_to_string(x_shape));
   }
   conv::ConvGeometry g;
   g.in_channels = in_channels_;
-  g.in_h = x.dim(2);
-  g.in_w = x.dim(3);
+  g.in_h = x_shape[2];
+  g.in_w = x_shape[3];
   g.kernel = kernel_;
   g.stride = stride_;
   g.padding = padding_;
@@ -59,8 +59,16 @@ thread_local std::vector<float> t_grad_t;  // g_s transposed, [P, C_out]
 }  // namespace
 
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
-  const conv::ConvGeometry g = geometry_for(x);
-  cached_input_ = x;
+  const conv::ConvGeometry g = geometry_for(x.shape());
+  cached_shape_ = x.shape();
+  // Only dW reads the input again; an input-only backward needs its shape.
+  // clear() keeps the buffer, so the next full forward copies into it
+  // instead of faulting in fresh pages.
+  if (input_only_) {
+    cached_input_.storage().clear();
+  } else {
+    cached_input_ = x;
+  }
   const std::int64_t n = x.dim(0), rows = g.patch_rows(), p = g.patch_cols();
   const std::int64_t in_plane = g.in_channels * g.in_h * g.in_w;
   const std::int64_t out_plane = out_channels_ * p;
@@ -83,11 +91,14 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  if (cached_input_.empty()) {
+  if (cached_shape_.empty()) {
     throw std::logic_error("Conv2d::backward called before forward");
   }
-  const conv::ConvGeometry g = geometry_for(cached_input_);
-  const std::int64_t n = cached_input_.dim(0), oh = g.out_h(), ow = g.out_w();
+  if (!input_only_ && cached_input_.empty()) {
+    throw std::logic_error("Conv2d::backward: full backward after an input-only forward");
+  }
+  const conv::ConvGeometry g = geometry_for(cached_shape_);
+  const std::int64_t n = cached_shape_[0], oh = g.out_h(), ow = g.out_w();
   if (grad_out.ndim() != 4 || grad_out.dim(0) != n || grad_out.dim(1) != out_channels_ ||
       grad_out.dim(2) != oh || grad_out.dim(3) != ow) {
     throw std::invalid_argument("Conv2d::backward: grad shape " +
@@ -109,26 +120,31 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // Per-sample parameter gradients, summed in sample order after the loop:
   // float addition is not associative, so summing in thread-finish order
   // would make training depend on the schedule and the pool size. Each
-  // sample's dW is kept transposed, [rows, C_out].
-  std::vector<float> dw_t(static_cast<std::size_t>(n * w_size));
-  std::vector<float> db(has_bias_ ? static_cast<std::size_t>(n * co) : 0);
+  // sample's dW is kept transposed, [rows, C_out]. Input-only mode keeps
+  // none of them.
+  const bool param_grads = !input_only_;
+  std::vector<float> dw_t(param_grads ? static_cast<std::size_t>(n * w_size) : 0);
+  std::vector<float> db(param_grads && has_bias_ ? static_cast<std::size_t>(n * co) : 0);
 
   parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t s) {
     const auto si = static_cast<std::int64_t>(s);
-    // Recompute im2col of the cached input (memory-for-compute trade: the
-    // patch matrices are too large to cache for all layers of a batch).
     float* cols = scratch(t_cols, rows * p);
-    conv::im2col_into(cached_input_.data() + si * in_plane, g, cols);
     const float* g_s = grad_out.data() + si * out_plane;  // [C_out, P]
 
-    // dW_s^T = cols * g_s^T: transposing the small g_s instead of the patch
-    // matrix. Every element is the same products summed in the same k order
-    // as dW_s = g_s * cols^T, so the result is bitwise that of the latter.
-    float* g_t = scratch(t_grad_t, out_plane);
-    for (std::int64_t c = 0; c < co; ++c) {
-      for (std::int64_t i = 0; i < p; ++i) g_t[i * co + c] = g_s[c * p + i];
+    if (param_grads) {
+      // Recompute im2col of the cached input (memory-for-compute trade: the
+      // patch matrices are too large to cache for all layers of a batch).
+      conv::im2col_into(cached_input_.data() + si * in_plane, g, cols);
+      // dW_s^T = cols * g_s^T: transposing the small g_s instead of the
+      // patch matrix. Every element is the same products summed in the same
+      // k order as dW_s = g_s * cols^T, so the result is bitwise that of
+      // the latter.
+      float* g_t = scratch(t_grad_t, out_plane);
+      for (std::int64_t c = 0; c < co; ++c) {
+        for (std::int64_t i = 0; i < p; ++i) g_t[i * co + c] = g_s[c * p + i];
+      }
+      ops::gemm_accumulate(dw_t.data() + si * w_size, cols, g_t, rows, p, co);
     }
-    ops::gemm_accumulate(dw_t.data() + si * w_size, cols, g_t, rows, p, co);
 
     // dx_s = col2im(W^T * g_s), scattered straight into grad_in. The patch
     // matrix is dead now, so its scratch holds dcols.
@@ -137,7 +153,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     ops::gemm_accumulate(dcols, w_t.data(), g_s, rows, co, p);
     conv::col2im_add(dcols, g, grad_in.data() + si * in_plane);
 
-    if (has_bias_) {
+    if (param_grads && has_bias_) {
       for (std::int64_t c = 0; c < co; ++c) {
         const float* row = g_s + c * p;
         float acc = 0.0f;
@@ -146,6 +162,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       }
     }
   });
+  if (!param_grads) return grad_in;
 
   // Ordered sums, booked as one elementwise add per sample and tensor.
   cost::add(cost::Kernel::kElementwise, static_cast<double>(n * w_size),

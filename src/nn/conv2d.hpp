@@ -28,7 +28,7 @@ class Conv2d : public Layer {
   std::int64_t padding() const { return padding_; }
 
  private:
-  conv::ConvGeometry geometry_for(const Tensor& x) const;
+  conv::ConvGeometry geometry_for(const Shape& x_shape) const;
 
   std::int64_t in_channels_;
   std::int64_t out_channels_;
@@ -38,7 +38,8 @@ class Conv2d : public Layer {
   bool has_bias_;
   Param weight_;
   Param bias_;
-  Tensor cached_input_;
+  Shape cached_shape_;   // input shape of the last forward
+  Tensor cached_input_;  // its input, for dW; empty after an input-only forward
 };
 
 }  // namespace taamr::nn

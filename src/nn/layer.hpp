@@ -2,16 +2,22 @@
 //
 // Design notes:
 //  - Layers are stateful: forward() caches whatever backward() needs, so a
-//    Layer instance must not be used concurrently. Classifier::clone()
-//    exists for per-thread copies (the attack loop parallelizes over
-//    images).
+//    Layer instance must not be used concurrently. Work runs in parallel
+//    inside a layer (over samples or channels), not over layer instances;
+//    a caller that wants to drive one network from several threads gives
+//    each thread its own Classifier::clone().
 //  - Inputs and activations are batched: convolutional layers take
 //    [N, C, H, W], dense layers [N, D].
-//  - backward(grad_out) accumulates parameter gradients (so gradients over
-//    a batch sum naturally) and returns the gradient w.r.t. the layer
-//    input. The gradient w.r.t. the *network* input — which is what the
-//    adversarial attacks consume — falls out of chaining backward() to the
-//    first layer.
+//  - backward(grad_out) returns the gradient w.r.t. the layer input and, in
+//    the default full mode, accumulates parameter gradients (so gradients
+//    over a batch sum naturally). The gradient w.r.t. the *network* input —
+//    which is what the adversarial attacks consume — falls out of chaining
+//    backward() to the first layer.
+//  - Input-only mode (set_input_only(true)) is for that chain alone:
+//    backward() computes the same input gradient, bit for bit, but leaves
+//    every Param::grad untouched and skips the work only parameter
+//    gradients need, and forward() caches only what the input gradient
+//    needs. Classifier::input_gradient is the one place that turns it on.
 #pragma once
 
 #include <memory>
@@ -60,6 +66,14 @@ class Layer {
   void zero_grad() {
     for (Param* p : params()) p->zero_grad();
   }
+
+  // Selects input-only (true) or full (false) backward; set it before the
+  // forward() that the backward() follows. Containers pass it on to every
+  // child layer; the flag is per instance, so clones are independent.
+  virtual void set_input_only(bool on) { input_only_ = on; }
+
+ protected:
+  bool input_only_ = false;
 };
 
 // Total number of scalar parameters (trainable only).

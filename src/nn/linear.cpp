@@ -41,7 +41,8 @@ Tensor Linear::backward(const Tensor& grad_out) {
                                 shape_to_string(grad_out.shape()) +
                                 " inconsistent with cached forward");
   }
-  // dW = g^T x, db = colsum(g), dx = g W.
+  // dW = g^T x, db = colsum(g), dx = g W; input-only mode computes dx alone.
+  if (input_only_) return ops::matmul(grad_out, weight_.value);
   ops::matmul_accumulate(weight_.grad, grad_out, cached_input_, /*trans_a=*/true,
                          /*trans_b=*/false);
   if (has_bias_) {

@@ -57,6 +57,11 @@ std::vector<Param*> ResidualBlock::params() {
   return all;
 }
 
+void ResidualBlock::set_input_only(bool on) {
+  main_.set_input_only(on);
+  shortcut_.set_input_only(on);
+}
+
 std::unique_ptr<Layer> ResidualBlock::clone() const {
   return std::make_unique<ResidualBlock>(*this);
 }

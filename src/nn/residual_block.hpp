@@ -20,6 +20,7 @@ class ResidualBlock : public Layer {
   std::vector<Param*> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
+  void set_input_only(bool on) override;
 
   bool has_projection() const { return has_projection_; }
 

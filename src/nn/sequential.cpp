@@ -59,6 +59,10 @@ std::vector<Param*> Sequential::params() {
   return all;
 }
 
+void Sequential::set_input_only(bool on) {
+  for (auto& l : layers_) l->set_input_only(on);
+}
+
 std::unique_ptr<Layer> Sequential::clone() const {
   return std::make_unique<Sequential>(*this);
 }

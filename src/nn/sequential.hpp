@@ -38,6 +38,7 @@ class Sequential : public Layer {
   std::vector<Param*> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override;
+  void set_input_only(bool on) override;
 
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "nn/classifier.hpp"
 #include "nn/linear.hpp"
+#include "tensor/cost.hpp"
 #include "test_helpers.hpp"
 
 namespace taamr {
@@ -183,6 +185,79 @@ TEST(Classifier, InputGradientAcrossChunkBoundary) {
   const Tensor g_feat = c.feature_input_gradient(x, targets);
   const Tensor g_feat_tail = c.feature_input_gradient(tail, nn::slice_rows(targets, 64, 70));
   EXPECT_EQ(std::memcmp(g_feat.data() + tail_offset, g_feat_tail.data(), tail_bytes), 0);
+}
+
+TEST(Classifier, LossInputGradientBooksOneGemmPerForwardGemm) {
+  // The input-only backward runs only dx = W^T g for every forward GEMM (no
+  // dW), so a loss gradient books exactly twice the GEMM flops of logits.
+  cost::enable();
+  Rng rng(95);
+  nn::Classifier c(tiny_config(), rng);
+  Tensor x({4, 3, 8, 8});
+  testing::fill_uniform(x, rng, 0.0f, 1.0f);
+
+  double before = cost::totals(cost::Kernel::kGemm).flops;
+  c.logits(x);
+  const double forward = cost::totals(cost::Kernel::kGemm).flops - before;
+  ASSERT_GT(forward, 0.0);
+  before = cost::totals(cost::Kernel::kGemm).flops;
+  c.loss_input_gradient(x, {0, 1, 2, 0});
+  EXPECT_EQ(cost::totals(cost::Kernel::kGemm).flops - before, 2.0 * forward);
+}
+
+TEST(Classifier, InputGradientsLeaveParamGradsUntouched) {
+  Rng rng(96);
+  nn::Classifier c(tiny_config(), rng);
+  std::vector<Tensor> grads;
+  for (nn::Param* p : c.network().params()) {
+    testing::fill_uniform(p->grad, rng);
+    grads.push_back(p->grad);
+  }
+  Tensor x({3, 3, 8, 8});
+  testing::fill_uniform(x, rng, 0.0f, 1.0f);
+  Tensor targets({3, c.feature_dim()});
+  testing::fill_uniform(targets, rng);
+  c.loss_input_gradient(x, {0, 1, 2});
+  c.feature_input_gradient(x, targets);
+
+  const std::vector<nn::Param*> params = c.network().params();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::size_t bytes = static_cast<std::size_t>(grads[i].numel()) * sizeof(float);
+    EXPECT_EQ(std::memcmp(params[i]->grad.data(), grads[i].data(), bytes), 0)
+        << "param " << i << " (" << params[i]->name << ")";
+  }
+}
+
+TEST(Classifier, ThrowingCotangentLeavesFullBackward) {
+  // A cotangent that throws must not leave the network in input-only mode:
+  // training afterwards must move the parameters exactly as it moves those
+  // of a clone that never saw the throw.
+  Rng rng(97);
+  nn::Classifier c(tiny_config(), rng);
+  nn::Classifier twin = c.clone();
+  Tensor images;
+  std::vector<std::int64_t> labels;
+  make_task(images, labels, 12, 3, rng);
+
+  EXPECT_THROW(c.input_gradient(images, c.feature_end(),
+                                [](const Tensor&, std::int64_t) -> Tensor {
+                                  throw std::runtime_error("cotangent");
+                                }),
+               std::runtime_error);
+
+  nn::Sgd opt(nn::SgdConfig{}), twin_opt(nn::SgdConfig{});
+  Rng order(98), twin_order(98);
+  c.train_epoch(images, labels, 4, opt, order);
+  twin.train_epoch(images, labels, 4, twin_opt, twin_order);
+
+  const std::vector<nn::Param*> params = c.network().params();
+  const std::vector<nn::Param*> twin_params = twin.network().params();
+  ASSERT_EQ(params.size(), twin_params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::size_t bytes = static_cast<std::size_t>(params[i]->value.numel()) * sizeof(float);
+    EXPECT_EQ(std::memcmp(params[i]->value.data(), twin_params[i]->value.data(), bytes), 0)
+        << "param " << i << " (" << params[i]->name << ")";
+  }
 }
 
 TEST(TrainingHelpers, StepDecayAndShuffledGather) {

@@ -216,6 +216,54 @@ TEST(Conv2d, MatchesReferenceLoweringBitwise) {
   }
 }
 
+TEST(Conv2d, InputOnlyBackwardIsBitwiseFullDx) {
+  // The attacks' input-only backward skips dW and db but must return the
+  // full backward's dx bit for bit, and leave the parameter gradients as
+  // they were.
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  for (const auto& [in_c, out_c] : {std::pair<std::int64_t, std::int64_t>{3, 4}, {8, 16}}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const bool bias : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << in_c << "->" << out_c << " stride " << stride
+                                          << (bias ? " bias" : " no bias"));
+        constexpr std::int64_t n = 5, h = 11, w = 9;
+        Rng rng(31);
+        nn::Conv2d layer(in_c, out_c, 3, stride, 1, bias);
+        fill_uniform(layer.weight().value, rng, -0.5f, 0.5f);
+        fill_uniform(layer.bias().value, rng);
+        Tensor x({n, in_c, h, w});
+        fill_uniform(x, rng);
+        const conv::ConvGeometry g{in_c, h, w, 3, stride, 1};
+        Tensor grad({n, out_c, g.out_h(), g.out_w()});
+        fill_uniform(grad, rng);
+
+        const Tensor full_y = layer.forward(x, false);
+        const Tensor full_dx = layer.backward(grad);
+
+        fill_uniform(layer.weight().grad, rng);
+        fill_uniform(layer.bias().grad, rng);
+        const Tensor weight_grad = layer.weight().grad, bias_grad = layer.bias().grad;
+        layer.set_input_only(true);
+        const Tensor y = layer.forward(x, false);
+        const Tensor dx = layer.backward(grad);
+        layer.set_input_only(false);
+
+        EXPECT_TRUE(same_bits(y, full_y)) << "forward output";
+        EXPECT_TRUE(same_bits(dx, full_dx)) << "input gradient";
+        EXPECT_TRUE(same_bits(layer.weight().grad, weight_grad)) << "weight gradient";
+        EXPECT_TRUE(same_bits(layer.bias().grad, bias_grad)) << "bias gradient";
+        // The input-only forward kept no copy of the input, so a full
+        // backward after it has nothing to form dW from.
+        EXPECT_THROW(layer.backward(grad), std::logic_error);
+      }
+    }
+  }
+}
+
 TEST(Conv2d, RejectsBadInput) {
   nn::Conv2d layer(3, 4, 3, 1, 1);
   EXPECT_THROW(layer.forward(Tensor({1, 2, 8, 8}), true), std::invalid_argument);
