@@ -1,11 +1,9 @@
-// Shared setup for the per-table bench binaries: one experiment
-// configuration (the reproduction's "evaluation settings") and a disk
-// cache so that table2/3/4/fig2 all reuse a single expensive run.
+// Shared setup for the per-table bench binaries: the experiment
+// configuration (core::experiment_config, which reads TAAMR_SCALE,
+// TAAMR_SEED and TAAMR_CACHE_DIR) and a disk cache so that table2/3/4/fig2
+// all reuse a single expensive run.
 //
-// Environment knobs:
-//   TAAMR_SCALE        dataset scale factor   (default data::kBenchScale)
-//   TAAMR_CACHE_DIR    cache directory        (default ./taamr_cache)
-//   TAAMR_SEED         master seed            (default 42)
+// Environment knobs read here:
 //   TAAMR_TRACE        Chrome trace-event JSON path (chrome://tracing)
 //   TAAMR_THREADS      global thread-pool size (default: hardware)
 //   TAAMR_BENCH_DIR    directory for the BENCH_<name>.json artifact each
@@ -14,9 +12,6 @@
 //                      construction touches obs::Profiler::global() so a
 //                      profiled bench covers the whole run and writes
 //                      TAAMR_PROFILE_OUT-prefixed .folded artifacts at exit
-//
-// Malformed TAAMR_SCALE / TAAMR_SEED values are rejected with a warning
-// and the default is used instead (util/env.hpp), never parsed as 0.
 #pragma once
 
 #include <cstdlib>
@@ -30,7 +25,6 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "tensor/cost.hpp"
-#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -39,31 +33,10 @@
 
 namespace taamr::bench {
 
-inline double env_scale() {
-  return env::get_positive_real("TAAMR_SCALE", data::kBenchScale);
-}
-
-inline std::string env_cache_dir() {
-  if (const char* s = std::getenv("TAAMR_CACHE_DIR")) return s;
-  return "taamr_cache";
-}
-
-inline std::uint64_t env_seed() {
-  return static_cast<std::uint64_t>(env::get_int("TAAMR_SEED", 42, 0));
-}
-
-inline core::ExperimentConfig experiment_config(const std::string& dataset) {
-  core::ExperimentConfig cfg;
-  cfg.pipeline.dataset_name = dataset;
-  cfg.pipeline.scale = env_scale();
-  cfg.pipeline.seed = env_seed();
-  cfg.pipeline.cache_dir = env_cache_dir();
-  return cfg;
-}
-
 inline core::DatasetResults results_for(const std::string& dataset) {
   TAAMR_TRACE_SPAN("bench/results_for");
-  return core::run_or_load_experiment(experiment_config(dataset), env_cache_dir());
+  return core::run_or_load_experiment(core::experiment_config(dataset),
+                                      core::env_cache_dir());
 }
 
 inline std::string env_bench_dir() {
@@ -87,8 +60,8 @@ class Reporter {
     obs::Profiler::global();
     set_current_thread_name("bench-main");
     report_.name = std::move(name);
-    report_.scale = env_scale();
-    report_.seed = env_seed();
+    report_.scale = core::env_scale();
+    report_.seed = core::env_seed();
     report_.threads = static_cast<std::int64_t>(env_thread_count());
 #ifdef TAAMR_GIT_SHA
     report_.git_sha = TAAMR_GIT_SHA;

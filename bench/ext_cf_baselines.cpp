@@ -20,8 +20,7 @@ int main() {
   using namespace taamr;
   bench::Reporter reporter("ext_cf_baselines");
 
-  core::PipelineConfig cfg = bench::experiment_config("Amazon Men").pipeline;
-  cfg.scale = 0.01;
+  const core::PipelineConfig cfg = core::experiment_config("Amazon Men").pipeline;
   core::Pipeline pipeline(cfg);
   pipeline.prepare();
   const auto& ds = pipeline.dataset();

@@ -60,12 +60,10 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
+// The pipeline's CNN at three times its width.
 nn::Classifier make_bench_classifier() {
-  nn::MiniResNetConfig cfg;
-  cfg.image_size = 32;
+  nn::MiniResNetConfig cfg = core::PipelineConfig{}.cnn_config();
   cfg.base_width = 12;
-  cfg.blocks_per_stage = 1;
-  cfg.num_classes = 16;
   Rng rng(3);
   return nn::Classifier(cfg, rng);
 }

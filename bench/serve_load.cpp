@@ -318,7 +318,7 @@ int main() {
   data::SynthSpec spec = data::amazon_serve_spec();
   spec.num_users = kUsers;
   spec.num_items = kItems;
-  spec.seed = bench::env_seed();
+  spec.seed = core::env_seed();
   spec.validate();
 
   Stopwatch setup_timer;

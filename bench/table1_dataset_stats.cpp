@@ -9,7 +9,7 @@
 int main() {
   using namespace taamr;
   bench::Reporter reporter("table1_dataset_stats");
-  const double scale = bench::env_scale();
+  const double scale = core::env_scale();
 
   std::vector<core::DatasetResults> stats;
   for (const std::string name : {"Amazon Men", "Amazon Women"}) {

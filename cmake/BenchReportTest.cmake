@@ -55,18 +55,54 @@ if(NOT flops GREATER 0)
   gate_fail("flops_total is ${flops} — cost accounting did not fire")
 endif()
 
-# 3. Thread-count independence: same seed, same metrics, byte for byte.
+# "name{k=v,...} = value" for one entry of an artifact's metrics array.
+function(describe_metric out metric)
+  string(JSON name GET "${metric}" name)
+  string(JSON value GET "${metric}" value)
+  string(JSON count LENGTH "${metric}" labels)
+  set(labels)
+  if(count GREATER 0)
+    math(EXPR last "${count} - 1")
+    foreach(i RANGE ${last})
+      string(JSON key MEMBER "${metric}" labels ${i})
+      string(JSON label GET "${metric}" labels "${key}")
+      list(APPEND labels "${key}=${label}")
+    endforeach()
+  endif()
+  string(JOIN "," labels ${labels})
+  set(${out} "${name}{${labels}} = ${value}" PARENT_SCOPE)
+endfunction()
+
+# 3. Thread-count independence: same seed, same metrics, byte for byte. The
+# failure names the first entry that differs, so it reads without the runs'
+# artifacts (the next run of the gate deletes them).
 if(SERIAL_BASELINE)
   file(READ ${run2_json} run2_text)
   string(JSON run1_metrics GET "${run1_text}" metrics)
   string(JSON run2_metrics GET "${run2_text}" metrics)
   if(NOT run1_metrics STREQUAL run2_metrics)
-    gate_fail("TAAMR_THREADS=1 and default-thread runs wrote different metrics "
-              "(${run1_json} vs ${run2_json})")
+    string(JSON run1_count LENGTH "${run1_metrics}")
+    string(JSON run2_count LENGTH "${run2_metrics}")
+    set(first "${run1_count} vs ${run2_count} entries")
+    if(run1_count EQUAL run2_count)
+      math(EXPR last "${run1_count} - 1")
+      foreach(i RANGE ${last})
+        string(JSON run1_metric GET "${run1_metrics}" ${i})
+        string(JSON run2_metric GET "${run2_metrics}" ${i})
+        if(NOT run1_metric STREQUAL run2_metric)
+          describe_metric(run1_desc "${run1_metric}")
+          describe_metric(run2_desc "${run2_metric}")
+          set(first "metrics[${i}] is ${run1_desc} on 1 thread, ${run2_desc} on the default")
+          break()
+        endif()
+      endforeach()
+    endif()
+    gate_fail("TAAMR_THREADS=1 and default-thread runs wrote different metrics: ${first}")
   endif()
 endif()
 
-# 4. Self-compare must pass.
+# 4. Self-compare must pass. taamr_report prints each regression on stderr,
+# which gate_run puts in the failure message.
 gate_run(self_compare COMMAND ${REPORT_BIN} ${run2_json} --baseline ${run1_json}
   --threshold ${THRESHOLD} --out "${WORK_DIR}/report_self.md")
 

@@ -1,5 +1,8 @@
 # ctest script: run the quickstart example with tracing enabled and assert
-# that the trace is produced, valid and covers the pipeline.
+# that the trace is produced, valid and covers the pipeline. The run gets
+# its own CNN cache, emptied here every time, so quickstart trains the CNN
+# (the trace must hold pipeline/train_cnn and cnn/epoch) instead of loading
+# a checkpoint an earlier run saved.
 #
 # Invoked as:
 #   cmake -DQUICKSTART=<path> -DTRACE_SUMMARY=<path> -DWORK_DIR=<dir>
@@ -12,9 +15,12 @@ gate_require(QUICKSTART TRACE_SUMMARY WORK_DIR)
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(trace_file "${WORK_DIR}/quickstart_trace.json")
+set(cache_dir "${WORK_DIR}/cache")
 file(REMOVE "${trace_file}")
+file(REMOVE_RECURSE "${cache_dir}")
 
-gate_run(quickstart COMMAND ${QUICKSTART} ENV "TAAMR_TRACE=${trace_file}")
+gate_run(quickstart COMMAND ${QUICKSTART}
+  ENV "TAAMR_TRACE=${trace_file}" TAAMR_SCALE=0.004 "TAAMR_CACHE_DIR=${cache_dir}")
 if(NOT EXISTS "${trace_file}")
   gate_fail("quickstart did not write ${trace_file}")
 endif()

@@ -8,12 +8,15 @@
 //
 // Build & run:   ./examples/quickstart
 //
-// Set TAAMR_TRACE=trace.json to capture a Chrome trace of the run (see
+// It runs the shared experiment configuration (core::experiment_config), so
+// TAAMR_SCALE, TAAMR_SEED and TAAMR_CACHE_DIR apply, and a CNN checkpoint a
+// bench cached in TAAMR_CACHE_DIR is loaded instead of retrained. Set
+// TAAMR_TRACE=trace.json to capture a Chrome trace of the run (see
 // README, Observability).
 #include <iostream>
 
 #include "attack/attack.hpp"
-#include "core/pipeline.hpp"
+#include "core/experiment.hpp"
 #include "data/categories.hpp"
 #include "metrics/success.hpp"
 #include "recsys/ranker.hpp"
@@ -22,19 +25,8 @@
 int main() {
   using namespace taamr;
 
-  // A small configuration so the example finishes in well under a minute.
-  core::PipelineConfig config;
-  config.dataset_name = "Amazon Men";
-  config.scale = 0.005;             // ~130 users, ~410 items
-  config.image_size = 16;
-  config.cnn_base_width = 6;
-  config.cnn_epochs = 15;
-  config.cnn_images_per_category = 14;
-  config.vbpr.epochs = 60;
-  config.seed = 1;
-
   // Stages 1-3: dataset, product images, CNN, clean features f_e.
-  core::Pipeline pipeline(config);
+  core::Pipeline pipeline(core::experiment_config("Amazon Men").pipeline);
   pipeline.prepare();
   const auto& dataset = pipeline.dataset();
   std::cout << "Dataset '" << dataset.name << "': " << dataset.num_users << " users, "

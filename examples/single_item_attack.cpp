@@ -1,12 +1,14 @@
 // The paper's future-work "finer-grained visual attack": push ONE specific
 // product (even within the same category) by making its image imitate the
 // *feature vector* of a chosen highly-ranked reference item, instead of a
-// whole class. Uses attack::FeatureMatch.
+// whole class. Uses attack::FeatureMatch. Runs the shared experiment
+// configuration (core::experiment_config: TAAMR_SCALE, TAAMR_SEED,
+// TAAMR_CACHE_DIR).
 #include <algorithm>
 #include <iostream>
 
 #include "attack/feature_match.hpp"
-#include "core/pipeline.hpp"
+#include "core/experiment.hpp"
 #include "data/categories.hpp"
 #include "recsys/ranker.hpp"
 #include "util/table.hpp"
@@ -14,14 +16,7 @@
 int main() {
   using namespace taamr;
 
-  core::PipelineConfig config;
-  config.dataset_name = "Amazon Men";
-  config.scale = 0.008;
-  config.cnn_epochs = 8;
-  config.vbpr.epochs = 80;
-  config.seed = 13;
-
-  core::Pipeline pipeline(config);
+  core::Pipeline pipeline(core::experiment_config("Amazon Men").pipeline);
   pipeline.prepare();
   const auto& dataset = pipeline.dataset();
   auto vbpr = pipeline.train_vbpr();

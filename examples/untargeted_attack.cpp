@@ -1,10 +1,12 @@
 // Extension (the setting of Tang et al.'s AMR paper, which TAaMR contrasts
 // with): an *untargeted* FGSM attack on a category's images degrades the
 // recommender's accuracy instead of pushing a category. Shows HR@N /
-// NDCG@N of VBPR before and after the attack.
+// NDCG@N of VBPR before and after the attack. Runs the shared experiment
+// configuration (core::experiment_config: TAAMR_SCALE, TAAMR_SEED,
+// TAAMR_CACHE_DIR).
 #include <iostream>
 
-#include "core/pipeline.hpp"
+#include "core/experiment.hpp"
 #include "data/categories.hpp"
 #include "metrics/ranking.hpp"
 #include "metrics/success.hpp"
@@ -14,18 +16,9 @@
 int main() {
   using namespace taamr;
 
-  core::PipelineConfig config;
-  config.dataset_name = "Amazon Men";
-  config.scale = 0.008;
-  config.image_size = 24;
-  config.cnn_base_width = 8;
-  config.cnn_epochs = 8;
-  config.cnn_images_per_category = 48;
-  config.vbpr.epochs = 80;
-  config.seed = 9;
   const std::int64_t top_n = 50;
 
-  core::Pipeline pipeline(config);
+  core::Pipeline pipeline(core::experiment_config("Amazon Men").pipeline);
   pipeline.prepare();
   const auto& dataset = pipeline.dataset();
   auto vbpr = pipeline.train_vbpr();

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,6 +13,7 @@
 #include "metrics/success.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/trainer.hpp"
+#include "util/env.hpp"
 #include "util/io.hpp"
 #include "util/logging.hpp"
 
@@ -354,6 +356,26 @@ DatasetResults load_results(const std::string& path) {
   r.fig2.clean = read_tensor(is);
   r.fig2.attacked = read_tensor(is);
   return r;
+}
+
+double env_scale() { return env::get_positive_real("TAAMR_SCALE", data::kBenchScale); }
+
+std::uint64_t env_seed() {
+  return static_cast<std::uint64_t>(env::get_int("TAAMR_SEED", 42, 0));
+}
+
+std::string env_cache_dir() {
+  if (const char* s = std::getenv("TAAMR_CACHE_DIR")) return s;
+  return "taamr_cache";
+}
+
+ExperimentConfig experiment_config(const std::string& dataset) {
+  ExperimentConfig cfg;
+  cfg.pipeline.dataset_name = dataset;
+  cfg.pipeline.scale = env_scale();
+  cfg.pipeline.seed = env_seed();
+  cfg.pipeline.cache_dir = env_cache_dir();
+  return cfg;
 }
 
 DatasetResults run_or_load_experiment(const ExperimentConfig& config,

@@ -24,6 +24,15 @@ struct ExperimentConfig {
   std::vector<std::string> attacks = {"fgsm", "pgd"};
 };
 
+// The one reader of TAAMR_SCALE (default data::kBenchScale), TAAMR_SEED
+// (42) and TAAMR_CACHE_DIR (./taamr_cache; CNN checkpoints and results).
+// Every bench, example and taamr subcommand builds its configuration from
+// experiment_config, so they run one world and share one CNN checkpoint.
+double env_scale();
+std::uint64_t env_seed();
+std::string env_cache_dir();
+ExperimentConfig experiment_config(const std::string& dataset);
+
 // One (model, attack, scenario, eps) grid cell.
 struct CellResult {
   std::string model;   // "VBPR" / "AMR"

@@ -106,9 +106,29 @@ void Classifier::fit(const Tensor& images, const std::vector<std::int64_t>& labe
   }
 }
 
+namespace {
+
+// Holds a network in input-only backward mode for one scope, and puts it
+// back in full mode on the way out, a throwing cotangent included.
+class InputOnlyScope {
+ public:
+  explicit InputOnlyScope(Layer& net) : net_(net) { net_.set_input_only(true); }
+  ~InputOnlyScope() { net_.set_input_only(false); }
+  InputOnlyScope(const InputOnlyScope&) = delete;
+  InputOnlyScope& operator=(const InputOnlyScope&) = delete;
+
+ private:
+  Layer& net_;
+};
+
+}  // namespace
+
 template <typename Fn>
 Tensor Classifier::batched(const Tensor& images, const Shape& out_shape, Fn fn) {
   if (images.ndim() != 4) throw std::invalid_argument("Classifier: expected [N, C, H, W]");
+  // No pass here reads a parameter gradient, so all run input-only (Conv2d
+  // keeps no input copy).
+  const InputOnlyScope input_only(model_.net);
   const std::int64_t n = images.dim(0);
   Tensor out(out_shape);
   const std::int64_t out_row = n > 0 ? out.numel() / n : 0;
@@ -148,26 +168,8 @@ Tensor Classifier::features(const Tensor& images) {
   });
 }
 
-namespace {
-
-// Holds a network in input-only backward mode for one scope, and puts it
-// back in full mode on the way out, a throwing cotangent included.
-class InputOnlyScope {
- public:
-  explicit InputOnlyScope(Layer& net) : net_(net) { net_.set_input_only(true); }
-  ~InputOnlyScope() { net_.set_input_only(false); }
-  InputOnlyScope(const InputOnlyScope&) = delete;
-  InputOnlyScope& operator=(const InputOnlyScope&) = delete;
-
- private:
-  Layer& net_;
-};
-
-}  // namespace
-
 Tensor Classifier::input_gradient(const Tensor& images, std::size_t layer_end,
                                   const Cotangent& cotangent) {
-  const InputOnlyScope input_only(model_.net);
   return batched(images, images.shape(), [&](const Tensor& x, std::int64_t begin) {
     const Tensor out = model_.net.forward_to(x, layer_end, /*train=*/false);
     return model_.net.backward_to(cotangent(out, begin), layer_end);

@@ -37,7 +37,7 @@ class Classifier {
            std::int64_t epochs, std::int64_t batch_size, SgdConfig sgd, Rng& rng,
            bool verbose = true);
 
-  // ---- inference (eval mode; batched) ----
+  // ---- inference (eval mode; batched; input-only, see nn/layer.hpp) ----
 
   Tensor logits(const Tensor& images);
   Tensor probabilities(const Tensor& images);

@@ -17,7 +17,9 @@
 //    backward() computes the same input gradient, bit for bit, but leaves
 //    every Param::grad untouched and skips the work only parameter
 //    gradients need, and forward() caches only what the input gradient
-//    needs. Classifier::input_gradient is the one place that turns it on.
+//    needs. Classifier's batched passes turn it on: input_gradient, and
+//    the eval-mode logits/features, which never run a backward and so
+//    cache no more than an input gradient would need.
 #pragma once
 
 #include <memory>

@@ -228,6 +228,25 @@ TEST(Classifier, InputGradientsLeaveParamGradsUntouched) {
   }
 }
 
+// One train_epoch on `c` and on `twin` (same optimizer and sample order)
+// must leave their parameters bitwise equal.
+void expect_trains_like_twin(nn::Classifier& c, nn::Classifier& twin, const Tensor& images,
+                             const std::vector<std::int64_t>& labels) {
+  nn::Sgd opt(nn::SgdConfig{}), twin_opt(nn::SgdConfig{});
+  Rng order(98), twin_order(98);
+  c.train_epoch(images, labels, 4, opt, order);
+  twin.train_epoch(images, labels, 4, twin_opt, twin_order);
+
+  const std::vector<nn::Param*> params = c.network().params();
+  const std::vector<nn::Param*> twin_params = twin.network().params();
+  ASSERT_EQ(params.size(), twin_params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::size_t bytes = static_cast<std::size_t>(params[i]->value.numel()) * sizeof(float);
+    EXPECT_EQ(std::memcmp(params[i]->value.data(), twin_params[i]->value.data(), bytes), 0)
+        << "param " << i << " (" << params[i]->name << ")";
+  }
+}
+
 TEST(Classifier, ThrowingCotangentLeavesFullBackward) {
   // A cotangent that throws must not leave the network in input-only mode:
   // training afterwards must move the parameters exactly as it moves those
@@ -245,19 +264,38 @@ TEST(Classifier, ThrowingCotangentLeavesFullBackward) {
                                 }),
                std::runtime_error);
 
-  nn::Sgd opt(nn::SgdConfig{}), twin_opt(nn::SgdConfig{});
-  Rng order(98), twin_order(98);
-  c.train_epoch(images, labels, 4, opt, order);
-  twin.train_epoch(images, labels, 4, twin_opt, twin_order);
+  expect_trains_like_twin(c, twin, images, labels);
+}
 
-  const std::vector<nn::Param*> params = c.network().params();
-  const std::vector<nn::Param*> twin_params = twin.network().params();
-  ASSERT_EQ(params.size(), twin_params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const std::size_t bytes = static_cast<std::size_t>(params[i]->value.numel()) * sizeof(float);
-    EXPECT_EQ(std::memcmp(params[i]->value.data(), twin_params[i]->value.data(), bytes), 0)
-        << "param " << i << " (" << params[i]->name << ")";
-  }
+TEST(Classifier, InferenceIsBitwiseAndLeavesTraining) {
+  // logits/features run input-only (Conv2d keeps no input copy): their
+  // outputs equal a full-mode forward's bit for bit, and training afterwards
+  // moves the parameters exactly as on a clone that never ran inference.
+  Rng rng(99);
+  nn::Classifier c(tiny_config(), rng);
+  nn::Classifier twin = c.clone();
+  Tensor images;
+  std::vector<std::int64_t> labels;
+  make_task(images, labels, 12, 3, rng);
+
+  const Tensor logits = c.logits(images);
+  const Tensor features = c.features(images);
+  const Tensor full_logits = c.network().forward(images, /*train=*/false);
+  const Tensor full_features = c.network().forward_to(images, c.feature_end(), false);
+  ASSERT_EQ(logits.shape(), full_logits.shape());
+  ASSERT_EQ(features.shape(), full_features.shape());
+  EXPECT_EQ(std::memcmp(logits.data(), full_logits.data(),
+                        static_cast<std::size_t>(logits.numel()) * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(features.data(), full_features.data(),
+                        static_cast<std::size_t>(features.numel()) * sizeof(float)),
+            0);
+
+  // After an inference pass the convolutions hold no input, so a full
+  // backward has nothing to take dW from.
+  c.logits(images);
+  EXPECT_THROW(c.network().backward(Tensor(logits.shape(), 1.0f)), std::logic_error);
+  expect_trains_like_twin(c, twin, images, labels);
 }
 
 TEST(TrainingHelpers, StepDecayAndShuffledGather) {

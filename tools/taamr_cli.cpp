@@ -1,20 +1,24 @@
 // taamr — the command-line driver for the library. Subcommands:
 //
-//   taamr stats   --dataset "Amazon Men" [--scale 0.025]
+//   taamr stats   --dataset "Amazon Men" [--save men.bin]
 //       dataset statistics + per-category composition (Table I material)
 //
 //   taamr render  --category Sock --seed 7 --out sock.ppm [--size 32] [--upscale 8]
 //       render one procedural product image to a viewable PPM
 //
 //   taamr attack  --dataset "Amazon Men" --source Sock --target "Running Shoe"
-//                 [--attack pgd|fgsm|mim|cw|...] [--eps 8] [--scale 0.01]
-//                 [--model vbpr|amr] [--cache taamr_cache]
+//                 [--attack pgd|fgsm|mim|cw|...] [--eps 8] [--model vbpr|amr]
 //       run one TAaMR scenario end-to-end and print CHR / success / quality
+//
+// stats and attack read TAAMR_SCALE, TAAMR_SEED and TAAMR_CACHE_DIR through
+// core::experiment_config, as every bench does. An unknown flag exits 2.
 //
 // Fig. 2's before/after images come from bench/fig2_example.
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/experiment.hpp"
 #include "data/categories.hpp"
 #include "data/serialize.hpp"
 #include "metrics/chr.hpp"
@@ -36,11 +40,22 @@ int usage() {
   return 2;
 }
 
+// 2 after naming the first flag the subcommand did not read, else 0. Checked
+// before any work, so a stale --scale cannot run another configuration.
+int unknown_flag(const ArgParser& args) {
+  const std::vector<std::string> unused = args.unused();
+  if (unused.empty()) return 0;
+  std::cerr << "taamr: unknown flag --" << unused.front() << "\n";
+  return 2;
+}
+
 int cmd_stats(const ArgParser& args) {
-  const std::string dataset_name = args.get("dataset", "Amazon Men");
-  const double scale = args.get_double("scale", data::kBenchScale);
+  const core::PipelineConfig cfg =
+      core::experiment_config(args.get("dataset", "Amazon Men")).pipeline;
+  const std::string save = args.get("save", "");
+  if (const int rc = unknown_flag(args)) return rc;
   const auto ds =
-      data::generate_synthetic_dataset(data::spec_by_name(dataset_name, scale));
+      data::generate_synthetic_dataset(data::spec_by_name(cfg.dataset_name, cfg.scale));
   const auto stats = data::compute_stats(ds);
   Table t("Dataset statistics: " + ds.name);
   t.header({"|U|", "|I|", "|S|", "density", "mean |I_u|"});
@@ -57,9 +72,9 @@ int cmd_stats(const ArgParser& args) {
            Table::count(stats.feedback_per_category[static_cast<std::size_t>(cat)])});
   }
   c.print(std::cout);
-  if (args.has("save")) {
-    data::save_dataset_file(args.get("save"), ds);
-    std::cout << "dataset written to " << args.get("save") << "\n";
+  if (!save.empty()) {
+    data::save_dataset_file(save, ds);
+    std::cout << "dataset written to " << save << "\n";
   }
   return 0;
 }
@@ -69,41 +84,38 @@ int cmd_render(const ArgParser& args) {
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   data::ImageGenConfig cfg;
   cfg.size = args.get_int("size", 32);
+  const std::string out = args.get("out", "item.ppm");
+  const std::int64_t upscale = args.get_int("upscale", 8);
+  if (const int rc = unknown_flag(args)) return rc;
   const Tensor img = data::render_item_image(
       data::fashion_taxonomy()[static_cast<std::size_t>(category)].style, seed, cfg);
-  const std::string out = args.get("out", "item.ppm");
-  write_ppm(out, img, static_cast<int>(args.get_int("upscale", 8)));
-  std::cout << "wrote " << out << " (" << cfg.size << "x" << cfg.size << ", "
-            << args.get_int("upscale", 8) << "x upscale)\n";
+  write_ppm(out, img, static_cast<int>(upscale));
+  std::cout << "wrote " << out << " (" << cfg.size << "x" << cfg.size << ", " << upscale
+            << "x upscale)\n";
   return 0;
 }
 
 int cmd_attack(const ArgParser& args) {
-  core::PipelineConfig cfg;
-  cfg.dataset_name = args.get("dataset", "Amazon Men");
-  cfg.scale = args.get_double("scale", 0.01);
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.cache_dir = args.get("cache", "taamr_cache");
+  const core::PipelineConfig cfg =
+      core::experiment_config(args.get("dataset", "Amazon Men")).pipeline;
   const std::int32_t source = data::category_id_by_name(args.get("source", "Sock"));
   const std::int32_t target =
       data::category_id_by_name(args.get("target", "Running Shoe"));
   const float eps = static_cast<float>(args.get_double("eps", 8.0));
   const std::string model_name = args.get("model", "vbpr");
   const std::string attack_key = args.get("attack", "pgd");
+  if (const int rc = unknown_flag(args)) return rc;
   // Throws for an unknown key (listing the known ones) before any training.
   const std::string attack_name = attack::display_name(attack_key);
+  if (model_name != "vbpr" && model_name != "amr") {
+    throw std::invalid_argument("unknown --model '" + model_name + "' (vbpr|amr)");
+  }
 
   core::Pipeline pipeline(cfg);
   pipeline.prepare();
   const auto& ds = pipeline.dataset();
-  std::unique_ptr<recsys::Vbpr> model;
-  if (model_name == "vbpr") {
-    model = pipeline.train_vbpr();
-  } else if (model_name == "amr") {
-    model = pipeline.train_amr();
-  } else {
-    throw std::invalid_argument("unknown --model '" + model_name + "' (vbpr|amr)");
-  }
+  const std::unique_ptr<recsys::Vbpr> model =
+      model_name == "vbpr" ? pipeline.train_vbpr() : pipeline.train_amr();
 
   const auto batch = pipeline.attack_category(source, target, attack_key, eps);
   const auto success =
@@ -138,20 +150,10 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   ArgParser args(argc - 1, argv + 1);
   try {
-    int rc;
-    if (command == "stats") {
-      rc = cmd_stats(args);
-    } else if (command == "render") {
-      rc = cmd_render(args);
-    } else if (command == "attack") {
-      rc = cmd_attack(args);
-    } else {
-      return usage();
-    }
-    for (const std::string& flag : args.unused()) {
-      std::cerr << "warning: unused flag --" << flag << "\n";
-    }
-    return rc;
+    if (command == "stats") return cmd_stats(args);
+    if (command == "render") return cmd_render(args);
+    if (command == "attack") return cmd_attack(args);
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
