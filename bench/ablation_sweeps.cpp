@@ -28,17 +28,21 @@ int main() {
   // Shared PGD eps=8 attack on the similar scenario.
   const auto batch = pipeline.attack_category(data::kSock, data::kRunningShoe,
                                               "pgd", 8.0f);
-  const Tensor attacked_features =
-      pipeline.features_with_attack(batch.items, batch.attacked_images);
+  const Tensor attacked_features = pipeline.classifier().features(batch.attacked_images);
+  // Every clean ranking below is this deep, so each CHR@N up to N = 200 is
+  // re-ranked from it.
+  const std::int64_t depth = 200 + static_cast<std::int64_t>(batch.items.size());
 
   // --- (a) CHR@N vs N ------------------------------------------------------
   {
     Table t("Ablation (a): CHR@N of Sock before/after PGD eps=8 vs cut-off N");
     t.header({"N", "CHR before (%)", "CHR after (%)", "lift"});
+    const recsys::Ranking clean = recsys::rank_all_users(*vbpr, ds, depth);
     for (std::int64_t n : {20, 50, 100, 200}) {
-      const auto before = recsys::top_n_lists(*vbpr, ds, n);
-      const double chr_before = metrics::category_hit_ratio(before, ds, data::kSock, n);
-      const auto after = pipeline.lists_under_attack(*vbpr, attacked_features, n);
+      const double chr_before =
+          metrics::category_hit_ratio(recsys::item_lists(clean, n), ds, data::kSock, n);
+      const auto after =
+          pipeline.lists_under_attack(*vbpr, clean, batch.items, attacked_features, n);
       const double chr_after = metrics::category_hit_ratio(after, ds, data::kSock, n);
       reporter.add_metric("ablation_chr_after", {{"sweep", "topn"}, {"n", std::to_string(n)}},
                           chr_after);
@@ -96,10 +100,11 @@ int main() {
       auto amr = apipe.train_amr();
       Rng ev(99);
       const double auc = recsys::sampled_auc(*amr, ds, ev, 30);
-      const auto before = recsys::top_n_lists(*amr, ds, 100);
+      const recsys::Ranking clean = recsys::rank_all_users(*amr, ds, depth);
       const double chr_before =
-          metrics::category_hit_ratio(before, ds, data::kSock, 100);
-      const auto after = apipe.lists_under_attack(*amr, attacked_features, 100);
+          metrics::category_hit_ratio(recsys::item_lists(clean, 100), ds, data::kSock, 100);
+      const auto after =
+          apipe.lists_under_attack(*amr, clean, batch.items, attacked_features, 100);
       const double chr_after = metrics::category_hit_ratio(after, ds, data::kSock, 100);
       reporter.add_metric("ablation_chr_after",
                           {{"sweep", "amr_gamma"}, {"gamma", Table::fmt(gamma, 1)}},
@@ -125,10 +130,11 @@ int main() {
       auto model = vpipe.train_vbpr();
       Rng ev(77);
       const double auc = recsys::sampled_auc(*model, ds, ev, 30);
-      const auto before = recsys::top_n_lists(*model, ds, 100);
+      const recsys::Ranking clean = recsys::rank_all_users(*model, ds, depth);
       const double chr_before =
-          metrics::category_hit_ratio(before, ds, data::kSock, 100);
-      const auto after = vpipe.lists_under_attack(*model, attacked_features, 100);
+          metrics::category_hit_ratio(recsys::item_lists(clean, 100), ds, data::kSock, 100);
+      const auto after =
+          vpipe.lists_under_attack(*model, clean, batch.items, attacked_features, 100);
       const double chr_after = metrics::category_hit_ratio(after, ds, data::kSock, 100);
       reporter.add_metric("ablation_chr_after",
                           {{"sweep", "visual_factors"}, {"a", std::to_string(a)}},

@@ -9,8 +9,6 @@
 #include "core/pipeline.hpp"
 #include "data/categories.hpp"
 #include "metrics/chr.hpp"
-#include "metrics/image_quality.hpp"
-#include "metrics/success.hpp"
 #include "recsys/ranker.hpp"
 #include "util/table.hpp"
 
@@ -29,9 +27,10 @@ int main() {
   const Tensor clean = data::gather_images(pipeline.catalog(), items);
   const std::vector<std::int64_t> targets(items.size(),
                                           static_cast<std::int64_t>(target));
-  const auto baseline_lists = recsys::top_n_lists(*vbpr, ds, 100);
+  const recsys::Ranking clean_ranking =
+      recsys::rank_all_users(*vbpr, ds, 100 + static_cast<std::int64_t>(items.size()));
   const double chr_before =
-      metrics::category_hit_ratio(baseline_lists, ds, source, 100);
+      metrics::category_hit_ratio(recsys::item_lists(clean_ranking, 100), ds, source, 100);
   std::cout << "Scenario: " << data::category_name(source) << " -> "
             << data::category_name(target) << " on " << items.size()
             << " items; baseline CHR@100 = " << Table::fmt(chr_before * 100, 3)
@@ -41,12 +40,11 @@ int main() {
   t.header({"Attack", "success", "CHR@100 after (%)", "PSNR (dB)", "SSIM", "PSM"});
 
   auto evaluate = [&](const std::string& name, const Tensor& adv) {
-    const auto success =
-        metrics::attack_success(pipeline.classifier(), adv, target);
-    const auto visual =
-        metrics::average_visual_quality(pipeline.classifier(), clean, adv);
+    const auto measured = pipeline.measure_attack(items, adv, target);
+    const auto& success = measured.success;
+    const auto& visual = measured.visual;
     const auto lists =
-        pipeline.lists_under_attack(*vbpr, pipeline.features_with_attack(items, adv), 100);
+        pipeline.lists_under_attack(*vbpr, clean_ranking, items, measured.attacked_features, 100);
     const double chr = metrics::category_hit_ratio(lists, ds, source, 100);
     reporter.add_metric("success_rate", {{"attack", name}}, success.success_rate);
     reporter.add_metric("chr_after_source", {{"attack", name}}, chr);

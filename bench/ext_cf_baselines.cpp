@@ -37,8 +37,9 @@ int main() {
 
   const auto batch = pipeline.attack_category(data::kSock, data::kRunningShoe,
                                               "pgd", 16.0f);
-  const Tensor attacked =
-      pipeline.features_with_attack(batch.items, batch.attacked_images);
+  const Tensor attacked = pipeline.classifier().features(batch.attacked_images);
+  const recsys::Ranking vbpr_clean = recsys::rank_all_users(
+      *vbpr, ds, 100 + static_cast<std::int64_t>(batch.items.size()));
 
   Table t("CHR@100 of Sock and HR@100, clean vs after PGD eps=16 "
           "(image-blind models cannot move)");
@@ -54,7 +55,8 @@ int main() {
         metrics::category_hit_ratio(before, ds, data::kSock, 100);
     double chr_after = chr_before;
     if (uses_images) {
-      const auto after = pipeline.lists_under_attack(*vbpr, attacked, 100);
+      const auto after =
+          pipeline.lists_under_attack(*vbpr, vbpr_clean, batch.items, attacked, 100);
       chr_after = metrics::category_hit_ratio(after, ds, data::kSock, 100);
     }
     reporter.add_metric("auc", {{"model", name}}, auc);

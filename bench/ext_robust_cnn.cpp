@@ -85,10 +85,12 @@ int main() {
   {
     const auto batch = pipeline.attack_category(data::kSock, data::kRunningShoe,
                                                 "pgd", 16.0f);
-    const auto before = recsys::top_n_lists(*vbpr_std, ds, 100);
+    const recsys::Ranking clean_ranking = recsys::rank_all_users(
+        *vbpr_std, ds, 100 + static_cast<std::int64_t>(batch.items.size()));
+    const auto before = recsys::item_lists(clean_ranking, 100);
     const auto after = pipeline.lists_under_attack(
-        *vbpr_std, pipeline.features_with_attack(batch.items, batch.attacked_images),
-        100);
+        *vbpr_std, clean_ranking, batch.items,
+        pipeline.classifier().features(batch.attacked_images), 100);
     t2.row({"standard",
             Table::fmt(metrics::category_hit_ratio(before, ds, data::kSock, 100) * 100, 3),
             Table::fmt(metrics::category_hit_ratio(after, ds, data::kSock, 100) * 100, 3)});
@@ -100,17 +102,11 @@ int main() {
     attack::Pgd pgd(acfg);
     Rng rr(401);
     const Tensor adv = pgd.perturb(robust, clean, targets, rr);
-    Tensor merged = robust_features;
-    const Tensor adv_features = robust.features(adv);
-    for (std::size_t b = 0; b < socks.size(); ++b) {
-      for (std::int64_t j = 0; j < merged.dim(1); ++j) {
-        merged.at(socks[b], j) = adv_features.at(static_cast<std::int64_t>(b), j);
-      }
-    }
-    const auto before = recsys::top_n_lists(vbpr_rob, ds, 100);
-    vbpr_rob.set_item_features(merged);
-    const auto after = recsys::top_n_lists(vbpr_rob, ds, 100);
-    vbpr_rob.set_item_features(robust_features);
+    const recsys::Ranking clean_ranking = recsys::rank_all_users(
+        vbpr_rob, ds, 100 + static_cast<std::int64_t>(socks.size()));
+    const auto before = recsys::item_lists(clean_ranking, 100);
+    const auto after = pipeline.lists_under_attack(vbpr_rob, clean_ranking, socks,
+                                                   robust.features(adv), 100);
     t2.row({"adversarially trained",
             Table::fmt(metrics::category_hit_ratio(before, ds, data::kSock, 100) * 100, 3),
             Table::fmt(metrics::category_hit_ratio(after, ds, data::kSock, 100) * 100, 3)});

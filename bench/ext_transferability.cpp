@@ -11,7 +11,6 @@
 #include "core/pipeline.hpp"
 #include "data/categories.hpp"
 #include "metrics/chr.hpp"
-#include "metrics/success.hpp"
 #include "recsys/ranker.hpp"
 #include "util/table.hpp"
 
@@ -43,8 +42,10 @@ int main() {
   const Tensor clean = data::gather_images(pipeline.catalog(), items);
   const std::vector<std::int64_t> targets(items.size(),
                                           static_cast<std::int64_t>(target));
-  const auto baseline = recsys::top_n_lists(*vbpr, ds, 100);
-  const double chr_before = metrics::category_hit_ratio(baseline, ds, source, 100);
+  const recsys::Ranking clean_ranking =
+      recsys::rank_all_users(*vbpr, ds, 100 + static_cast<std::int64_t>(items.size()));
+  const double chr_before =
+      metrics::category_hit_ratio(recsys::item_lists(clean_ranking, 100), ds, source, 100);
 
   Table t("White-box vs transferred PGD, Sock -> Running Shoe (baseline CHR@100 = " +
           Table::fmt(chr_before * 100, 3) + "%)");
@@ -59,23 +60,24 @@ int main() {
     const Tensor adv_white = pgd.perturb(pipeline.classifier(), clean, targets, r1);
     const Tensor adv_transfer = pgd.perturb(surrogate, clean, targets, r2);
 
-    auto chr_after = [&](const Tensor& adv) {
-      const auto lists = pipeline.lists_under_attack(
-          *vbpr, pipeline.features_with_attack(items, adv), 100);
+    // Both batches are judged by the victim CNN the recommender sees.
+    const auto white = pipeline.measure_attack(items, adv_white, target);
+    const auto transfer = pipeline.measure_attack(items, adv_transfer, target);
+    auto chr_after = [&](const core::Pipeline::AttackMeasurement& m) {
+      const auto lists =
+          pipeline.lists_under_attack(*vbpr, clean_ranking, items, m.attacked_features, 100);
       return metrics::category_hit_ratio(lists, ds, source, 100);
     };
-    const double sr_white =
-        metrics::attack_success(pipeline.classifier(), adv_white, target).success_rate;
-    const double sr_transfer =
-        metrics::attack_success(pipeline.classifier(), adv_transfer, target).success_rate;
+    const double sr_white = white.success.success_rate;
+    const double sr_transfer = transfer.success.success_rate;
     reporter.add_metric("success_rate",
                         {{"access", "white-box"}, {"eps", Table::fmt(eps, 0)}}, sr_white);
     reporter.add_metric("success_rate",
                         {{"access", "transfer"}, {"eps", Table::fmt(eps, 0)}}, sr_transfer);
     reporter.add_examples(static_cast<double>(2 * items.size()));
     t.row({Table::fmt(eps, 0), Table::pct(sr_white, 1), Table::pct(sr_transfer, 1),
-           Table::fmt(chr_after(adv_white) * 100, 3),
-           Table::fmt(chr_after(adv_transfer) * 100, 3)});
+           Table::fmt(chr_after(white) * 100, 3),
+           Table::fmt(chr_after(transfer) * 100, 3)});
   }
   t.print(std::cout);
   std::cout << "\nObserved shape: a fraction of the misclassifications transfers "

@@ -23,16 +23,20 @@ int main() {
   const auto& dataset = pipeline.dataset();
   auto vbpr = pipeline.train_vbpr();
 
-  const auto lists_before = recsys::top_n_lists(*vbpr, dataset, top_n);
+  // Untargeted FGSM against the images of the *most recommended* category
+  // (maximizes the accuracy damage, as in the AMR threat model).
+  const std::int32_t victim = data::kRunningShoe;
+  const auto items = dataset.items_of_category(victim);
+
+  // Ranked deep enough that each attack re-scores only the victim's items.
+  const recsys::Ranking clean_ranking = recsys::rank_all_users(
+      *vbpr, dataset, top_n + static_cast<std::int64_t>(items.size()));
+  const auto lists_before = recsys::item_lists(clean_ranking, top_n);
   std::cout << "Clean VBPR: HR@" << top_n << " = "
             << Table::fmt(metrics::hit_ratio_at_n(lists_before, dataset), 4)
             << ", NDCG@" << top_n << " = "
             << Table::fmt(metrics::ndcg_at_n(lists_before, dataset), 4) << "\n\n";
 
-  // Untargeted FGSM against the images of the *most recommended* category
-  // (maximizes the accuracy damage, as in the AMR threat model).
-  const std::int32_t victim = data::kRunningShoe;
-  const auto items = dataset.items_of_category(victim);
   const Tensor clean = data::gather_images(pipeline.catalog(), items);
   const std::vector<std::int64_t> true_labels(items.size(),
                                               static_cast<std::int64_t>(victim));
@@ -50,7 +54,7 @@ int main() {
         metrics::misclassification_rate(pipeline.classifier(), adv, victim);
 
     const auto lists_after = pipeline.lists_under_attack(
-        *vbpr, pipeline.features_with_attack(items, adv), top_n);
+        *vbpr, clean_ranking, items, pipeline.classifier().features(adv), top_n);
     const double hr = metrics::hit_ratio_at_n(lists_after, dataset);
     const double ndcg = metrics::ndcg_at_n(lists_after, dataset);
 

@@ -5,14 +5,15 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "data/categories.hpp"
 #include "metrics/chr.hpp"
 #include "metrics/ranking.hpp"
-#include "metrics/success.hpp"
 #include "recsys/ranker.hpp"
 #include "recsys/trainer.hpp"
+#include "tensor/ops.hpp"
 #include "util/env.hpp"
 #include "util/io.hpp"
 #include "util/logging.hpp"
@@ -21,13 +22,13 @@ namespace taamr::core {
 
 namespace {
 
-// Attacked images and their model-independent metrics, computed once per
-// (source, target, attack, eps) and reused across VBPR and AMR.
+// One attack's model-independent results, computed once per (source,
+// target, attack, eps) and reused across VBPR and AMR: what the cells read.
 struct AttackProducts {
-  Pipeline::AttackedBatch batch;
-  metrics::SuccessStats success;
-  metrics::VisualQuality visual;
-  Tensor merged_features;  // clean catalog features with attacked rows
+  std::vector<std::int32_t> items;
+  Pipeline::AttackMeasurement measured;
+  // The images themselves, kept for the Fig. 2 product only.
+  std::optional<Pipeline::AttackedBatch> batch;
 };
 
 struct AttackKey {
@@ -39,6 +40,7 @@ struct AttackKey {
     return std::tie(source, target, attack, eps) <
            std::tie(o.source, o.target, o.attack, o.eps);
   }
+  bool operator==(const AttackKey&) const = default;
 };
 
 Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
@@ -49,8 +51,9 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
   ex.target_category = scenario.target_category;
 
   const auto& dataset = pipeline.dataset();
+  const Pipeline::AttackedBatch& batch = products.batch.value();
   const std::int64_t sample_users = std::min<std::int64_t>(dataset.num_users, 60);
-  const std::int64_t num_attacked = static_cast<std::int64_t>(products.batch.items.size());
+  const std::int64_t num_attacked = static_cast<std::int64_t>(batch.items.size());
 
   // Median recommendation position (recsys::item_ranks) of every attacked
   // item across a user sample, before and after the attack.
@@ -59,7 +62,7 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
   auto collect = [&](std::vector<std::vector<double>>& out) {
     for (std::int64_t u = 0; u < sample_users; ++u) {
       const std::vector<std::int64_t> ranks =
-          recsys::item_ranks(vbpr, dataset, u, products.batch.items);
+          recsys::item_ranks(vbpr, dataset, u, batch.items);
       for (std::int64_t a = 0; a < num_attacked; ++a) {
         const std::int64_t rank = ranks[static_cast<std::size_t>(a)];
         if (rank < 0) continue;  // the user trained on this item
@@ -68,7 +71,8 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
     }
   };
   collect(ranks_before);
-  vbpr.set_item_features(products.merged_features);
+  vbpr.set_item_features(
+      pipeline.merged_features(batch.items, products.measured.attacked_features));
   collect(ranks_after);
   vbpr.set_item_features(pipeline.clean_features());
 
@@ -80,9 +84,9 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
 
   // Showcase the successfully-flipped item whose recommendation position
   // improved the most (the paper's Fig. 2 is exactly such an example).
-  const Tensor probs_after =
-      pipeline.classifier().probabilities(products.batch.attacked_images);
-  const auto pred_after = pipeline.classifier().predict(products.batch.attacked_images);
+  const Tensor logits_after = pipeline.classifier().logits(batch.attacked_images);
+  const Tensor probs_after = ops::softmax_rows(logits_after);
+  const auto pred_after = ops::argmax_rows(logits_after);
   std::int64_t best = 0;
   double best_gain = -1e18;
   for (std::int64_t i = 0; i < num_attacked; ++i) {
@@ -95,25 +99,25 @@ Fig2Example make_fig2_example(Pipeline& pipeline, recsys::Vbpr& vbpr,
       best_gain = gain;
     }
   }
-  ex.item = products.batch.items[static_cast<std::size_t>(best)];
+  ex.item = batch.items[static_cast<std::size_t>(best)];
   ex.median_rank_before = median(ranks_before[static_cast<std::size_t>(best)]);
   ex.median_rank_after = median(ranks_after[static_cast<std::size_t>(best)]);
   const Tensor probs_before =
-      pipeline.classifier().probabilities(products.batch.clean_images);
+      pipeline.classifier().probabilities(batch.clean_images);
   ex.source_prob_before = probs_before.at(best, scenario.source_category);
   ex.target_prob_after = probs_after.at(best, scenario.target_category);
 
-  const std::int64_t elems = products.batch.clean_images.numel() /
-                             products.batch.clean_images.dim(0);
-  const Shape img_shape = {products.batch.clean_images.dim(1),
-                           products.batch.clean_images.dim(2),
-                           products.batch.clean_images.dim(3)};
+  const std::int64_t elems = batch.clean_images.numel() /
+                             batch.clean_images.dim(0);
+  const Shape img_shape = {batch.clean_images.dim(1),
+                           batch.clean_images.dim(2),
+                           batch.clean_images.dim(3)};
   ex.clean = Tensor(img_shape);
   ex.attacked = Tensor(img_shape);
-  std::copy(products.batch.clean_images.data() + best * elems,
-            products.batch.clean_images.data() + (best + 1) * elems, ex.clean.data());
-  std::copy(products.batch.attacked_images.data() + best * elems,
-            products.batch.attacked_images.data() + (best + 1) * elems,
+  std::copy(batch.clean_images.data() + best * elems,
+            batch.clean_images.data() + (best + 1) * elems, ex.clean.data());
+  std::copy(batch.attacked_images.data() + best * elems,
+            batch.attacked_images.data() + (best + 1) * elems,
             ex.attacked.data());
   ex.psnr = metrics::psnr(ex.clean, ex.attacked);
   ex.ssim = metrics::ssim(ex.clean, ex.attacked);
@@ -143,8 +147,23 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
   results.vbpr_auc = recsys::sampled_auc(*vbpr, dataset, eval_rng);
   results.amr_auc = recsys::sampled_auc(*amr, dataset, eval_rng);
 
-  const auto vbpr_lists = recsys::top_n_lists(*vbpr, dataset, top_n);
-  const auto amr_lists = recsys::top_n_lists(*amr, dataset, top_n);
+  // Each model is ranked in full once, deep enough (N + the largest attacked
+  // category) that every cell scores only its attacked items again.
+  const std::vector<std::string> model_names = {"VBPR", "AMR"};
+  std::int64_t max_attacked = 0;
+  for (const std::string& model_name : model_names) {
+    for (const AttackScenario& s : paper_scenarios(dataset.name, model_name)) {
+      max_attacked = std::max<std::int64_t>(
+          max_attacked,
+          static_cast<std::int64_t>(dataset.items_of_category(s.source_category).size()));
+    }
+  }
+  const recsys::Ranking vbpr_ranking =
+      recsys::rank_all_users(*vbpr, dataset, top_n + max_attacked);
+  const recsys::Ranking amr_ranking =
+      recsys::rank_all_users(*amr, dataset, top_n + max_attacked);
+  const auto vbpr_lists = recsys::item_lists(vbpr_ranking, top_n);
+  const auto amr_lists = recsys::item_lists(amr_ranking, top_n);
   results.vbpr_hr = metrics::hit_ratio_at_n(vbpr_lists, dataset);
   results.amr_hr = metrics::hit_ratio_at_n(amr_lists, dataset);
   results.vbpr_baseline_chr = metrics::category_hit_ratio_all(vbpr_lists, dataset, top_n);
@@ -153,33 +172,36 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
              << " AMR AUC=" << results.amr_auc;
 
   // Attacked images are model-independent: compute each (source, target,
-  // attack, eps) once and evaluate both recommenders against it.
+  // attack, eps) once and evaluate both recommenders against it. Fig. 2 is
+  // PGD eps=8 against VBPR on the similar scenario (as in the paper); only
+  // that product keeps its images.
+  const AttackScenario fig2_scenario = paper_scenarios(dataset.name, "VBPR").front();
+  const AttackKey fig2_key{fig2_scenario.source_category, fig2_scenario.target_category,
+                           "pgd", 8.0f};
   std::map<AttackKey, AttackProducts> attack_cache;
   auto get_products = [&](const AttackScenario& s, const std::string& attack_key,
                           float eps) -> AttackProducts& {
     const AttackKey key{s.source_category, s.target_category, attack_key, eps};
     auto it = attack_cache.find(key);
     if (it != attack_cache.end()) return it->second;
+    Pipeline::AttackedBatch batch =
+        pipeline.attack_category(s.source_category, s.target_category, attack_key, eps);
     AttackProducts products;
-    products.batch = pipeline.attack_category(s.source_category, s.target_category,
-                                              attack_key, eps);
-    products.success = metrics::attack_success(
-        pipeline.classifier(), products.batch.attacked_images, s.target_category);
-    products.visual = metrics::average_visual_quality(
-        pipeline.classifier(), products.batch.clean_images,
-        products.batch.attacked_images);
-    products.merged_features =
-        pipeline.features_with_attack(products.batch.items, products.batch.attacked_images);
+    products.items = batch.items;
+    products.measured =
+        pipeline.measure_attack(batch.items, batch.attacked_images, s.target_category);
+    if (key == fig2_key) products.batch = std::move(batch);
     return attack_cache.emplace(key, std::move(products)).first->second;
   };
 
   struct ModelEntry {
     recsys::Vbpr* model;
+    const recsys::Ranking* clean;
     const std::vector<double>* baseline_chr;
   };
   const std::vector<std::pair<std::string, ModelEntry>> models = {
-      {"VBPR", {vbpr.get(), &results.vbpr_baseline_chr}},
-      {"AMR", {amr.get(), &results.amr_baseline_chr}},
+      {model_names[0], {vbpr.get(), &vbpr_ranking, &results.vbpr_baseline_chr}},
+      {model_names[1], {amr.get(), &amr_ranking, &results.amr_baseline_chr}},
   };
 
   for (const auto& [model_name, entry] : models) {
@@ -187,10 +209,11 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
     for (const AttackScenario& scenario : scenarios) {
       for (const std::string& attack_key : config.attacks) {
         for (float eps : config.eps_grid_255) {
-          AttackProducts& products = get_products(scenario, attack_key, eps);
+          const AttackProducts& products = get_products(scenario, attack_key, eps);
 
           const auto lists =
-              pipeline.lists_under_attack(*entry.model, products.merged_features, top_n);
+              pipeline.lists_under_attack(*entry.model, *entry.clean, products.items,
+                                          products.measured.attacked_features, top_n);
 
           CellResult cell;
           cell.model = model_name;
@@ -205,11 +228,11 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
               (*entry.baseline_chr)[static_cast<std::size_t>(scenario.target_category)];
           cell.chr_after_source =
               metrics::category_hit_ratio(lists, dataset, scenario.source_category, top_n);
-          cell.success_rate = products.success.success_rate;
-          cell.mean_target_prob = products.success.mean_target_prob;
-          cell.psnr = products.visual.psnr;
-          cell.ssim = products.visual.ssim;
-          cell.psm = products.visual.psm;
+          cell.success_rate = products.measured.success.success_rate;
+          cell.mean_target_prob = products.measured.success.mean_target_prob;
+          cell.psnr = products.measured.visual.psnr;
+          cell.ssim = products.measured.visual.ssim;
+          cell.psm = products.measured.visual.psm;
           results.cells.push_back(cell);
           log_info() << dataset.name << " " << model_name << " " << cell.attack
                      << " eps=" << eps << " " << scenario.label()
@@ -220,12 +243,8 @@ DatasetResults run_dataset_experiment(const ExperimentConfig& config) {
     }
   }
 
-  // Fig. 2: PGD eps=8 against VBPR on the similar scenario (as in the paper).
-  const auto vbpr_scenarios = paper_scenarios(dataset.name, "VBPR");
-  AttackProducts& fig2_products =
-      get_products(vbpr_scenarios.front(), "pgd", 8.0f);
-  results.fig2 =
-      make_fig2_example(pipeline, *vbpr, vbpr_scenarios.front(), fig2_products);
+  results.fig2 = make_fig2_example(pipeline, *vbpr, fig2_scenario,
+                                   get_products(fig2_scenario, "pgd", 8.0f));
 
   return results;
 }

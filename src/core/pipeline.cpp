@@ -2,15 +2,17 @@
 
 #include <bit>
 #include <filesystem>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "data/categories.hpp"
 #include "nn/serialize.hpp"
 #include "obs/trace.hpp"
-#include "recsys/ranker.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace taamr::core {
 
@@ -198,16 +200,41 @@ Pipeline::AttackedBatch Pipeline::attack_category(std::int32_t source_category,
   return batch;
 }
 
-Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
-                                      const Tensor& attacked_images) {
+Pipeline::AttackMeasurement Pipeline::measure_attack(const std::vector<std::int32_t>& items,
+                                                     const Tensor& attacked_images,
+                                                     std::int32_t target_category) {
   if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
-  TAAMR_TRACE_SPAN("pipeline/re_extract_features");
-  const Tensor attacked_features = classifier_->features(attacked_images);
-  if (attacked_features.dim(0) != static_cast<std::int64_t>(items.size())) {
-    throw std::invalid_argument("features_with_attack: items/images mismatch");
+  for (const std::int32_t item : items) {
+    if (item < 0 || item >= dataset_->num_items) {
+      throw std::invalid_argument("measure_attack: item out of range");
+    }
+  }
+  TAAMR_TRACE_SPAN("pipeline/measure_attack");
+  AttackMeasurement m;
+  m.attacked_features = classifier_->features(attacked_images);
+  if (m.attacked_features.dim(0) != static_cast<std::int64_t>(items.size())) {
+    throw std::invalid_argument("measure_attack: items/images mismatch");
+  }
+  m.success =
+      metrics::attack_success(classifier_->head(m.attacked_features), target_category);
+  const std::vector<std::int64_t> rows(items.begin(), items.end());
+  m.visual = metrics::average_visual_quality(
+      data::gather_images(*catalog_, items), attacked_images,
+      nn::gather_rows(clean_features_, rows, 0, static_cast<std::int64_t>(rows.size())),
+      m.attacked_features);
+  return m;
+}
+
+Tensor Pipeline::merged_features(const std::vector<std::int32_t>& items,
+                                 const Tensor& attacked_features) const {
+  if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
+  const std::int64_t d = clean_features_.dim(1);
+  if (attacked_features.ndim() != 2 ||
+      attacked_features.dim(0) != static_cast<std::int64_t>(items.size()) ||
+      attacked_features.dim(1) != d) {
+    throw std::invalid_argument("merged_features: items/features mismatch");
   }
   Tensor merged = clean_features_;
-  const std::int64_t d = merged.dim(1);
   for (std::size_t b = 0; b < items.size(); ++b) {
     for (std::int64_t j = 0; j < d; ++j) {
       merged.at(items[b], j) = attacked_features.at(static_cast<std::int64_t>(b), j);
@@ -216,18 +243,66 @@ Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
   return merged;
 }
 
-std::vector<std::vector<std::int32_t>> Pipeline::lists_under_attack(
-    recsys::Vbpr& model, const Tensor& attacked_features, std::int64_t n) {
+Tensor Pipeline::features_with_attack(const std::vector<std::int32_t>& items,
+                                      const Tensor& attacked_images) {
   if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
-  model.set_item_features(attacked_features);
-  try {
-    auto lists = recsys::top_n_lists(model, *dataset_, n);
-    model.set_item_features(clean_features_);
-    return lists;
-  } catch (...) {
-    model.set_item_features(clean_features_);
-    throw;
+  TAAMR_TRACE_SPAN("pipeline/re_extract_features");
+  const Tensor attacked_features = classifier_->features(attacked_images);
+  if (attacked_features.dim(0) != static_cast<std::int64_t>(items.size())) {
+    throw std::invalid_argument("features_with_attack: items/images mismatch");
   }
+  return merged_features(items, attacked_features);
+}
+
+std::vector<std::vector<std::int32_t>> Pipeline::lists_under_attack(
+    const recsys::Vbpr& model, const recsys::Ranking& clean,
+    const std::vector<std::int32_t>& items, const Tensor& attacked_features,
+    std::int64_t n) const {
+  if (!prepared_) throw std::logic_error("Pipeline: call prepare() first");
+  const data::ImplicitDataset& ds = *dataset_;
+  if (n <= 0) throw std::invalid_argument("lists_under_attack: non-positive N");
+  if (model.num_users() != ds.num_users || model.num_items() != ds.num_items ||
+      static_cast<std::int64_t>(clean.lists.size()) != ds.num_users) {
+    throw std::invalid_argument("lists_under_attack: model/ranking/dataset size mismatch");
+  }
+  const std::size_t m = items.size();
+  if (clean.depth < n + static_cast<std::int64_t>(m)) {
+    throw std::invalid_argument(
+        "lists_under_attack: clean ranking shallower than N + attacked items");
+  }
+  TAAMR_TRACE_SPAN("pipeline/lists_under_attack");
+  std::vector<std::int64_t> users(static_cast<std::size_t>(ds.num_users));
+  std::iota(users.begin(), users.end(), 0);
+  std::vector<float> scores(users.size() * m);
+  model.score_items(users, items, attacked_features, scores);
+  // Column of each attacked item, to mask the ones a user trained on as
+  // rank_users does.
+  std::vector<std::int32_t> column(static_cast<std::size_t>(ds.num_items), -1);
+  for (std::size_t j = 0; j < m; ++j) {
+    column[static_cast<std::size_t>(items[j])] = static_cast<std::int32_t>(j);
+  }
+
+  std::vector<std::vector<std::int32_t>> lists(users.size());
+  constexpr std::size_t kUserTile = 64;
+  parallel_for(0, (users.size() + kUserTile - 1) / kUserTile, [&](std::size_t t) {
+    std::vector<recsys::ScoredItem> rescored(m);
+    for (std::size_t u = t * kUserTile; u < std::min(users.size(), (t + 1) * kUserTile);
+         ++u) {
+      for (std::size_t j = 0; j < m; ++j) rescored[j] = {items[j], scores[u * m + j]};
+      for (const std::int32_t item : ds.train[u]) {
+        const std::int32_t j = column[static_cast<std::size_t>(item)];
+        if (j >= 0) {
+          rescored[static_cast<std::size_t>(j)].score =
+              -std::numeric_limits<float>::infinity();
+        }
+      }
+      const std::vector<recsys::ScoredItem> merged =
+          recsys::merge_rescored(clean.lists[u], rescored, n);
+      lists[u].reserve(merged.size());
+      for (const recsys::ScoredItem& s : merged) lists[u].push_back(s.item);
+    }
+  });
+  return lists;
 }
 
 }  // namespace taamr::core

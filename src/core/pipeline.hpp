@@ -12,8 +12,11 @@
 #include "attack/attack.hpp"
 #include "data/amazon_synth.hpp"
 #include "data/dataset.hpp"
+#include "metrics/image_quality.hpp"
+#include "metrics/success.hpp"
 #include "nn/classifier.hpp"
 #include "recsys/amr.hpp"
+#include "recsys/ranker.hpp"
 #include "recsys/vbpr.hpp"
 
 namespace taamr::core {
@@ -90,16 +93,39 @@ class Pipeline {
                                 const std::string& attack_key,
                                 float epsilon_255);
 
-  // Clean features with the rows of `items` replaced by features extracted
-  // from `attacked_images` — what the MR sees after the attack.
+  // What an attack did to the images of `items`, measured from one
+  // `features` pass over attacked_images: success from the head's logits of
+  // those features, PSNR/SSIM against the items' catalog images, PSM
+  // against their clean_features() rows (the rows a fresh extraction of the
+  // clean images would give, bit for bit).
+  struct AttackMeasurement {
+    metrics::SuccessStats success;  // toward target_category
+    metrics::VisualQuality visual;
+    Tensor attacked_features;       // [items, D], row b for items[b]
+  };
+  AttackMeasurement measure_attack(const std::vector<std::int32_t>& items,
+                                   const Tensor& attacked_images,
+                                   std::int32_t target_category);
+
+  // Clean features with the rows of `items` replaced by `attacked_features`
+  // ([items, D]) — what the MR sees after the attack.
+  Tensor merged_features(const std::vector<std::int32_t>& items,
+                         const Tensor& attacked_features) const;
+  // merged_features of the features extracted from `attacked_images`.
   Tensor features_with_attack(const std::vector<std::int32_t>& items,
                               const Tensor& attacked_images);
 
-  // Stage 6: the top-n lists `model` serves once its item features are
-  // `attacked_features` (e.g. from features_with_attack). The model gets
-  // clean_features() back before this returns, also when ranking throws.
+  // Stage 6: the top-n lists `model` serves once the features of `items`
+  // are `attacked_features` (row b for items[b]) and every other item keeps
+  // its clean one. `clean` is the model's recsys::rank_all_users ranking on
+  // clean_features() at depth >= n + items.size(): only the attacked items
+  // are scored again (Vbpr::score_items) and merged into it
+  // (recsys::merge_rescored), which gives exactly the lists of a full
+  // re-rank after set_item_features. The model is not changed.
   std::vector<std::vector<std::int32_t>> lists_under_attack(
-      recsys::Vbpr& model, const Tensor& attacked_features, std::int64_t n);
+      const recsys::Vbpr& model, const recsys::Ranking& clean,
+      const std::vector<std::int32_t>& items, const Tensor& attacked_features,
+      std::int64_t n) const;
 
  private:
   void train_or_load_classifier();

@@ -84,20 +84,21 @@ double psm(nn::Classifier& classifier, const Tensor& a, const Tensor& b) {
          static_cast<double>(fa.numel());
 }
 
-VisualQuality average_visual_quality(nn::Classifier& classifier, const Tensor& originals,
-                                     const Tensor& attacked) {
+VisualQuality average_visual_quality(const Tensor& originals, const Tensor& attacked,
+                                     const Tensor& original_features,
+                                     const Tensor& attacked_features) {
   check_same_shape(originals, attacked, "average_visual_quality");
   if (originals.ndim() != 4 || originals.dim(0) == 0) {
     throw std::invalid_argument("average_visual_quality: expected non-empty [N, C, H, W]");
   }
+  check_same_shape(original_features, attacked_features, "average_visual_quality");
   const std::int64_t n = originals.dim(0);
+  if (original_features.ndim() != 2 || original_features.dim(0) != n) {
+    throw std::invalid_argument("average_visual_quality: expected [N, D] features");
+  }
   const Shape img_shape = {originals.dim(1), originals.dim(2), originals.dim(3)};
   const std::int64_t elems = originals.numel() / n;
-
-  // Feature distances in one batched pass (cheaper than per-image psm()).
-  const Tensor f_orig = classifier.features(originals);
-  const Tensor f_att = classifier.features(attacked);
-  const std::int64_t d = f_orig.dim(1);
+  const std::int64_t d = original_features.dim(1);
 
   VisualQuality q;
   for (std::int64_t i = 0; i < n; ++i) {
@@ -109,7 +110,7 @@ VisualQuality average_visual_quality(nn::Classifier& classifier, const Tensor& o
     q.ssim += ssim(a, b);
     double fd = 0.0;
     for (std::int64_t j = 0; j < d; ++j) {
-      const double diff = f_orig.at(i, j) - f_att.at(i, j);
+      const double diff = original_features.at(i, j) - attacked_features.at(i, j);
       fd += diff * diff;
     }
     q.psm += fd / static_cast<double>(d);
@@ -118,6 +119,16 @@ VisualQuality average_visual_quality(nn::Classifier& classifier, const Tensor& o
   q.ssim /= static_cast<double>(n);
   q.psm /= static_cast<double>(n);
   return q;
+}
+
+VisualQuality average_visual_quality(nn::Classifier& classifier, const Tensor& originals,
+                                     const Tensor& attacked) {
+  check_same_shape(originals, attacked, "average_visual_quality");
+  if (originals.ndim() != 4 || originals.dim(0) == 0) {
+    throw std::invalid_argument("average_visual_quality: expected non-empty [N, C, H, W]");
+  }
+  return average_visual_quality(originals, attacked, classifier.features(originals),
+                                classifier.features(attacked));
 }
 
 }  // namespace taamr::metrics

@@ -47,6 +47,12 @@ struct VisualQuality {
   double ssim = 0.0;
   double psm = 0.0;
 };
+// From the pairs' layer-e features ([N, D] each, row i for pair i): no CNN
+// pass of its own.
+VisualQuality average_visual_quality(const Tensor& originals, const Tensor& attacked,
+                                     const Tensor& original_features,
+                                     const Tensor& attacked_features);
+// The same with both batches' features extracted by `classifier`.
 VisualQuality average_visual_quality(nn::Classifier& classifier, const Tensor& originals,
                                      const Tensor& attacked);
 

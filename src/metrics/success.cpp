@@ -6,12 +6,14 @@
 
 namespace taamr::metrics {
 
-SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_images,
-                            std::int64_t target_class, std::string_view) {
-  if (target_class < 0 || target_class >= classifier.num_classes()) {
+SuccessStats attack_success(const Tensor& logits, std::int64_t target_class) {
+  if (logits.ndim() != 2) {
+    throw std::invalid_argument("attack_success: expected [N, classes] logits");
+  }
+  if (target_class < 0 || target_class >= logits.dim(1)) {
     throw std::invalid_argument("attack_success: target class out of range");
   }
-  const Tensor probs = classifier.probabilities(attacked_images);
+  const Tensor probs = ops::softmax_rows(logits);
   const std::vector<std::int64_t> pred = ops::argmax_rows(probs);
   SuccessStats stats;
   stats.num_images = probs.dim(0);
@@ -25,6 +27,14 @@ SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_i
       static_cast<double>(successes) / static_cast<double>(stats.num_images);
   stats.mean_target_prob = prob_sum / static_cast<double>(stats.num_images);
   return stats;
+}
+
+SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_images,
+                            std::int64_t target_class, std::string_view) {
+  if (target_class < 0 || target_class >= classifier.num_classes()) {
+    throw std::invalid_argument("attack_success: target class out of range");
+  }
+  return attack_success(classifier.logits(attacked_images), target_class);
 }
 
 double misclassification_rate(nn::Classifier& classifier, const Tensor& attacked_images,

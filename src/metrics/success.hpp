@@ -17,7 +17,12 @@ struct SuccessStats {
   std::int64_t num_images = 0;
 };
 
-// `attack_label` is ignored. It stays only because the benchmark's probes
+// From the attacked images' logits [N, classes] (e.g. Classifier::head of
+// their features): no CNN pass of its own.
+SuccessStats attack_success(const Tensor& logits, std::int64_t target_class);
+
+// attack_success of classifier.logits(attacked_images). `attack_label` is
+// ignored. It stays only because the benchmark's probes
 // (benchmark/src/probes.cpp) still pass it.
 SuccessStats attack_success(nn::Classifier& classifier, const Tensor& attacked_images,
                             std::int64_t target_class,

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -144,10 +145,7 @@ Tensor Classifier::batched(const Tensor& images, const Shape& out_shape, Fn fn) 
   return out;
 }
 
-Tensor Classifier::logits(const Tensor& images) {
-  return batched(images, {images.dim(0), num_classes()},
-                 [this](const Tensor& x, std::int64_t) { return model_.net.forward(x, false); });
-}
+Tensor Classifier::logits(const Tensor& images) { return head(features(images)); }
 
 Tensor Classifier::probabilities(const Tensor& images) {
   return ops::softmax_rows(logits(images));
@@ -166,6 +164,15 @@ Tensor Classifier::features(const Tensor& images) {
   return batched(images, {images.dim(0), feature_dim()}, [this](const Tensor& x, std::int64_t) {
     return model_.net.forward_to(x, model_.feature_end, false);
   });
+}
+
+Tensor Classifier::head(const Tensor& features) {
+  if (features.ndim() != 2 || features.dim(1) != feature_dim()) {
+    throw std::invalid_argument("Classifier::head: expected [N, " +
+                                std::to_string(feature_dim()) + "] features");
+  }
+  const InputOnlyScope input_only(model_.net);
+  return model_.net.forward_from(features, model_.feature_end, false);
 }
 
 Tensor Classifier::input_gradient(const Tensor& images, std::size_t layer_end,

@@ -39,13 +39,21 @@ class Classifier {
 
   // ---- inference (eval mode; batched; input-only, see nn/layer.hpp) ----
 
+  // head(features(images)): one network pass per image.
   Tensor logits(const Tensor& images);
   Tensor probabilities(const Tensor& images);
   std::vector<std::int64_t> predict(const Tensor& images);
   double evaluate_accuracy(const Tensor& images, const std::vector<std::int64_t>& labels);
 
   // Learned image features f_e(x) at the global-average-pool layer: [N, D].
+  // Eval-mode inference has no cross-sample op, so an image's row is bitwise
+  // the same whatever batch or chunk it is extracted in.
   Tensor features(const Tensor& images);
+
+  // The classification head (layers [feature_end, end)) on features [N, D]:
+  // logits [N, classes]. Features already extracted, such as rows of a
+  // catalog's features, get their logits without another CNN pass.
+  Tensor head(const Tensor& features);
 
   // Cotangent of one chunk's output: given the [rows, ...] output of layers
   // [0, layer_end) for images [begin, begin + rows), returns dL/d(output).

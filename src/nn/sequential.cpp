@@ -36,6 +36,15 @@ Tensor Sequential::forward_to(const Tensor& x, std::size_t layer_end, bool train
   return h;
 }
 
+Tensor Sequential::forward_from(const Tensor& x, std::size_t layer_begin, bool train) {
+  if (layer_begin > layers_.size()) {
+    throw std::out_of_range("Sequential::forward_from: layer_begin out of range");
+  }
+  Tensor h = x;
+  for (std::size_t i = layer_begin; i < layers_.size(); ++i) h = layers_[i]->forward(h, train);
+  return h;
+}
+
 Tensor Sequential::backward(const Tensor& grad_out) {
   return backward_to(grad_out, layers_.size());
 }

@@ -31,6 +31,9 @@ class Sequential : public Layer {
 
   // Runs layers [0, layer_end) only. forward(x, t) == forward_to(x, size(), t).
   Tensor forward_to(const Tensor& x, std::size_t layer_end, bool train);
+  // Runs layers [layer_begin, size()) only, so
+  // forward(x, t) == forward_from(forward_to(x, e, t), e, t).
+  Tensor forward_from(const Tensor& x, std::size_t layer_begin, bool train);
   // Backpropagates through layers [0, layer_end).
   // backward(g) == backward_to(g, size()).
   Tensor backward_to(const Tensor& grad_out, std::size_t layer_end);

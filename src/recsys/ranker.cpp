@@ -9,6 +9,14 @@
 
 namespace taamr::recsys {
 
+namespace {
+// The canonical ranking order: score descending, then item id ascending.
+bool ranks_before(float score_a, std::int32_t a, float score_b, std::int32_t b) {
+  if (score_a != score_b) return score_a > score_b;
+  return a < b;
+}
+}  // namespace
+
 std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t n) {
   if (n <= 0) throw std::invalid_argument("top_n_from_row: non-positive N");
   const std::int64_t num_items = static_cast<std::int64_t>(row.size());
@@ -17,10 +25,8 @@ std::vector<ScoredItem> top_n_from_row(std::span<const float> row, std::int64_t 
   std::iota(idx.begin(), idx.end(), 0);
   std::partial_sort(idx.begin(), idx.begin() + top, idx.end(),
                     [&row](std::int32_t a, std::int32_t b) {
-                      const float sa = row[static_cast<std::size_t>(a)];
-                      const float sb = row[static_cast<std::size_t>(b)];
-                      if (sa != sb) return sa > sb;
-                      return a < b;  // deterministic tie-break
+                      return ranks_before(row[static_cast<std::size_t>(a)], a,
+                                          row[static_cast<std::size_t>(b)], b);
                     });
   std::vector<ScoredItem> out;
   out.reserve(static_cast<std::size_t>(top));
@@ -73,15 +79,68 @@ std::vector<std::vector<ScoredItem>> rank_users(const Recommender& model,
 std::vector<std::vector<std::int32_t>> top_n_lists(const Recommender& model,
                                                    const data::ImplicitDataset& dataset,
                                                    std::int64_t n) {
+  return item_lists(rank_all_users(model, dataset, n), n);
+}
+
+Ranking rank_all_users(const Recommender& model, const data::ImplicitDataset& dataset,
+                       std::int64_t depth) {
   std::vector<std::int64_t> users(static_cast<std::size_t>(dataset.num_users));
   std::iota(users.begin(), users.end(), 0);
-  const std::vector<std::vector<ScoredItem>> ranked = rank_users(model, dataset, users, n);
-  std::vector<std::vector<std::int32_t>> lists(ranked.size());
-  for (std::size_t u = 0; u < ranked.size(); ++u) {
-    lists[u].reserve(ranked[u].size());
-    for (const ScoredItem& s : ranked[u]) lists[u].push_back(s.item);
+  return Ranking{depth, rank_users(model, dataset, users, depth)};
+}
+
+std::vector<std::vector<std::int32_t>> item_lists(const Ranking& ranking, std::int64_t n) {
+  if (n <= 0 || n > ranking.depth) {
+    throw std::invalid_argument("item_lists: N must be in [1, ranking depth]");
+  }
+  std::vector<std::vector<std::int32_t>> lists(ranking.lists.size());
+  for (std::size_t u = 0; u < lists.size(); ++u) {
+    const std::size_t len = std::min(ranking.lists[u].size(), static_cast<std::size_t>(n));
+    lists[u].reserve(len);
+    for (std::size_t r = 0; r < len; ++r) lists[u].push_back(ranking.lists[u][r].item);
   }
   return lists;
+}
+
+std::vector<ScoredItem> merge_rescored(std::span<const ScoredItem> clean,
+                                       std::span<const ScoredItem> rescored,
+                                       std::int64_t n) {
+  if (n <= 0) throw std::invalid_argument("merge_rescored: non-positive N");
+  std::vector<std::int32_t> changed;  // sorted, to drop the stale entries of clean
+  std::vector<ScoredItem> fresh;      // the servable rescored items, canonical order
+  changed.reserve(rescored.size());
+  fresh.reserve(rescored.size());
+  for (const ScoredItem& s : rescored) {
+    changed.push_back(s.item);
+    if (s.score != -std::numeric_limits<float>::infinity()) fresh.push_back(s);
+  }
+  std::sort(changed.begin(), changed.end());
+  if (std::adjacent_find(changed.begin(), changed.end()) != changed.end()) {
+    throw std::invalid_argument("merge_rescored: an item is rescored twice");
+  }
+  std::sort(fresh.begin(), fresh.end(), [](const ScoredItem& a, const ScoredItem& b) {
+    return ranks_before(a.score, a.item, b.score, b.item);
+  });
+
+  const std::size_t limit = static_cast<std::size_t>(n);
+  std::vector<ScoredItem> out;
+  out.reserve(std::min(limit, clean.size() + fresh.size()));
+  std::size_t c = 0, f = 0;
+  while (out.size() < limit) {
+    while (c < clean.size() &&
+           std::binary_search(changed.begin(), changed.end(), clean[c].item)) {
+      ++c;
+    }
+    const bool have_clean = c < clean.size(), have_fresh = f < fresh.size();
+    if (!have_clean && !have_fresh) break;
+    if (have_fresh && (!have_clean || ranks_before(fresh[f].score, fresh[f].item,
+                                                   clean[c].score, clean[c].item))) {
+      out.push_back(fresh[f++]);
+    } else {
+      out.push_back(clean[c++]);
+    }
+  }
+  return out;
 }
 
 std::vector<std::int64_t> item_ranks(const Recommender& model,

@@ -116,8 +116,56 @@ void Vbpr::score_users(std::span<const std::int64_t> users,
         "Vbpr: scoring caches are stale (call fit/set_item_features first)");
   }
   check_score_users(users, out, "Vbpr::score_users");
+  score_block(users, item_factors_t_, theta_cache_t_, item_bias_, visual_bias_cache_, out);
+}
+
+void Vbpr::score_items(std::span<const std::int64_t> users,
+                       std::span<const std::int32_t> items, const Tensor& raw_features,
+                       std::span<float> out) const {
+  if (!caches_fresh_) {
+    throw std::logic_error(
+        "Vbpr: scoring caches are stale (call fit/set_item_features first)");
+  }
+  const std::int64_t m = static_cast<std::int64_t>(items.size());
+  if (raw_features.ndim() != 2 || raw_features.dim(0) != m ||
+      raw_features.dim(1) != feature_dim()) {
+    throw std::invalid_argument("Vbpr::score_items: expected [items, D] features");
+  }
+  if (out.size() != users.size() * items.size()) {
+    throw std::invalid_argument("Vbpr::score_items: out must be [users, items]");
+  }
+  for (const std::int64_t u : users) {
+    if (u < 0 || u >= num_users()) {
+      throw std::invalid_argument("Vbpr::score_items: user out of range");
+    }
+  }
+  for (const std::int32_t i : items) {
+    if (i < 0 || i >= num_items()) {
+      throw std::invalid_argument("Vbpr::score_items: item out of range");
+    }
+  }
+  if (users.empty() || items.empty()) return;
+  // The item-side operands rebuild_caches would hold for these items: Q^T
+  // columns gathered, Theta^T columns and beta.f_i from the standardized
+  // rows. Each is per item, so they match the full caches' columns.
+  const Tensor f = transform_.apply(raw_features);
+  const std::int64_t k = config_.mf_factors;
+  Tensor q_t({k, m});
+  Tensor bias({m});
+  for (std::int64_t j = 0; j < m; ++j) {
+    const std::int64_t item = items[static_cast<std::size_t>(j)];
+    for (std::int64_t p = 0; p < k; ++p) q_t.at(p, j) = item_factors_t_.at(p, item);
+    bias[j] = item_bias_[item];
+  }
+  score_block(users, q_t, ops::matmul(embedding_, f, /*trans_a=*/false, /*trans_b=*/true),
+              bias, ops::matvec(f, visual_bias_), out);
+}
+
+void Vbpr::score_block(std::span<const std::int64_t> users, const Tensor& q_t,
+                       const Tensor& theta_t, const Tensor& item_bias,
+                       const Tensor& visual_bias, std::span<float> out) const {
   if (users.empty()) return;
-  const std::int64_t items = num_items();
+  const std::int64_t items = q_t.dim(1);
   const std::int64_t rows = static_cast<std::int64_t>(users.size());
   const std::int64_t k = config_.mf_factors, a = config_.visual_factors;
   Tensor p_block({rows, k});
@@ -129,13 +177,13 @@ void Vbpr::score_users(std::span<const std::int64_t> users,
     std::memcpy(a_block.data() + r * a, user_visual_.data() + u * a,
                 static_cast<std::size_t>(a) * sizeof(float));
   }
-  Tensor s = ops::matmul(p_block, item_factors_t_);        // [U_b, I]
-  ops::matmul_accumulate(s, a_block, theta_cache_t_);      // += alpha Theta^T
+  Tensor s = ops::matmul(p_block, q_t);        // [U_b, J]
+  ops::matmul_accumulate(s, a_block, theta_t);  // += alpha Theta^T
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* srow = s.data() + r * items;
     float* orow = out.data() + r * items;
     for (std::int64_t i = 0; i < items; ++i) {
-      orow[i] = srow[i] + item_bias_[i] + visual_bias_cache_[i];
+      orow[i] = srow[i] + item_bias[i] + visual_bias[i];
     }
   }
   // The GEMMs book themselves under the gemm family; the bias broadcast is

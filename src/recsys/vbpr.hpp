@@ -71,6 +71,15 @@ class Vbpr : public Recommender {
   // same whatever other users share the call.
   void score_users(std::span<const std::int64_t> users,
                    std::span<float> out) const override;
+  // Scores of `items` alone once their raw features are `raw_features`
+  // (row j for items[j]) and every other item keeps its own: out[r, j],
+  // row-major [users.size(), items.size()], is bit for bit score_users'
+  // score of items[j] after set_item_features with those rows swapped in.
+  // The model is not changed. Both run one scoring routine; only its
+  // item-side operands are gathered here.
+  void score_items(std::span<const std::int64_t> users,
+                   std::span<const std::int32_t> items, const Tensor& raw_features,
+                   std::span<float> out) const;
   std::string name() const override { return "VBPR"; }
 
   std::int64_t feature_dim() const { return features_.dim(1); }
@@ -108,6 +117,13 @@ class Vbpr : public Recommender {
   TripletSampler sampler_;
 
  private:
+  // score_users' arithmetic for the rows of `users` against J items given
+  // by their item-side operands: Q^T columns q_t [K, J], Theta^T columns
+  // theta_t [A, J], and the biases b_i and beta.f_i ([J] each).
+  void score_block(std::span<const std::int64_t> users, const Tensor& q_t,
+                   const Tensor& theta_t, const Tensor& item_bias,
+                   const Tensor& visual_bias, std::span<float> out) const;
+
   struct LoadTag {};
   Vbpr(const data::ImplicitDataset& dataset, VbprConfig config, LoadTag);
 };

@@ -298,6 +298,42 @@ TEST(Classifier, InferenceIsBitwiseAndLeavesTraining) {
   expect_trains_like_twin(c, twin, images, labels);
 }
 
+TEST(Classifier, LogitsAreHeadOfFeatures) {
+  // logits is head(features): bitwise the full network's forward, chunk by
+  // chunk across the 64-image boundary. A row does not depend on its batch,
+  // so the features of a gathered subset are rows of the full extraction.
+  Rng rng(97);
+  nn::Classifier c(tiny_config(), rng);
+  Tensor x({70, 3, 8, 8});
+  testing::fill_uniform(x, rng, 0.0f, 1.0f);
+  const Tensor logits = c.logits(x);
+  const Tensor features = c.features(x);
+  const Tensor head = c.head(features);
+  ASSERT_EQ(logits.shape(), (Shape{70, 3}));
+  EXPECT_EQ(std::memcmp(logits.data(), head.data(),
+                        static_cast<std::size_t>(logits.numel()) * sizeof(float)),
+            0);
+  for (const auto& [begin, end] : {std::pair<std::int64_t, std::int64_t>{0, 64}, {64, 70}}) {
+    const Tensor full = c.network().forward(nn::slice_rows(x, begin, end), false);
+    EXPECT_EQ(std::memcmp(logits.data() + begin * 3, full.data(),
+                          static_cast<std::size_t>(full.numel()) * sizeof(float)),
+              0)
+        << "rows " << begin << ".." << end;
+  }
+
+  const std::vector<std::int64_t> picked = {69, 3, 64, 0, 31};
+  const Tensor gathered = c.features(nn::gather_rows(x, picked, 0, 5));
+  const std::int64_t d = features.dim(1);
+  for (std::int64_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(std::memcmp(gathered.data() + r * d,
+                          features.data() + picked[static_cast<std::size_t>(r)] * d,
+                          static_cast<std::size_t>(d) * sizeof(float)),
+              0)
+        << "gathered row " << r;
+  }
+  EXPECT_THROW(c.head(Tensor({2, d + 1})), std::invalid_argument);
+}
+
 TEST(TrainingHelpers, StepDecayAndShuffledGather) {
   EXPECT_EQ(nn::step_decay_lr(0.5f, 0, 20), 0.5f);
   EXPECT_EQ(nn::step_decay_lr(0.5f, 11, 20), 0.5f);

@@ -10,6 +10,7 @@
 #include "metrics/chr.hpp"
 #include "metrics/image_quality.hpp"
 #include "recsys/ranker.hpp"
+#include "tensor/cost.hpp"
 #include "tensor/ops.hpp"
 
 namespace taamr {
@@ -181,6 +182,116 @@ TEST(PipelineIntegration, TrainingDoesNotDependOnEarlierStages) {
   const std::vector<float> after_vbpr = rows(*p.train_amr());
   ASSERT_EQ(fresh.size(), after_vbpr.size());
   EXPECT_EQ(std::memcmp(fresh.data(), after_vbpr.data(), fresh.size() * sizeof(float)), 0);
+}
+
+// An image's features do not depend on the batch they are extracted in:
+// every category's gathered images give exactly its clean_features() rows,
+// and their logits are the head of those rows. The attack measurement takes
+// its clean side from these rows instead of a second CNN pass.
+TEST(AttackTail, GatheredFeaturesAreCleanFeatureRows) {
+  core::Pipeline& p = shared_pipeline();
+  const auto& ds = p.dataset();
+  const Tensor& clean = p.clean_features();
+  const std::int64_t d = clean.dim(1);
+  for (std::int32_t c = 0; c < data::num_categories(); ++c) {
+    const auto items = ds.items_of_category(c);
+    if (items.empty()) continue;
+    const Tensor images = data::gather_images(p.catalog(), items);
+    const Tensor f = p.classifier().features(images);
+    for (std::size_t b = 0; b < items.size(); ++b) {
+      EXPECT_EQ(std::memcmp(f.data() + static_cast<std::int64_t>(b) * d,
+                            clean.data() + items[b] * d, static_cast<std::size_t>(d) * sizeof(float)),
+                0)
+          << "category " << c << " item " << items[b];
+    }
+    const std::vector<std::int64_t> rows(items.begin(), items.end());
+    const Tensor head = p.classifier().head(
+        nn::gather_rows(clean, rows, 0, static_cast<std::int64_t>(rows.size())));
+    EXPECT_TRUE(same_bits(p.classifier().logits(images), head)) << "category " << c;
+  }
+}
+
+// One measurement is one features pass plus the head (the separate calls
+// run four CNN passes between them), and it reports bit for bit what the
+// separate success / visual-quality / re-extraction calls report.
+TEST(AttackTail, MeasureAttackIsOnePassWithTheSameNumbers) {
+  cost::enable();
+  core::Pipeline& p = shared_pipeline();
+  const auto batch = p.attack_category(data::kSock, data::kRunningShoe, "pgd", 8.0f);
+  double before = cost::totals(cost::Kernel::kGemm).flops;
+  p.classifier().logits(batch.attacked_images);
+  const double one_pass = cost::totals(cost::Kernel::kGemm).flops - before;
+  ASSERT_GT(one_pass, 0.0);
+  before = cost::totals(cost::Kernel::kGemm).flops;
+  const auto m = p.measure_attack(batch.items, batch.attacked_images, data::kRunningShoe);
+  EXPECT_EQ(cost::totals(cost::Kernel::kGemm).flops - before, one_pass);
+
+  const auto success =
+      metrics::attack_success(p.classifier(), batch.attacked_images, data::kRunningShoe);
+  EXPECT_EQ(m.success.num_images, success.num_images);
+  EXPECT_EQ(m.success.success_rate, success.success_rate);
+  EXPECT_EQ(m.success.mean_target_prob, success.mean_target_prob);
+  const auto visual = metrics::average_visual_quality(p.classifier(), batch.clean_images,
+                                                      batch.attacked_images);
+  EXPECT_EQ(m.visual.psnr, visual.psnr);
+  EXPECT_EQ(m.visual.ssim, visual.ssim);
+  EXPECT_EQ(m.visual.psm, visual.psm);
+  EXPECT_GT(m.visual.psm, 0.0);
+  EXPECT_TRUE(same_bits(p.merged_features(batch.items, m.attacked_features),
+                        p.features_with_attack(batch.items, batch.attacked_images)));
+
+  const Tensor one = nn::slice_rows(batch.attacked_images, 0, 1);
+  EXPECT_THROW(p.measure_attack({-1}, one, data::kRunningShoe), std::invalid_argument);
+  EXPECT_THROW(p.measure_attack({0, 1}, one, data::kRunningShoe), std::invalid_argument);
+}
+
+// The cells' re-rank scores only the attacked items and merges them into a
+// clean ranking at depth N + m: element for element the lists of a full
+// re-rank after set_item_features, for both models at every epsilon. Some
+// users trained on source items, so the merge's masking is exercised.
+TEST(AttackTail, ListsUnderAttackEqualFullRerank) {
+  core::Pipeline& p = shared_pipeline();
+  const auto& ds = p.dataset();
+  const std::int64_t n = 20;
+  const auto items = ds.items_of_category(data::kSock);
+  const std::int64_t m = static_cast<std::int64_t>(items.size());
+  bool trained_on_source = false;
+  for (const auto& train : ds.train) {
+    for (const std::int32_t item : train) {
+      trained_on_source |= ds.item_category[static_cast<std::size_t>(item)] == data::kSock;
+    }
+  }
+  ASSERT_TRUE(trained_on_source);
+
+  std::vector<std::pair<std::string, Tensor>> attacked;  // (cell, attacked images)
+  for (const std::string attack : {"fgsm", "pgd"}) {
+    for (const float eps : {2.0f, 4.0f, 8.0f, 16.0f}) {
+      attacked.emplace_back(attack + " eps " + std::to_string(eps),
+                            p.attack_category(data::kSock, data::kRunningShoe, attack, eps)
+                                .attacked_images);
+    }
+  }
+  const auto vbpr = p.train_vbpr();
+  const auto amr = p.train_amr();
+  std::size_t moved = 0;
+  for (recsys::Vbpr* model : {vbpr.get(), static_cast<recsys::Vbpr*>(amr.get())}) {
+    const recsys::Ranking clean = recsys::rank_all_users(*model, ds, n + m);
+    const auto clean_lists = recsys::item_lists(clean, n);
+    EXPECT_EQ(clean_lists, recsys::top_n_lists(*model, ds, n));
+    for (const auto& [cell, images] : attacked) {
+      const auto lists = p.lists_under_attack(*model, clean, items,
+                                              p.classifier().features(images), n);
+      model->set_item_features(p.features_with_attack(items, images));
+      const auto full = recsys::top_n_lists(*model, ds, n);
+      model->set_item_features(p.clean_features());
+      EXPECT_EQ(lists, full) << model->name() << " " << cell;
+      moved += lists != clean_lists;
+    }
+    EXPECT_THROW(p.lists_under_attack(*model, recsys::rank_all_users(*model, ds, n + m - 1),
+                                      items, p.classifier().features(attacked[0].second), n),
+                 std::invalid_argument);
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(PipelineIntegration, PrepareIsIdempotent) {

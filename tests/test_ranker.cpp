@@ -321,5 +321,87 @@ TEST(Ranker, ItemRankConsistentWithTopN) {
   }
 }
 
+// merge_rescored's oracle: the full ranking of the new row.
+std::vector<recsys::ScoredItem> full_rank(const std::vector<float>& row, std::int64_t n) {
+  return recsys::top_n_from_row({row.data(), row.size()}, n);
+}
+
+TEST(Ranker, MergeRescoredHandlesTiesAndMasks) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  // Old row; items 1 and 4 change. Item 4's new score ties item 2's and
+  // must rank after it (higher id); item 1 becomes masked (-inf); item 3
+  // stays masked throughout.
+  std::vector<float> row = {0.5f, 0.9f, 0.7f, -kInf, 0.1f, 0.7f};
+  const auto clean = full_rank(row, 6);
+  row[1] = -kInf;
+  row[4] = 0.7f;
+  const std::vector<recsys::ScoredItem> rescored = {{4, 0.7f}, {1, -kInf}};
+  for (std::int64_t n = 1; n <= 4; ++n) {
+    EXPECT_EQ(recsys::merge_rescored(clean, rescored, n), full_rank(row, n)) << "n=" << n;
+  }
+  const auto merged = recsys::merge_rescored(clean, rescored, 4);
+  ASSERT_EQ(merged.size(), 4u);
+  EXPECT_EQ(merged[0], (recsys::ScoredItem{2, 0.7f}));
+  EXPECT_EQ(merged[1], (recsys::ScoredItem{4, 0.7f}));
+  EXPECT_EQ(merged[2], (recsys::ScoredItem{5, 0.7f}));
+  EXPECT_EQ(merged[3], (recsys::ScoredItem{0, 0.5f}));
+  // Short lists: four servable items, so a deeper cut gives just those.
+  EXPECT_EQ(recsys::merge_rescored(clean, rescored, 10).size(), 4u);
+  EXPECT_EQ(recsys::merge_rescored(clean, rescored, 10), full_rank(row, 10));
+  // A changed item that rises to the top; a masked one that returns.
+  const std::vector<recsys::ScoredItem> back = {{3, 2.0f}, {1, 0.7f}};
+  row = {0.5f, 0.7f, 0.7f, 2.0f, 0.1f, 0.7f};
+  EXPECT_EQ(recsys::merge_rescored(clean, back, 6), full_rank(row, 6));
+}
+
+TEST(Ranker, MergeRescoredEqualsFullRankOnRandomRows) {
+  // Coarse scores (many ties), masked items and catalogs shorter than the
+  // cut: whatever changes, the merge from a clean list at depth n + m is
+  // the full ranking of the new row.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int items = rng.uniform_int(1, 30);
+    std::vector<float> row(static_cast<std::size_t>(items));
+    for (float& v : row) {
+      v = rng.uniform() < 0.15 ? -kInf : static_cast<float>(rng.uniform_int(0, 6));
+    }
+    std::vector<std::int32_t> order(row.size());
+    std::iota(order.begin(), order.end(), 0);
+    rng.shuffle(order);
+    order.resize(static_cast<std::size_t>(rng.uniform_int(0, items + 1)));
+    const std::int64_t n = rng.uniform_int(1, 25);
+    const auto clean = full_rank(row, n + static_cast<std::int64_t>(order.size()));
+    std::vector<recsys::ScoredItem> rescored;
+    for (const std::int32_t item : order) {
+      const float score =
+          rng.uniform() < 0.15 ? -kInf : static_cast<float>(rng.uniform_int(0, 6));
+      row[static_cast<std::size_t>(item)] = score;
+      rescored.push_back({item, score});
+    }
+    ASSERT_EQ(recsys::merge_rescored(clean, rescored, n), full_rank(row, n))
+        << "trial " << trial;
+  }
+}
+
+TEST(Ranker, MergeRescoredValidates) {
+  const std::vector<recsys::ScoredItem> clean = {{0, 1.0f}};
+  const std::vector<recsys::ScoredItem> twice = {{1, 0.5f}, {1, 0.4f}};
+  EXPECT_THROW(recsys::merge_rescored(clean, {}, 0), std::invalid_argument);
+  EXPECT_THROW(recsys::merge_rescored(clean, twice, 2), std::invalid_argument);
+}
+
+TEST(Ranker, ItemListsCutTheRankingAtN) {
+  const auto ds = two_user_dataset();
+  MockRecommender model(2, {0.2f, 0.8f, 0.6f, 0.8f, 0.1f});
+  const recsys::Ranking ranking = recsys::rank_all_users(model, ds, 4);
+  EXPECT_EQ(ranking.depth, 4);
+  for (std::int64_t n = 1; n <= 4; ++n) {
+    EXPECT_EQ(recsys::item_lists(ranking, n), recsys::top_n_lists(model, ds, n)) << n;
+  }
+  EXPECT_THROW(recsys::item_lists(ranking, 5), std::invalid_argument);
+  EXPECT_THROW(recsys::item_lists(ranking, 0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace taamr

@@ -203,6 +203,59 @@ TEST(Vbpr, ThetaCacheIsBitwiseTheItemMajorProductTransposed) {
   }
 }
 
+TEST(Vbpr, ScoreItemsIsTheFullRowAfterSetItemFeatures) {
+  // Scoring a few items under new features gives, bit for bit, their
+  // columns of score_users once those features are swapped in, for any
+  // user subset and item order; the model itself does not change.
+  const auto ds = make_dataset();
+  Rng rng(12);
+  const Tensor raw = make_features(ds, 16, rng);
+  recsys::VbprConfig cfg;
+  cfg.epochs = 3;
+  recsys::Vbpr model(ds, raw, cfg, rng);
+  model.fit(ds, rng);
+
+  const std::vector<std::int32_t> items = {17, 3, static_cast<std::int32_t>(ds.num_items - 1),
+                                           40, 0};
+  Tensor rows({static_cast<std::int64_t>(items.size()), 16});
+  testing::fill_uniform(rows, rng, -1.0f, 3.0f);
+  std::vector<std::int64_t> users;
+  for (std::int64_t u = ds.num_users - 1; u >= 0; u -= 3) users.push_back(u);
+  const std::vector<float> row_before = testing::score_row(model, 5);
+  std::vector<float> got(users.size() * items.size());
+  model.score_items(users, items, rows, got);
+  EXPECT_EQ(testing::score_row(model, 5), row_before);
+
+  Tensor merged = raw;
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    for (std::int64_t c = 0; c < 16; ++c) {
+      merged.at(items[j], c) = rows.at(static_cast<std::int64_t>(j), c);
+    }
+  }
+  recsys::Vbpr attacked = model;
+  attacked.set_item_features(merged);
+  const std::size_t num_items = static_cast<std::size_t>(ds.num_items);
+  std::vector<float> full(users.size() * num_items);
+  attacked.score_users(users, full);
+  for (std::size_t r = 0; r < users.size(); ++r) {
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      const float want = full[r * num_items + static_cast<std::size_t>(items[j])];
+      const float have = got[r * items.size() + j];
+      ASSERT_EQ(std::memcmp(&want, &have, sizeof(float)), 0)
+          << "user " << users[r] << " item " << items[j];
+    }
+  }
+
+  std::vector<float> one(items.size());
+  const std::int64_t user = 0;
+  EXPECT_THROW(model.score_items({&user, 1}, items, Tensor({5, 15}), one),
+               std::invalid_argument);
+  const std::vector<std::int32_t> bad = {0, 1, 2, 3, static_cast<std::int32_t>(ds.num_items)};
+  EXPECT_THROW(model.score_items({&user, 1}, bad, rows, one), std::invalid_argument);
+  EXPECT_THROW(model.score_items({&user, 1}, items, rows, std::span<float>(one).first(4)),
+               std::invalid_argument);
+}
+
 TEST(Vbpr, StaleCachesAreRejected) {
   const auto ds = make_dataset();
   Rng rng(7);

@@ -22,8 +22,6 @@
 #include "data/categories.hpp"
 #include "data/serialize.hpp"
 #include "metrics/chr.hpp"
-#include "metrics/image_quality.hpp"
-#include "metrics/success.hpp"
 #include "recsys/ranker.hpp"
 #include "util/args.hpp"
 #include "util/ppm.hpp"
@@ -118,15 +116,15 @@ int cmd_attack(const ArgParser& args) {
       model_name == "vbpr" ? pipeline.train_vbpr() : pipeline.train_amr();
 
   const auto batch = pipeline.attack_category(source, target, attack_key, eps);
-  const auto success =
-      metrics::attack_success(pipeline.classifier(), batch.attacked_images, target);
-  const auto visual = metrics::average_visual_quality(
-      pipeline.classifier(), batch.clean_images, batch.attacked_images);
-  const auto before = recsys::top_n_lists(*model, ds, cfg.top_n);
-  const double chr_before = metrics::category_hit_ratio(before, ds, source, cfg.top_n);
-  const auto after = pipeline.lists_under_attack(
-      *model, pipeline.features_with_attack(batch.items, batch.attacked_images),
-      cfg.top_n);
+  const auto measured = pipeline.measure_attack(batch.items, batch.attacked_images, target);
+  const auto& success = measured.success;
+  const auto& visual = measured.visual;
+  const recsys::Ranking clean = recsys::rank_all_users(
+      *model, ds, cfg.top_n + static_cast<std::int64_t>(batch.items.size()));
+  const double chr_before =
+      metrics::category_hit_ratio(recsys::item_lists(clean, cfg.top_n), ds, source, cfg.top_n);
+  const auto after = pipeline.lists_under_attack(*model, clean, batch.items,
+                                                 measured.attacked_features, cfg.top_n);
   const double chr_after = metrics::category_hit_ratio(after, ds, source, cfg.top_n);
 
   Table t("TAaMR: " + data::category_name(source) + " -> " +
